@@ -27,6 +27,13 @@
 // This is what makes the Table VII-IX grids usable at gate level: the full
 // 24-setting grid is ONE batched simulation instead of 24 scalar ones
 // (bench_table7_gates.cpp).
+//
+// A block can also live on and take in work continuously: load_lane()
+// resets one lane to a new job (any fitness function) while its siblings
+// keep stepping, and free_lane() retires a lane whose job ended. A
+// reloaded lane counts its trace `cycle`/`t` from its own reset, so its
+// run is indistinguishable from a fresh one-lane runner (gaipd's lane
+// refill, src/service/scheduler.cpp).
 #pragma once
 
 #include <algorithm>
@@ -68,15 +75,15 @@ public:
         gates::CompiledNetlist::kMaxWords * gates::CompiledNetlist::kWordBits;
 
     /// One lane per entry of `lane_params`. Every lane runs `fn` as its
-    /// (internal, slot-0) fitness function. `words` selects the lane-block
+    /// (internal, slot-0) fitness function (set_lane_fitness overrides it
+    /// per lane). `words` selects the lane-block
     /// width (1/2/4/8 u64 words); 0 picks the smallest block that fits the
     /// requested lane count. `backend` selects the evaluation engine for
     /// both compiled netlists (interpreted kernels vs host-compiled native
     /// code; kAuto defers to GAIP_JIT and defaults to the interpreter).
     BatchGateRunner(fitness::FitnessId fn, std::vector<core::GaParameters> lane_params,
                     unsigned words = 0, gates::Backend backend = gates::Backend::kAuto)
-        : fn_(fn),
-          params_(std::move(lane_params)),
+        : params_(std::move(lane_params)),
           core_src_(gates::build_ga_core_netlist()),
           rng_src_(gates::build_rng_netlist()) {
         if (params_.empty() || params_.size() > kMaxLanes)
@@ -103,21 +110,7 @@ public:
                                        .keep = rng_src_->observable_port_nets(),
                                        .backend = backend});
         words_ = core_->words();
-        presets_.assign(params_.size(), 0);
-        lane_sinks_.assign(params_.size(), nullptr);
-        lanes_.resize(params_.size());
-        for (std::size_t k = 0; k < params_.size(); ++k) {
-            Lane& l = lanes_[k];
-            const core::GaParameters& p = params_[k];
-            l.program = {
-                {0, static_cast<std::uint16_t>(p.n_gens & 0xFFFF)},
-                {1, static_cast<std::uint16_t>(p.n_gens >> 16)},
-                {2, p.pop_size},
-                {3, p.xover_threshold},
-                {4, p.mut_threshold},
-                {5, p.seed},
-            };
-        }
+        configure_lanes(fn);
     }
 
     /// Rebind the runner to a new job set without recompiling the two
@@ -132,23 +125,8 @@ public:
             throw std::invalid_argument(
                 "BatchGateRunner: reconfigure wants 1.." + std::to_string(words_ * kWordBits) +
                 " lane configs for this " + std::to_string(words_) + "-word block");
-        fn_ = fn;
         params_ = std::move(lane_params);
-        presets_.assign(params_.size(), 0);
-        lane_sinks_.assign(params_.size(), nullptr);
-        tracing_ = false;
-        lanes_.assign(params_.size(), Lane{});
-        for (std::size_t k = 0; k < params_.size(); ++k) {
-            const core::GaParameters& p = params_[k];
-            lanes_[k].program = {
-                {0, static_cast<std::uint16_t>(p.n_gens & 0xFFFF)},
-                {1, static_cast<std::uint16_t>(p.n_gens >> 16)},
-                {2, p.pop_size},
-                {3, p.xover_threshold},
-                {4, p.mut_threshold},
-                {5, p.seed},
-            };
-        }
+        configure_lanes(fn);
     }
 
     std::size_t lane_count() const noexcept { return lanes_.size(); }
@@ -164,16 +142,76 @@ public:
     /// healthy runs as hangs. Public for regression tests.
     std::uint64_t default_cycle_bound() const {
         std::uint64_t bound = 0;
-        for (std::size_t k = 0; k < params_.size(); ++k) {
-            const core::GaParameters eff = core::resolve_parameters(presets_[k], params_[k]);
-            const std::uint64_t evals =
-                util::sat_mul_u64(eff.pop_size, std::uint64_t{eff.n_gens} + 1);
-            const std::uint64_t per_eval =
-                util::sat_add_u64(64, util::sat_mul_u64(8, eff.pop_size));
-            bound = std::max<std::uint64_t>(
-                bound, util::sat_add_u64(util::sat_mul_u64(evals, per_eval), 100'000ull));
-        }
+        for (std::size_t k = 0; k < lanes_.size(); ++k)
+            if (!lanes_[k].free)
+                bound = std::max(bound, lane_cycle_bound(static_cast<unsigned>(k)));
         return bound;
+    }
+
+    /// The same formula for one lane, counted from that lane's own reset
+    /// (compare with lane_cycles()).
+    std::uint64_t lane_cycle_bound(unsigned lane) const {
+        check_lane(lane);
+        const core::GaParameters eff = core::resolve_parameters(presets_[lane], params_[lane]);
+        const std::uint64_t evals = util::sat_mul_u64(eff.pop_size, std::uint64_t{eff.n_gens} + 1);
+        const std::uint64_t per_eval = util::sat_add_u64(64, util::sat_mul_u64(8, eff.pop_size));
+        return util::sat_add_u64(util::sat_mul_u64(evals, per_eval), 100'000ull);
+    }
+
+    /// GA-clock cycles since the lane's last reset (begin_run or load_lane).
+    std::uint64_t lane_cycles(unsigned lane) const {
+        check_lane(lane);
+        return cycle_ - lanes_[lane].base;
+    }
+
+    /// Give one lane its own fitness function (call before the run
+    /// starts; load_lane sets it for a lane reloaded mid-run).
+    void set_lane_fitness(unsigned lane, fitness::FitnessId fn) {
+        check_lane(lane);
+        lanes_[lane].fn = fn;
+    }
+
+    /// Continuous refill: load a new job into `lane` while the other lanes
+    /// keep stepping. The next step_cycle() raises the reset bit in this
+    /// lane only, with its other inputs at 0 as in begin_run(); its memory,
+    /// FEM and handshake models start fresh, it runs user mode (preset 0),
+    /// its sink is detached, and its trace events count `cycle` and `t`
+    /// from that reset — the lane's run is identical to a fresh one-lane
+    /// runner's. `lane` may lie beyond lane_count() inside the block
+    /// (lane_count() grows; the lanes in between stay free).
+    void load_lane(unsigned lane, fitness::FitnessId fn, const core::GaParameters& p) {
+        if (lane >= std::size_t{words_} * kWordBits)
+            throw std::invalid_argument("BatchGateRunner: lane beyond the lane block");
+        if (lane >= lanes_.size()) {
+            Lane gap;
+            gap.free = true;
+            lanes_.resize(lane + 1, gap);
+            params_.resize(lane + 1);
+            presets_.resize(lane + 1, 0);
+            lane_sinks_.resize(lane + 1, nullptr);
+        }
+        Lane fresh;
+        fresh.fn = fn;
+        fresh.program = init_program(p);
+        fresh.resetting = true;
+        fresh.base = cycle_;
+        lanes_[lane] = std::move(fresh);
+        params_[lane] = p;
+        stall_[lane / kWordBits] &= ~(std::uint64_t{1} << (lane % kWordBits));
+        set_lane_sink(lane, nullptr);
+        if (presets_[lane] != 0) {
+            presets_[lane] = 0;
+            drive_presets();
+        }
+    }
+
+    /// Retire a lane whose job ended (or was abandoned): it no longer
+    /// counts as unfinished, its peripherals stop and its sink detaches.
+    /// Its result stays readable until the lane is loaded again.
+    void free_lane(unsigned lane) {
+        check_lane(lane);
+        lanes_[lane].free = true;
+        set_lane_sink(lane, nullptr);
     }
 
     /// Put one lane in a Table IV preset mode (1..3): its preset pins are
@@ -182,26 +220,23 @@ public:
     /// start pulse is issued right after reset. Mode 0 restores the normal
     /// user-mode flow. The lane's GaParameters entry is then ignored.
     void set_lane_preset(unsigned lane, std::uint8_t preset) {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         presets_[lane] = preset & 0x3;
     }
 
     /// Current controller-FSM state of one lane (the supervisor's watchdog
     /// classification input: kIdle = recoverable, anything else = wedged).
     std::uint8_t lane_state(unsigned lane) const {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         return static_cast<std::uint8_t>(core_->word_value(core_src_->state, lane));
     }
 
     /// Attach a telemetry sink to one lane (borrowed; nullptr detaches).
     /// The lane then emits the same protocol/generation event stream the
     /// RT-level SystemTap produces (minus the RT-only op counters), with
-    /// `cycle` counted from the runner's reset and `t` = cycle x 20 ns.
+    /// `cycle` counted from the lane's reset and `t` = cycle x 20 ns.
     void set_lane_sink(unsigned lane, trace::TraceSink* sink) {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         lane_sinks_[lane] = sink;
         tracing_ = false;
         for (const trace::TraceSink* s : lane_sinks_) tracing_ |= (s != nullptr);
@@ -214,8 +249,7 @@ public:
     /// in GTKWave. One run() per writer (VCD time is monotonic).
     void add_vcd(trace::VcdWriter* vcd, const std::vector<unsigned>& lanes_to_trace) {
         for (const unsigned lane : lanes_to_trace) {
-            if (lane >= lanes_.size())
-                throw std::invalid_argument("BatchGateRunner: lane out of range");
+            check_lane(lane);
             const std::string scope = "gates.lane" + std::to_string(lane);
             auto word = [this, lane](const gates::Word& w) {
                 const gates::Word* pw = &w;  // stable: lives in *core_src_
@@ -281,8 +315,7 @@ public:
     /// migration extension registers (indices 6/7) ride the handshake
     /// after the six Table III parameters. Call before the run starts.
     void append_lane_write(unsigned lane, std::uint8_t index, std::uint16_t value) {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         lanes_[lane].program.emplace_back(index, value);
     }
 
@@ -316,17 +349,16 @@ public:
         return running;
     }
 
-    /// Lanes neither finished nor parked at the barrier.
+    /// Lanes neither finished, parked at the barrier nor free.
     std::size_t pending_lanes() const noexcept {
         std::size_t n = 0;
         for (const Lane& l : lanes_)
-            if (!l.result.finished && !l.parked) ++n;
+            if (!l.result.finished && !l.parked && !l.free) ++n;
         return n;
     }
 
     bool lane_parked(unsigned lane) const {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         return lanes_[lane].parked;
     }
 
@@ -339,33 +371,28 @@ public:
 
     /// GA cycles a lane spent clock-gated at barriers so far.
     std::uint64_t lane_stall_cycles(unsigned lane) const {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         return lanes_[lane].stall_cycles;
     }
 
     const BatchLaneResult& lane_result(unsigned lane) const {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         return lanes_[lane].result;
     }
 
     /// Current-population bank bit of one lane (post-edge register value).
     bool lane_bank(unsigned lane) const {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         return core_->value(core_src_->bank, lane);
     }
 
     /// Backdoor access to a lane's software GA memory (256 x 32 words).
     std::uint32_t peek_lane_mem(unsigned lane, std::uint8_t addr) const {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         return lanes_[lane].mem[addr];
     }
     void poke_lane_mem(unsigned lane, std::uint8_t addr, std::uint32_t word) {
-        if (lane >= lanes_.size())
-            throw std::invalid_argument("BatchGateRunner: lane out of range");
+        check_lane(lane);
         lanes_[lane].mem[addr] = word;
     }
 
@@ -375,6 +402,10 @@ private:
     using WordVec = std::array<std::uint64_t, kMaxWords>;
 
     struct Lane {
+        fitness::FitnessId fn = fitness::FitnessId::kOneMax;  ///< software FEM function
+        bool free = false;       ///< no job: inputs held at 0, peripherals stopped
+        bool resetting = false;  ///< loaded: reset bit raised in the next cycle
+        std::uint64_t base = 0;  ///< runner cycle of the lane's last reset
         // init-handshake FSM (mirrors system::InitModule at GA granularity)
         std::vector<std::pair<std::uint8_t, std::uint16_t>> program;
         std::size_t init_item = 0;
@@ -401,6 +432,49 @@ private:
         bool start_traced = false;
         BatchLaneResult result;
     };
+
+    void check_lane(unsigned lane) const {
+        if (lane >= lanes_.size())
+            throw std::invalid_argument("BatchGateRunner: lane out of range");
+    }
+
+    /// The six Table III parameter writes of the init handshake.
+    static std::vector<std::pair<std::uint8_t, std::uint16_t>> init_program(
+        const core::GaParameters& p) {
+        return {
+            {0, static_cast<std::uint16_t>(p.n_gens & 0xFFFF)},
+            {1, static_cast<std::uint16_t>(p.n_gens >> 16)},
+            {2, p.pop_size},
+            {3, p.xover_threshold},
+            {4, p.mut_threshold},
+            {5, p.seed},
+        };
+    }
+
+    /// One lane per params_ entry, all running `fn`; presets, sinks and
+    /// lane state back to the post-construction condition.
+    void configure_lanes(fitness::FitnessId fn) {
+        presets_.assign(params_.size(), 0);
+        lane_sinks_.assign(params_.size(), nullptr);
+        tracing_ = false;
+        lanes_.assign(params_.size(), Lane{});
+        for (std::size_t k = 0; k < params_.size(); ++k) {
+            lanes_[k].fn = fn;
+            lanes_[k].program = init_program(params_[k]);
+        }
+    }
+
+    /// Static pins: per-lane Table IV preset mode (user mode = 0).
+    void drive_presets() {
+        std::array<WordVec, 2> preset_w{};
+        for (std::size_t k = 0; k < presets_.size(); ++k)
+            for (unsigned j = 0; j < 2; ++j)
+                if ((presets_[k] >> j) & 1u) set(preset_w[j], k);
+        for (unsigned j = 0; j < core_src_->preset.size() && j < 2; ++j)
+            drive_core(core_src_->preset[j], preset_w[j]);
+        for (unsigned j = 0; j < rng_src_->preset.size() && j < 2; ++j)
+            drive_rng(rng_src_->preset[j], preset_w[j]);
+    }
 
     static bool get(const WordVec& v, std::size_t k) noexcept {
         return (v[k / kWordBits] >> (k % kWordBits)) & 1u;
@@ -444,8 +518,11 @@ private:
         stall_ = WordVec{};
         barrier_armed_ = false;
         barrier_gen_ = 0;
+        reset_high_ = false;
         for (std::size_t k = 0; k < lanes_.size(); ++k) {
             Lane fresh;
+            fresh.fn = lanes_[k].fn;
+            fresh.free = lanes_[k].free;
             fresh.program = std::move(lanes_[k].program);
             if (presets_[k] != 0) {
                 // Preset lane: Table IV pins carry the run — no handshake,
@@ -456,14 +533,10 @@ private:
             }
             lanes_[k] = std::move(fresh);
         }
-        // Static pins: per-lane preset mode (user mode = 0), fitness slot 0.
-        std::array<WordVec, 2> preset_w{};
-        for (std::size_t k = 0; k < presets_.size(); ++k)
-            for (unsigned j = 0; j < 2; ++j)
-                if ((presets_[k] >> j) & 1u) set(preset_w[j], k);
+        // Static pins: per-lane preset mode, fitness slot 0.
         core_->set_input_all(core_src_->reset, false);
-        for (unsigned j = 0; j < core_src_->preset.size() && j < 2; ++j)
-            drive_core(core_src_->preset[j], preset_w[j]);
+        rng_->set_input_all(rng_src_->reset, false);
+        drive_presets();
         for (const gates::Net n : core_src_->fitfunc_select) core_->set_input_all(n, false);
         for (const gates::Net n : core_src_->fit_value_ext) core_->set_input_all(n, false);
         core_->set_input_all(core_src_->fit_valid_ext, false);
@@ -476,9 +549,6 @@ private:
         core_->set_input_all(core_src_->data_valid, false);
         for (const gates::Net n : core_src_->index) core_->set_input_all(n, false);
         for (const gates::Net n : core_src_->value) core_->set_input_all(n, false);
-        rng_->set_input_all(rng_src_->reset, false);
-        for (unsigned j = 0; j < rng_src_->preset.size() && j < 2; ++j)
-            drive_rng(rng_src_->preset[j], preset_w[j]);
         rng_->set_input_all(rng_src_->start, false);
         rng_->set_input_all(rng_src_->rn_next, false);
         rng_->set_input_all(rng_src_->ga_load, false);
@@ -502,13 +572,20 @@ private:
         const std::size_t n = lanes_.size();
 
         // ---- assemble per-lane input words --------------------------------
-        WordVec ga_load_w{}, data_valid_w{}, start_w{}, fit_valid_w{};
+        WordVec ga_load_w{}, data_valid_w{}, start_w{}, fit_valid_w{}, reset_w{};
         std::array<WordVec, 3> index_w{};
         std::array<WordVec, 16> value_w{};
         std::array<WordVec, 16> fitv_w{};
         std::array<WordVec, 32> mdi_w{};
+        bool any_reset = false;
         for (std::size_t k = 0; k < n; ++k) {
             const Lane& l = lanes_[k];
+            if (l.free) continue;
+            if (l.resetting) {
+                set(reset_w, k);
+                any_reset = true;
+                continue;
+            }
             if (!l.init_done) {
                 set(ga_load_w, k);
                 if (l.init_asserting) {
@@ -531,6 +608,12 @@ private:
         }
 
         // ---- drive the core and settle its combinational cone -------------
+        // A reloaded lane's reset bit is high for exactly one cycle.
+        if (any_reset || reset_high_) {
+            drive_core(core_src_->reset, reset_w);
+            drive_rng(rng_src_->reset, reset_w);
+            reset_high_ = any_reset;
+        }
         drive_core(core_src_->ga_load, ga_load_w);
         drive_core(core_src_->data_valid, data_valid_w);
         drive_core(core_src_->start_ga, start_w);
@@ -552,7 +635,9 @@ private:
         const WordVec fit_req_w = read_net(core_src_->fit_request);
         const WordVec ga_done_w = read_net(core_src_->ga_done);
         const WordVec mem_wr_w = read_net(core_src_->mem_wr);
-        const WordVec rn_next_w = read_net(core_src_->rn_next);
+        WordVec rn_next_w = read_net(core_src_->rn_next);
+        if (any_reset)
+            for (unsigned w = 0; w < words_; ++w) rn_next_w[w] &= ~reset_w[w];
         const auto addr_t = read_word_t<8>(core_src_->mem_address);
         const auto mdo_t = read_word_t<32>(core_src_->mem_data_out);
         const auto cand_t = read_word_t<16>(core_src_->candidate);
@@ -594,6 +679,14 @@ private:
         std::size_t unfinished = 0;
         for (std::size_t k = 0; k < n; ++k) {
             Lane& l = lanes_[k];
+            if (l.free) continue;
+            if (l.resetting) {
+                // The reset edge just landed: the lane's own clock starts.
+                l.resetting = false;
+                l.base = cycle_;
+                ++unfinished;
+                continue;
+            }
             if (l.parked) {
                 // Frozen at the barrier: peripherals hold, telemetry edge
                 // detectors hold, the lane just accrues stall time.
@@ -606,7 +699,7 @@ private:
 
             if (sink != nullptr && get(data_ack_w, k) && !l.prev_ack) {
                 const auto& [idx, val] = l.program[l.init_item];
-                sink->on_event(lane_event(trace::kind::kInitWrite)
+                sink->on_event(lane_event(l, trace::kind::kInitWrite)
                                    .add("index", static_cast<std::uint64_t>(idx))
                                    .add("value", static_cast<std::uint64_t>(val)));
             }
@@ -627,7 +720,7 @@ private:
                 l.fem_valid = false;
             } else if (get(fit_req_w, k) && !l.fem_valid) {
                 const std::uint16_t cand = static_cast<std::uint16_t>(lane_word(cand_t, k));
-                l.fem_value = fitness::fitness_u16(fn_, cand);
+                l.fem_value = fitness::fitness_u16(l.fn, cand);
                 l.fem_valid = true;
                 ++l.result.evaluations;
                 if (sink != nullptr) {
@@ -635,9 +728,9 @@ private:
                     // request/value pair collapses here; the stream order
                     // (request then value, one pair per evaluation) matches
                     // the RT-level tap.
-                    sink->on_event(lane_event(trace::kind::kFemRequest)
+                    sink->on_event(lane_event(l, trace::kind::kFemRequest)
                                        .add("candidate", static_cast<std::uint64_t>(cand)));
-                    sink->on_event(lane_event(trace::kind::kFemValue)
+                    sink->on_event(lane_event(l, trace::kind::kFemValue)
                                        .add("candidate", static_cast<std::uint64_t>(cand))
                                        .add("value", static_cast<std::uint64_t>(l.fem_value)));
                 }
@@ -665,15 +758,15 @@ private:
             if (sink != nullptr) {
                 if (l.init_done && !l.init_done_traced) {
                     l.init_done_traced = true;
-                    sink->on_event(lane_event(trace::kind::kInitDone));
+                    sink->on_event(lane_event(l, trace::kind::kInitDone));
                 }
                 if (l.started && !l.start_traced) {
                     l.start_traced = true;
-                    sink->on_event(lane_event(trace::kind::kStart));
+                    sink->on_event(lane_event(l, trace::kind::kStart));
                 }
                 if (get(mon_pulse_w, k) && !l.prev_pulse) {
                     sink->on_event(
-                        lane_event(trace::kind::kGeneration)
+                        lane_event(l, trace::kind::kGeneration)
                             .add("gen", core_->word_value(core_src_->mon_gen_id, lk))
                             .add("best_fit", core_->word_value(core_src_->mon_best_fit, lk))
                             .add("best_ind", core_->word_value(core_src_->mon_best_ind, lk))
@@ -682,7 +775,7 @@ private:
                             .add("bank", get(mon_bank_w, k) ? std::uint64_t{1} : std::uint64_t{0}));
                 }
                 if (get(mon_bank_w, k) != l.prev_bank) {
-                    sink->on_event(lane_event(trace::kind::kBankSwap)
+                    sink->on_event(lane_event(l, trace::kind::kBankSwap)
                                        .add("bank", get(mon_bank_w, k) ? std::uint64_t{1} : std::uint64_t{0}));
                 }
             }
@@ -714,7 +807,7 @@ private:
                     l.result.ga_cycles = cycle_ - l.start_cycle;
                     if (sink != nullptr) {
                         sink->on_event(
-                            lane_event(trace::kind::kDone)
+                            lane_event(l, trace::kind::kDone)
                                 .add("best_fit",
                                      static_cast<std::uint64_t>(l.result.best_fitness))
                                 .add("best_ind",
@@ -731,12 +824,13 @@ private:
         return unfinished;
     }
 
-    /// Event envelope for lane telemetry: 50 MHz GA clock -> 20 ns/cycle.
-    trace::TraceEvent lane_event(const char* kind) const {
-        return trace::TraceEvent(kind, cycle_ * 20'000, cycle_);
+    /// Event envelope for lane telemetry: 50 MHz GA clock -> 20 ns/cycle,
+    /// counted from the lane's own reset.
+    trace::TraceEvent lane_event(const Lane& l, const char* kind) const {
+        const std::uint64_t c = cycle_ - l.base;
+        return trace::TraceEvent(kind, c * 20'000, c);
     }
 
-    fitness::FitnessId fn_;
     std::vector<core::GaParameters> params_;
     std::vector<std::uint8_t> presets_;  ///< per-lane Table IV preset mode (0 = user)
     std::unique_ptr<gates::GaCoreNetlist> core_src_;
@@ -746,6 +840,7 @@ private:
     unsigned words_ = 1;
     std::vector<Lane> lanes_;
     std::uint64_t cycle_ = 0;
+    bool reset_high_ = false;  ///< a reloaded lane's reset bit was driven last cycle
     // island barrier state: per-lane clock-gate mask + armed boundary
     WordVec stall_{};
     bool barrier_armed_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
 
 #include "bench/gate_batch_runner.hpp"
 #include "core/behavioral.hpp"
@@ -77,6 +78,34 @@ bool Scheduler::past_deadline(const JobPtr& j) const {
     return j->deadline != Clock::time_point{} && Clock::now() > j->deadline;
 }
 
+void Scheduler::enqueue(const JobPtr& j) {
+    queue_.push_back(j);
+    if (batchable(j->rec.spec)) queued_gates_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Scheduler::note_dequeued(const JobPtr& j) {
+    if (batchable(j->rec.spec)) queued_gates_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Scheduler::mark_running(const JobPtr& j, Clock::time_point now) {
+    j->rec.state = JobState::kRunning;
+    j->rec.started = now;
+    ++active_;
+    if (cfg_.journal != nullptr) cfg_.journal->record_start(j->rec.id);
+}
+
+void Scheduler::emit_start(const JobPtr& j) {
+    trace::TraceEvent e("job_start", 0, 0);
+    e.add("id", j->rec.id);
+    e.add("backend", job_backend_name(j->rec.spec.backend));
+    emit_metric(std::move(e));
+}
+
+void Scheduler::left_worker() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (--active_ == 0) idle_cv_.notify_all();  // wait_idle / wait_drained
+}
+
 void Scheduler::emit_metric(trace::TraceEvent e) {
     if (cfg_.metrics == nullptr) return;
     std::lock_guard<std::mutex> lk(metrics_mu_);
@@ -86,6 +115,7 @@ void Scheduler::emit_metric(trace::TraceEvent e) {
 
 std::uint64_t Scheduler::submit(const JobSpec& spec) {
     JobPtr j;
+    std::size_t full_depth = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (stopping_ || draining_)
@@ -93,24 +123,29 @@ std::uint64_t Scheduler::submit(const JobSpec& spec) {
                                 draining_ ? "daemon is draining" : "daemon is shutting down");
         if (queue_.size() >= cfg_.max_queue) {
             ++counters_.rejected;
-            trace::TraceEvent e("job_reject", 0, 0);
-            e.add("queued", std::uint64_t{queue_.size()});
-            emit_metric(std::move(e));
-            throw ProtocolError(err::kQueueFull,
-                                "queue full (" + std::to_string(cfg_.max_queue) + " jobs)");
+            full_depth = queue_.size();
+        } else {
+            j = std::make_shared<Job>();
+            j->rec.id = next_id_++;
+            j->rec.spec = spec;
+            j->rec.submitted = Clock::now();
+            if (spec.deadline_ms != 0)
+                j->deadline = j->rec.submitted + std::chrono::milliseconds(spec.deadline_ms);
+            // Write-ahead: the journal record lands before the job can run
+            // (or be acknowledged), so a crash never loses an accepted job.
+            if (cfg_.journal != nullptr) cfg_.journal->record_submit(j->rec);
+            jobs_[j->rec.id] = j;
+            enqueue(j);
+            ++counters_.submitted;
         }
-        j = std::make_shared<Job>();
-        j->rec.id = next_id_++;
-        j->rec.spec = spec;
-        j->rec.submitted = Clock::now();
-        if (spec.deadline_ms != 0)
-            j->deadline = j->rec.submitted + std::chrono::milliseconds(spec.deadline_ms);
-        // Write-ahead: the journal record lands before the job can run (or
-        // be acknowledged), so a crash never loses an accepted job.
-        if (cfg_.journal != nullptr) cfg_.journal->record_submit(j->rec);
-        jobs_[j->rec.id] = j;
-        queue_.push_back(j);
-        ++counters_.submitted;
+    }
+    if (!j) {
+        // Metrics are emitted (and flushed) outside mu_, like job_submit.
+        trace::TraceEvent e("job_reject", 0, 0);
+        e.add("queued", std::uint64_t{full_depth});
+        emit_metric(std::move(e));
+        throw ProtocolError(err::kQueueFull,
+                            "queue full (" + std::to_string(cfg_.max_queue) + " jobs)");
     }
     cv_.notify_one();
     trace::TraceEvent e("job_submit", 0, 0);
@@ -134,6 +169,7 @@ CancelOutcome Scheduler::cancel(std::uint64_t id) {
         j->cancel.store(true, std::memory_order_relaxed);
         if (j->rec.state == JobState::kQueued) {
             queue_.erase(std::remove(queue_.begin(), queue_.end(), j), queue_.end());
+            note_dequeued(j);
             queued_victim = std::move(j);
         }
     }
@@ -184,7 +220,7 @@ void Scheduler::readmit(const JobRecord& rec) {
         if (rec.spec.deadline_ms != 0)
             j->deadline = j->rec.submitted + std::chrono::milliseconds(rec.spec.deadline_ms);
         jobs_[j->rec.id] = j;
-        queue_.push_back(j);
+        enqueue(j);
         next_id_ = std::max(next_id_, rec.id + 1);
         ++counters_.submitted;
         ++counters_.readmitted;
@@ -273,6 +309,7 @@ std::size_t Scheduler::expire_overdue() {
             const JobPtr& j = *it;
             if (j->deadline != Clock::time_point{} && Clock::now() > j->deadline) {
                 victims.push_back(j);
+                note_dequeued(j);
                 it = queue_.erase(it);
             } else {
                 ++it;
@@ -299,6 +336,7 @@ void Scheduler::stop() {
             // pending and are recovered (re-admitted) on the next boot.
             orphans.assign(queue_.begin(), queue_.end());
             queue_.clear();
+            queued_gates_.store(0, std::memory_order_relaxed);
             for (const auto& [id, j] : jobs_)
                 if (j->rec.state == JobState::kRunning)
                     j->cancel.store(true, std::memory_order_relaxed);
@@ -388,63 +426,36 @@ void Scheduler::worker_main(unsigned worker_idx) {
             if (queue_.empty()) continue;
             JobPtr j = queue_.front();
             queue_.pop_front();
-            if (batchable(j->rec.spec)) {
-                batch.push_back(j);
-                // Pack more queued gates jobs running the same fitness
-                // function into this lane block (queue order preserved for
-                // the rest).
-                for (auto it = queue_.begin();
-                     it != queue_.end() && batch.size() < cfg_.max_batch_lanes;) {
-                    if (batchable((*it)->rec.spec) && (*it)->rec.spec.fn == j->rec.spec.fn) {
-                        batch.push_back(*it);
-                        it = queue_.erase(it);
-                    } else {
-                        ++it;
-                    }
-                }
-            } else {
-                single = j;
-            }
-            const std::size_t taken = batch.size() + (single ? 1 : 0);
-            active_ += taken;
             const auto now = Clock::now();
-            for (const JobPtr& t : batch) {
-                t->rec.state = JobState::kRunning;
-                t->rec.started = now;
-                if (cfg_.journal != nullptr) cfg_.journal->record_start(t->rec.id);
+            if (batchable(j->rec.spec)) {
+                // The gates jobs right behind it, of any fitness function,
+                // open the lane block with it; later ones refill its free
+                // lanes while it runs (run_gate_batch).
+                batch.push_back(std::move(j));
+                while (!queue_.empty() && batch.size() < cfg_.max_batch_lanes &&
+                       batchable(queue_.front()->rec.spec)) {
+                    batch.push_back(queue_.front());
+                    queue_.pop_front();
+                }
+                queued_gates_.fetch_sub(batch.size(), std::memory_order_relaxed);
+                for (const JobPtr& t : batch) mark_running(t, now);
+            } else {
+                single = std::move(j);
+                mark_running(single, now);
             }
-            if (single) {
-                single->rec.state = JobState::kRunning;
-                single->rec.started = now;
-                if (cfg_.journal != nullptr) cfg_.journal->record_start(single->rec.id);
-            }
-        }
-        const auto start_metric = [&](const JobPtr& t) {
-            trace::TraceEvent e("job_start", 0, 0);
-            e.add("id", t->rec.id);
-            e.add("backend", job_backend_name(t->rec.spec.backend));
-            emit_metric(std::move(e));
-        };
-        for (const JobPtr& t : batch) start_metric(t);
-        if (single) start_metric(single);
-
-        if (!batch.empty()) {
-            const std::size_t n = batch.size();
-            run_gate_batch(std::move(batch), worker_idx);
-            std::lock_guard<std::mutex> lk(mu_);
-            active_ -= n;
-            if (active_ == 0) idle_cv_.notify_all();  // wait_idle / wait_drained
         }
         if (single) {
-            run_single(single, worker_idx);
-            std::lock_guard<std::mutex> lk(mu_);
-            active_ -= 1;
-            if (active_ == 0) idle_cv_.notify_all();
+            emit_start(single);
+            run_single(single);
+            left_worker();
+        } else {
+            for (const JobPtr& t : batch) emit_start(t);
+            run_gate_batch(std::move(batch), worker_idx);
         }
     }
 }
 
-void Scheduler::run_single(const JobPtr& j, unsigned worker_idx) {
+void Scheduler::run_single(const JobPtr& j) {
     try {
         if (j->cancel.load(std::memory_order_relaxed)) {
             finish(j, JobState::kCancelled, {});
@@ -463,10 +474,7 @@ void Scheduler::run_single(const JobPtr& j, unsigned worker_idx) {
         } else if (j->rec.spec.backend == JobBackend::kRtl) {
             run_rtl_job(j);
         } else {
-            // Defensive: a gates job that bypassed the packing path runs
-            // as a one-lane batch on this worker's cached runner.
-            std::vector<JobPtr> batch{j};
-            run_gate_batch(std::move(batch), worker_idx);
+            throw std::logic_error("plain gates jobs run as lanes of a gate block");
         }
     } catch (const std::exception& ex) {
         finish(j, JobState::kFailed, {}, ex.what());
@@ -603,78 +611,136 @@ void Scheduler::run_supervised_job(const JobPtr& j) {
 }
 
 void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
+    using bench::BatchGateRunner;
     // Lane-block width: honor the largest per-job hint, then grow to fit
-    // the packed lane count.
+    // the opening lane count. Refill admits up to `cap` lanes.
     unsigned words = 1;
     for (const JobPtr& j : batch) words = std::max(words, j->rec.spec.words);
-    while (std::size_t{words} * bench::BatchGateRunner::kWordBits < batch.size()) words *= 2;
+    while (std::size_t{words} * BatchGateRunner::kWordBits < batch.size()) words *= 2;
+    const std::size_t cap =
+        std::min<std::size_t>(cfg_.max_batch_lanes, std::size_t{words} * BatchGateRunner::kWordBits);
 
-    std::vector<core::GaParameters> lane_params;
-    lane_params.reserve(batch.size());
-    for (const JobPtr& j : batch) lane_params.push_back(j->rec.spec.params);
-    const fitness::FitnessId fn = batch.front()->rec.spec.fn;
+    // lanes[k]: the job running in lane k (null = free lane).
+    std::vector<JobPtr> lanes = std::move(batch);
+    std::size_t live = lanes.size();
+    BatchGateRunner* runner = nullptr;
+    const auto end_lane = [&](std::size_t k, JobState state, const JobOutcome& out,
+                              const std::string& error) {
+        const JobPtr j = std::move(lanes[k]);
+        lanes[k] = nullptr;
+        if (runner != nullptr) runner->free_lane(static_cast<unsigned>(k));
+        --live;
+        finish(j, state, out, error);
+        left_worker();
+    };
 
     try {
+        std::vector<core::GaParameters> lane_params;
+        lane_params.reserve(live);
+        for (const JobPtr& j : lanes) lane_params.push_back(j->rec.spec.params);
         auto& cache = runner_cache_[worker_idx];
         auto it = cache.find(words);
         if (it == cache.end()) {
             it = cache
-                     .emplace(words, std::make_unique<bench::BatchGateRunner>(
-                                         fn, lane_params, words, cfg_.gate_backend))
+                     .emplace(words, std::make_unique<BatchGateRunner>(
+                                         lanes.front()->rec.spec.fn, lane_params, words,
+                                         cfg_.gate_backend))
                      .first;
         } else {
-            it->second->reconfigure(fn, lane_params);
+            it->second->reconfigure(lanes.front()->rec.spec.fn, std::move(lane_params));
         }
-        bench::BatchGateRunner& runner = *it->second;
+        runner = it->second.get();
+        for (std::size_t k = 0; k < live; ++k) {
+            runner->set_lane_fitness(static_cast<unsigned>(k), lanes[k]->rec.spec.fn);
+            runner->set_lane_sink(static_cast<unsigned>(k), lanes[k].get());
+        }
         {
             std::lock_guard<std::mutex> lk(mu_);
             ++counters_.gate_batches;
-            counters_.gate_lanes += batch.size();
+            counters_.gate_lanes += live;
         }
-        for (std::size_t k = 0; k < batch.size(); ++k)
-            runner.set_lane_sink(static_cast<unsigned>(k), batch[k].get());
+        lanes.resize(cap);
 
-        const std::uint64_t bound = runner.default_cycle_bound();
-        constexpr std::uint64_t kCheckMask = 2047;  // cancel/deadline window
-        runner.begin_run();
-        std::size_t pending = batch.size();
-        while (pending > 0 && runner.cycles() < bound) {
-            pending = runner.step_cycle();
-            if ((runner.cycles() & kCheckMask) == 0) {
-                bool any_live = false;
-                for (const JobPtr& j : batch)
-                    if (!j->cancel.load(std::memory_order_relaxed) && !past_deadline(j)) {
-                        any_live = true;
-                        break;
-                    }
-                if (!any_live) break;
+        constexpr std::uint64_t kCheckMask = 2047;  // cancel/deadline/bound window
+        bool admitting = true;
+        runner->begin_run();
+        while (live > 0) {
+            // A lane's job ends in the cycle it raises GA_done.
+            if (runner->step_cycle() < live) {
+                for (std::size_t k = 0; k < cap; ++k) {
+                    if (!lanes[k]) continue;
+                    const bench::BatchLaneResult& lr = runner->lane_result(static_cast<unsigned>(k));
+                    if (!lr.finished) continue;
+                    JobOutcome out;
+                    out.best_fitness = lr.best_fitness;
+                    out.best_candidate = lr.best_candidate;
+                    out.generations = lr.generations;
+                    out.evaluations = lr.evaluations;
+                    JobState state = JobState::kDone;
+                    if (lanes[k]->cancel.load(std::memory_order_relaxed))
+                        state = JobState::kCancelled;
+                    else if (past_deadline(lanes[k]))
+                        state = JobState::kExpired;
+                    end_lane(k, state, state == JobState::kDone ? out : JobOutcome{}, {});
+                }
             }
-        }
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            const JobPtr& j = batch[k];
-            if (j->cancel.load(std::memory_order_relaxed)) {
-                finish(j, JobState::kCancelled, {});
-                continue;
+            if ((runner->cycles() & kCheckMask) == 0) {
+                for (std::size_t k = 0; k < cap; ++k) {
+                    if (!lanes[k]) continue;
+                    const unsigned lane = static_cast<unsigned>(k);
+                    if (lanes[k]->cancel.load(std::memory_order_relaxed))
+                        end_lane(k, JobState::kCancelled, {}, {});
+                    else if (past_deadline(lanes[k]))
+                        end_lane(k, JobState::kExpired, {}, {});
+                    else if (runner->lane_cycles(lane) >= runner->lane_cycle_bound(lane))
+                        end_lane(k, JobState::kFailed, {},
+                                 "lane did not finish within the cycle bound");
+                }
             }
-            if (past_deadline(j)) {
-                finish(j, JobState::kExpired, {});
-                continue;
-            }
-            const bench::BatchLaneResult& lr = runner.lane_result(static_cast<unsigned>(k));
-            if (!lr.finished) {
-                finish(j, JobState::kFailed, {}, "lane did not finish within the cycle bound");
-                continue;
-            }
-            JobOutcome out;
-            out.best_fitness = lr.best_fitness;
-            out.best_candidate = lr.best_candidate;
-            out.generations = lr.generations;
-            out.evaluations = lr.evaluations;
-            finish(j, JobState::kDone, out);
+            if (admitting && live < cap && queued_gates_.load(std::memory_order_relaxed) != 0)
+                admitting = refill_lanes(*runner, lanes, live);
         }
     } catch (const std::exception& ex) {
-        for (const JobPtr& j : batch) finish(j, JobState::kFailed, {}, ex.what());
+        for (std::size_t k = 0; k < lanes.size(); ++k)
+            if (lanes[k]) end_lane(k, JobState::kFailed, {}, ex.what());
     }
+}
+
+bool Scheduler::refill_lanes(bench::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
+                             std::size_t& live) {
+    std::vector<std::size_t> loaded;
+    bool open = true;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        const auto now = Clock::now();
+        std::size_t k = 0;
+        while (live < lanes.size() && !queue_.empty()) {
+            const JobPtr& front = queue_.front();
+            // FIFO: a non-gates job (or one wanting a wider block) at the
+            // front ends admission, so this block drains and the worker
+            // turns to it — no starvation behind a stream of gates jobs.
+            if (stopping_ || draining_ || !batchable(front->rec.spec) ||
+                front->rec.spec.words > runner.words()) {
+                open = false;
+                break;
+            }
+            while (lanes[k]) ++k;
+            lanes[k] = front;
+            queue_.pop_front();
+            queued_gates_.fetch_sub(1, std::memory_order_relaxed);
+            mark_running(lanes[k], now);
+            ++counters_.gate_lanes;
+            ++live;
+            loaded.push_back(k);
+        }
+    }
+    for (const std::size_t k : loaded) {
+        const JobPtr& j = lanes[k];
+        runner.load_lane(static_cast<unsigned>(k), j->rec.spec.fn, j->rec.spec.params);
+        runner.set_lane_sink(static_cast<unsigned>(k), j.get());
+        emit_start(j);
+    }
+    return open;
 }
 
 }  // namespace gaip::service

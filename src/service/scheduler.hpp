@@ -1,12 +1,23 @@
 // Job scheduler of the gaipd service plane: a bounded admission queue in
 // front of a pool of pinned worker threads, multiplexing many GA jobs onto
-// the engines the repo already has. Scheduling policy (ROADMAP item 1):
+// the engines the repo already has. Scheduling policy:
 //
-//   * independent gate-backend jobs are PACKED — a worker drains up to
-//     `max_batch_lanes` queued gates jobs sharing one fitness function and
-//     runs them as lanes of a single BatchGateRunner lane block, reusing a
-//     per-worker cached runner (BatchGateRunner::reconfigure) so the two
-//     compiled netlists are paid for once per worker, not once per job;
+//   * plain gates jobs (no islands, no supervision) run as lanes of a
+//     long-lived BatchGateRunner lane block. A worker that finds one at
+//     the queue front opens a block with it and the gates jobs right
+//     behind it, of any fitness function (only the software FEM lookup
+//     depends on it). Each lane's job ends in the cycle the lane raises
+//     GA_done; cancelled, expired and over-bound lanes are freed at the
+//     check window (every 2048 cycles). While gates jobs are queued, the
+//     block refills its free lanes from the queue front between cycles
+//     (BatchGateRunner::load_lane: one lane resets, its siblings keep
+//     stepping), up to min(max_batch_lanes, 64 x words) lanes, honoring
+//     each job's `words` hint. Admission stops for good once a non-gates
+//     job (or one wanting a wider block) is at the front, or the daemon
+//     drains or stops; the block then runs its lanes out and the worker
+//     returns to the queue, so nothing starves behind a stream of gates
+//     jobs. A per-worker cached runner (BatchGateRunner::reconfigure)
+//     pays for the two compiled netlists once per worker and width;
 //   * behavioral jobs run the resumable BehavioralEngine one generation at
 //     a time — the cancel/deadline check points;
 //   * rtl jobs run a complete system::GaSystem;
@@ -16,17 +27,19 @@
 //
 // Every job's results are bit-identical to running the same spec directly
 // through those engines — the scheduler only multiplexes, it never alters
-// a job's parameter/seed path (asserted by tests/service/
-// test_service_differential.cpp).
+// a job's parameter/seed path. A gates job's result and stream equal a
+// one-lane direct run, wherever and whenever it entered its block
+// (asserted by tests/service/test_service_differential.cpp).
 //
 // Cancellation is cooperative: behavioral jobs stop at the next generation
-// boundary, gate batches at the next check window (~2k cycles); monolithic
-// rtl/island/supervised runs are cancelled between runs, or their finished
-// result is discarded when the flag arrives mid-run. Deadlines follow the
-// same checkpoints; a job finishing past its deadline is `expired` and
-// counts as a deadline miss.
+// boundary, gate lanes at the next check window (~2k cycles) while the
+// rest of their block runs on; monolithic rtl/island/supervised runs are
+// cancelled between runs, or their finished result is discarded when the
+// flag arrives mid-run. Deadlines follow the same checkpoints; a job
+// finishing past its deadline is `expired` and counts as a deadline miss.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -56,7 +69,7 @@ struct SchedulerConfig {
     /// Admission control: submits beyond this many queued jobs are
     /// rejected with `queue_full` instead of growing latency unboundedly.
     std::size_t max_queue = 1024;
-    /// Gate-job packing ceiling per batch (<= BatchGateRunner::kMaxLanes).
+    /// Lane ceiling of one gate block (<= BatchGateRunner::kMaxLanes).
     unsigned max_batch_lanes = 256;
     /// Evaluation engine for the gate lanes (interpreter / native JIT).
     gates::Backend gate_backend = gates::Backend::kAuto;
@@ -88,8 +101,8 @@ struct ServiceStats {
     std::uint64_t done_gates = 0;
     std::uint64_t done_islands = 0;     ///< subset of the above with islands > 0
     std::uint64_t done_supervised = 0;  ///< subset with supervise = 1
-    std::uint64_t gate_batches = 0;     ///< BatchGateRunner launches
-    std::uint64_t gate_lanes = 0;       ///< lanes across those launches
+    std::uint64_t gate_batches = 0;     ///< gate-block launches
+    std::uint64_t gate_lanes = 0;       ///< lanes admitted to them, refills included
     std::uint64_t restored = 0;         ///< terminal jobs recovered from the journal
     std::uint64_t readmitted = 0;       ///< interrupted jobs re-run after recovery
     double uptime_s = 0;
@@ -169,8 +182,15 @@ private:
     using JobPtr = std::shared_ptr<Job>;
 
     void worker_main(unsigned worker_idx);
-    void run_single(const JobPtr& j, unsigned worker_idx);
+    void run_single(const JobPtr& j);
+    /// Run one gate block opened by `batch`, refilling it until admission
+    /// stops and every lane has ended (see file comment).
     void run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx);
+    /// Move queued gates jobs from the queue front into free lanes of a
+    /// running block (lanes[k] null = free). Returns false once admission
+    /// has stopped for this block.
+    bool refill_lanes(bench::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
+                      std::size_t& live);
     void run_behavioral_job(const JobPtr& j);
     void run_rtl_job(const JobPtr& j);
     void run_island_job(const JobPtr& j);
@@ -181,6 +201,12 @@ private:
     void finish(const JobPtr& j, JobState state, const JobOutcome& outcome,
                 const std::string& error = {});
     void emit_metric(trace::TraceEvent e);
+    void emit_start(const JobPtr& j);
+    // Queue and worker bookkeeping; the first three need mu_ held.
+    void enqueue(const JobPtr& j);
+    void note_dequeued(const JobPtr& j);
+    void mark_running(const JobPtr& j, Clock::time_point now);
+    void left_worker();  ///< one job left its worker (takes mu_)
     bool past_deadline(const JobPtr& j) const;
 
     SchedulerConfig cfg_;
@@ -190,6 +216,9 @@ private:
     std::condition_variable cv_;       ///< queue not empty / stopping
     std::condition_variable idle_cv_;  ///< drained (wait_idle)
     std::deque<JobPtr> queue_;
+    /// Plain gates jobs in queue_: written under mu_, read lock-free by
+    /// running gate blocks between cycles (the refill trigger).
+    std::atomic<std::size_t> queued_gates_{0};
     std::unordered_map<std::uint64_t, JobPtr> jobs_;
     std::uint64_t next_id_ = 1;
     std::size_t active_ = 0;  ///< jobs currently on workers

@@ -9,6 +9,8 @@
 #include "bench/gate_batch_runner.hpp"
 #include "gates/jit.hpp"
 #include "system/ga_system.hpp"
+#include "trace/event.hpp"
+#include "trace/jsonl.hpp"
 
 namespace gaip::bench {
 namespace {
@@ -198,6 +200,125 @@ TEST(BatchGateRunner, JitBackendReproducesInterpLanes) {
         EXPECT_EQ(a[k].evaluations, b[k].evaluations);
         EXPECT_EQ(a[k].ga_cycles, b[k].ga_cycles);
     }
+}
+
+/// Events as JSONL lines: exact to compare, readable when they differ.
+std::vector<std::string> json_lines(const std::vector<trace::TraceEvent>& events) {
+    std::vector<std::string> out;
+    for (const trace::TraceEvent& e : events) out.push_back(trace::to_json_line(e));
+    return out;
+}
+
+/// One lane's job run alone on a fresh one-lane runner: result + stream.
+struct SoloRun {
+    BatchLaneResult result;
+    std::vector<std::string> events;
+};
+
+SoloRun solo_run(FitnessId fn, const GaParameters& p, gates::Backend backend) {
+    BatchGateRunner runner(fn, {p}, 1, backend);
+    trace::MemorySink sink;
+    runner.set_lane_sink(0, &sink);
+    const BatchLaneResult result = runner.run()[0];
+    return {result, json_lines(sink.events())};
+}
+
+void expect_same_result(const BatchLaneResult& got, const BatchLaneResult& want) {
+    EXPECT_TRUE(got.finished);
+    EXPECT_EQ(got.finished, want.finished);
+    EXPECT_EQ(got.best_fitness, want.best_fitness);
+    EXPECT_EQ(got.best_candidate, want.best_candidate);
+    EXPECT_EQ(got.generations, want.generations);
+    EXPECT_EQ(got.evaluations, want.evaluations);
+    EXPECT_EQ(got.ga_cycles, want.ga_cycles);
+}
+
+/// Continuous refill: lane 0 is reloaded the cycle after its first job
+/// finishes (with a different fitness function), and lane 70 — word 1 of
+/// a 2-word block — is loaded while the block is running. Both must be
+/// indistinguishable from fresh one-lane runs, trace `cycle`/`t` included,
+/// and the siblings must not notice.
+void reload_lanes_mid_run(gates::Backend backend) {
+    const std::vector<GaParameters> first = {
+        {.pop_size = 8, .n_gens = 2, .xover_threshold = 12, .mut_threshold = 1,
+         .seed = 0x2961},  // short: finishes first
+        {.pop_size = 16, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 2,
+         .seed = 0x061F},
+        {.pop_size = 9, .n_gens = 4, .xover_threshold = 14, .mut_threshold = 4,
+         .seed = 0xB342},
+    };
+    const GaParameters again{.pop_size = 12, .n_gens = 3, .xover_threshold = 12,
+                             .mut_threshold = 3, .seed = 0xA0A0};
+    const GaParameters far{.pop_size = 10, .n_gens = 3, .xover_threshold = 13,
+                           .mut_threshold = 1, .seed = 0xFFFF};
+
+    BatchGateRunner plain(FitnessId::kMBf6_2, first, 2, backend);
+    const std::vector<BatchLaneResult> untouched = plain.run();
+
+    BatchGateRunner runner(FitnessId::kMBf6_2, first, 2, backend);
+    ASSERT_EQ(runner.words(), 2u);
+    runner.begin_run();
+    while (!runner.lane_result(0).finished) {
+        ASSERT_LT(runner.cycles(), runner.default_cycle_bound());
+        runner.step_cycle();
+    }
+    ASSERT_FALSE(runner.lane_result(1).finished) << "the reload must happen mid-run";
+    expect_same_result(runner.lane_result(0), untouched[0]);
+
+    trace::MemorySink again_sink, far_sink;
+    runner.load_lane(0, FitnessId::kOneMax, again);
+    runner.set_lane_sink(0, &again_sink);
+    for (int i = 0; i < 301; ++i) runner.step_cycle();
+    runner.load_lane(70, FitnessId::kRoyalRoad, far);
+    runner.set_lane_sink(70, &far_sink);
+    EXPECT_EQ(runner.lane_count(), 71u);
+    EXPECT_EQ(runner.lane_cycles(70), 0u);
+    EXPECT_EQ(runner.lane_cycle_bound(70),
+              BatchGateRunner(FitnessId::kRoyalRoad, {far}).default_cycle_bound());
+
+    const std::uint64_t bound = runner.cycles() + runner.default_cycle_bound();
+    while (runner.step_cycle() > 0) ASSERT_LT(runner.cycles(), bound);
+
+    {
+        SCOPED_TRACE("lane 0 reloaded with another fitness function");
+        const SoloRun want = solo_run(FitnessId::kOneMax, again, backend);
+        expect_same_result(runner.lane_result(0), want.result);
+        EXPECT_EQ(json_lines(again_sink.events()), want.events);
+        EXPECT_FALSE(want.events.empty());
+    }
+    {
+        SCOPED_TRACE("lane 70 loaded into word 1");
+        const SoloRun want = solo_run(FitnessId::kRoyalRoad, far, backend);
+        expect_same_result(runner.lane_result(70), want.result);
+        EXPECT_EQ(json_lines(far_sink.events()), want.events);
+    }
+    for (unsigned k : {1u, 2u}) {
+        SCOPED_TRACE("sibling lane " + std::to_string(k));
+        expect_same_result(runner.lane_result(k), untouched[k]);
+    }
+}
+
+TEST(BatchGateRunner, ReloadedLanesMatchFreshOneLaneRuns) {
+    reload_lanes_mid_run(gates::Backend::kInterp);
+}
+
+TEST(BatchGateRunner, ReloadedLanesMatchFreshOneLaneRunsJit) {
+    if (!gates::jit::available())
+        GTEST_SKIP() << "no host compiler for the JIT backend";
+    reload_lanes_mid_run(gates::Backend::kJitForce);
+}
+
+TEST(BatchGateRunner, FreedLaneStopsCounting) {
+    const GaParameters p{.pop_size = 8, .n_gens = 2, .xover_threshold = 12,
+                         .mut_threshold = 1, .seed = 0x2961};
+    BatchGateRunner runner(FitnessId::kOneMax, {p, p});
+    runner.begin_run();
+    EXPECT_EQ(runner.step_cycle(), 2u);
+    runner.free_lane(1);
+    EXPECT_EQ(runner.step_cycle(), 1u) << "a freed lane is no longer unfinished";
+    EXPECT_EQ(runner.pending_lanes(), 1u);
+    EXPECT_THROW(runner.load_lane(64, FitnessId::kOneMax, p), std::invalid_argument)
+        << "lane 64 lies beyond a one-word block";
 }
 
 }  // namespace

@@ -2,16 +2,21 @@
 // Daemon (poll loop + worker pool) driven by the Client that gaipctl and
 // the --daemon tool paths use. Covers the full verb set, job lifecycle on
 // every backend, cooperative cancellation (queued and mid-generation),
-// deadline expiry, admission control, and streaming semantics.
+// deadline expiry, admission control, and streaming semantics — including
+// per-lane cancel, deadline and drain inside a running gate block.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/gate_batch_runner.hpp"
 #include "core/params.hpp"
 #include "service/client.hpp"
+#include "service/journal.hpp"
 #include "service/server.hpp"
 #include "trace/event.hpp"
 
@@ -49,6 +54,42 @@ JobSpec long_job() {
     spec.params.n_gens = 50'000'000;
     spec.params.pop_size = 128;
     return spec;
+}
+
+/// A gates job of about 15k GA cycles: long enough to still be running
+/// while a test cancels, expires or drains around it.
+JobSpec long_gates_job(std::uint16_t seed) {
+    JobSpec spec = small_job(service::JobBackend::kGates, seed);
+    spec.params.pop_size = 24;
+    spec.params.n_gens = 16;
+    return spec;
+}
+
+/// Poll until the job has left the queue.
+void wait_running(Client& c, std::uint64_t id) {
+    for (int i = 0; i < 6000 && c.status(id).str("state") == "queued"; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(c.status(id).str("state"), "running");
+}
+
+/// Direct runs of gates specs, one lane each of a single direct runner
+/// (a lane's result does not depend on the block around it).
+std::vector<bench::BatchLaneResult> direct_lanes(const std::vector<JobSpec>& specs) {
+    std::vector<core::GaParameters> params;
+    for (const JobSpec& s : specs) params.push_back(s.params);
+    bench::BatchGateRunner runner(specs.front().fn, params);
+    for (std::size_t k = 0; k < specs.size(); ++k)
+        runner.set_lane_fitness(static_cast<unsigned>(k), specs[k].fn);
+    return runner.run();
+}
+
+/// A done gates job must carry exactly its direct run's result.
+void expect_result(const Frame& st, const bench::BatchLaneResult& want) {
+    ASSERT_EQ(st.str("state"), "done") << service::to_line(st);
+    EXPECT_EQ(st.u64("best_fitness"), want.best_fitness);
+    EXPECT_EQ(st.u64("best_candidate"), want.best_candidate);
+    EXPECT_EQ(st.u64("generations"), want.generations);
+    EXPECT_EQ(st.u64("evaluations"), want.evaluations);
 }
 
 Frame wait_terminal(Client& c, std::uint64_t id) {
@@ -173,6 +214,121 @@ TEST(Service, CancelQueuedJob) {
 
     EXPECT_EQ(c.cancel(blocker), service::CancelOutcome::kCancelled);
     wait_terminal(c, blocker);
+}
+
+TEST(Service, CancelOneLaneOfRunningGateBlock) {
+    // Eight gates jobs pile up behind a blocker and open one block
+    // together; cancelling one frees its lane at the next check window
+    // while its seven siblings run on to bit-exact results.
+    service::Daemon d(daemon_config("t_svc_lanecancel.sock", /*workers=*/1));
+    Client c(d.socket_path());
+    const std::uint64_t blocker = c.submit(long_job());
+    wait_running(c, blocker);
+    std::vector<JobSpec> specs;
+    std::vector<std::uint64_t> ids;
+    for (std::uint16_t k = 0; k < 8; ++k) {
+        specs.push_back(long_gates_job(static_cast<std::uint16_t>(0x3100 + k)));
+        ids.push_back(c.submit(specs.back()));
+    }
+    c.cancel(blocker);
+    for (const std::uint64_t id : ids) wait_running(c, id);
+
+    EXPECT_EQ(c.cancel(ids[3]), service::CancelOutcome::kCancelled);
+    EXPECT_EQ(wait_terminal(c, ids[3]).str("state"), "cancelled");
+    // One check window is ~2k cycles; the siblings need ~15k.
+    std::size_t still_running = 0;
+    for (std::size_t k = 0; k < ids.size(); ++k)
+        if (k != 3 && c.status(ids[k]).str("state") == "running") ++still_running;
+    EXPECT_EQ(still_running, 7u) << "the cancelled lane must end long before its block";
+
+    const std::vector<bench::BatchLaneResult> want = direct_lanes(specs);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        if (k == 3) continue;
+        SCOPED_TRACE("lane job " + std::to_string(k));
+        expect_result(wait_terminal(c, ids[k]), want[k]);
+    }
+    const Frame st = c.stats();
+    EXPECT_EQ(st.u64("done_gates"), 7u);
+    EXPECT_EQ(st.u64("cancelled"), 2u);  // the blocker and the one lane
+    EXPECT_EQ(st.u64("gate_batches"), 1u);
+    EXPECT_EQ(st.u64("gate_lanes"), 8u);
+}
+
+TEST(Service, DeadlineMidBlockExpiresOnlyThatLane) {
+    // Five gates jobs and one far longer job whose deadline passes while
+    // the block runs: only that lane expires.
+    service::Daemon d(daemon_config("t_svc_lanedeadline.sock", /*workers=*/1));
+    Client c(d.socket_path());
+    JobSpec late = long_gates_job(0x3200);
+    late.params.pop_size = 64;
+    late.params.n_gens = 1000;
+    late.deadline_ms = 300;
+    std::vector<JobSpec> specs;
+    std::vector<std::uint64_t> ids;
+    for (std::uint16_t k = 1; k <= 5; ++k)
+        specs.push_back(long_gates_job(static_cast<std::uint16_t>(0x3200 + k)));
+    // The block is running before the deadline clock starts, so the job
+    // is admitted at once and its deadline passes inside the block.
+    ids.push_back(c.submit(specs[0]));
+    wait_running(c, ids[0]);
+    const std::uint64_t late_id = c.submit(late);
+    for (std::size_t k = 1; k < specs.size(); ++k) ids.push_back(c.submit(specs[k]));
+    EXPECT_EQ(wait_terminal(c, late_id).str("state"), "expired");
+    const std::vector<bench::BatchLaneResult> want = direct_lanes(specs);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        SCOPED_TRACE("lane job " + std::to_string(k));
+        expect_result(wait_terminal(c, ids[k]), want[k]);
+    }
+    const Frame st = c.stats();
+    EXPECT_EQ(st.u64("expired"), 1u);
+    EXPECT_EQ(st.u64("done_gates"), 5u);
+    EXPECT_EQ(st.u64("gate_batches"), 1u) << "late arrivals refill the running block";
+    EXPECT_EQ(st.u64("gate_lanes"), 6u);
+}
+
+TEST(Service, DrainDuringLiveGateBlockAdmitsNoLanes) {
+    // A two-lane block is full, so two more gates jobs wait in the queue.
+    // After `shutdown --drain` the block's lanes finish, but the lanes
+    // they free must not take the queued jobs: those stay pending in the
+    // journal for the next boot.
+    const std::string dir = "t_svc_lanedrain.j";
+    std::filesystem::remove_all(dir);
+    service::ServerConfig cfg = daemon_config("t_svc_lanedrain.sock", /*workers=*/1);
+    cfg.scheduler.max_batch_lanes = 2;
+    cfg.journal_dir = dir;
+    service::Daemon d(cfg);
+    Client c(d.socket_path());
+    const JobSpec running_a = long_gates_job(0x3301);
+    const JobSpec running_b = long_gates_job(0x3302);
+    const std::uint64_t a = c.submit(running_a);
+    const std::uint64_t b = c.submit(running_b);
+    wait_running(c, a);
+    wait_running(c, b);
+    const std::uint64_t q1 = c.submit(small_job(service::JobBackend::kGates, 0x3303));
+    const std::uint64_t q2 = c.submit(small_job(service::JobBackend::kGates, 0x3304));
+    EXPECT_EQ(c.status(q1).str("state"), "queued");
+    EXPECT_EQ(c.status(q2).str("state"), "queued");
+
+    Frame req(service::verb::kShutdown);
+    req.add("drain", std::uint64_t{1});
+    EXPECT_EQ(c.rpc(req).u64("drain"), 1u);
+    d.scheduler().wait_drained();  // the two running lanes finish
+
+    const service::ServiceStats st = d.scheduler().stats();
+    EXPECT_EQ(st.gate_batches, 1u);
+    EXPECT_EQ(st.gate_lanes, 2u) << "no lane admitted after the drain";
+    EXPECT_EQ(st.done_gates, 2u);
+
+    const service::JournalReplay rep = service::replay_journal(dir);
+    std::vector<std::uint64_t> pending, done;
+    for (const service::JobRecord& r : rep.pending) pending.push_back(r.id);
+    for (const service::JobRecord& r : rep.terminal)
+        if (r.state == service::JobState::kDone) done.push_back(r.id);
+    std::sort(pending.begin(), pending.end());
+    std::sort(done.begin(), done.end());
+    EXPECT_EQ(pending, (std::vector<std::uint64_t>{q1, q2}));
+    EXPECT_EQ(done, (std::vector<std::uint64_t>{a, b}));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Service, DeadlineExpiry) {

@@ -4,9 +4,13 @@
 // jobs as shared-netlist lanes, interleaving workers) but never alters a
 // job's parameter/seed path. 64 concurrent jobs with mixed backends,
 // fitness functions, populations and seeds go through a live daemon; every
-// outcome is compared against a direct single-job engine run.
+// outcome is compared against a direct single-job engine run. Gates jobs
+// that refill a running lane block must match their one-lane direct run
+// down to the streamed trace events, and a non-gates job queued behind a
+// stream of gates jobs must not starve.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -20,6 +24,8 @@
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "system/ga_system.hpp"
+#include "trace/event.hpp"
+#include "trace/jsonl.hpp"
 
 namespace {
 
@@ -200,6 +206,199 @@ TEST(Differential, IslandJobMatchesDirectEnsemble) {
     ASSERT_EQ(a.str("state"), "done");
     EXPECT_EQ(a.u64("best_fitness"), b.u64("best_fitness"));
     EXPECT_EQ(a.u64("best_candidate"), b.u64("best_candidate"));
+}
+
+/// A stream subscription attached synchronously (the ack is read before
+/// the constructor returns, so no event of a job that is still queued can
+/// be missed) and drained by its own reader thread.
+class Subscription {
+public:
+    Subscription(const std::string& socket, std::uint64_t id) : client_(socket) {
+        Frame req(service::verb::kStream);
+        req.add("id", id);
+        client_.send(req);
+        const auto collect = [this](const trace::TraceEvent& e) { events_.push_back(e); };
+        if (!client_.read_frame(collect).ok()) throw std::runtime_error("stream refused");
+        reader_ = std::thread([this, collect] {
+            try {
+                for (;;) {
+                    Frame f = client_.read_frame(collect);
+                    if (f.verb == "stream_end") {
+                        end_ = std::move(f);
+                        return;
+                    }
+                }
+            } catch (const std::exception& ex) {
+                end_ = Frame("stream_error");  // wait() callers see no "done" state
+                end_.add("error", std::string(ex.what()));
+            }
+        });
+    }
+    ~Subscription() {
+        if (reader_.joinable()) reader_.join();
+    }
+    Subscription(const Subscription&) = delete;  // the reader thread holds `this`
+    Subscription& operator=(const Subscription&) = delete;
+
+    /// Block until stream_end (or a stream error frame); returns it.
+    const Frame& wait() {
+        reader_.join();
+        return end_;
+    }
+    const std::vector<trace::TraceEvent>& events() const { return events_; }
+
+private:
+    service::Client client_;
+    std::vector<trace::TraceEvent> events_;
+    Frame end_;
+    std::thread reader_;
+};
+
+/// Events as JSONL lines: exact to compare, readable when they differ.
+std::vector<std::string> json_lines(const std::vector<trace::TraceEvent>& events) {
+    std::vector<std::string> out;
+    for (const trace::TraceEvent& e : events) out.push_back(trace::to_json_line(e));
+    return out;
+}
+
+/// A one-lane direct run: its result and the events it streams.
+struct DirectLane {
+    bench::BatchLaneResult result;
+    std::vector<std::string> events;
+};
+
+DirectLane direct_lane(const JobSpec& spec) {
+    bench::BatchGateRunner runner(spec.fn, {spec.params});
+    trace::MemorySink sink;
+    runner.set_lane_sink(0, &sink);
+    const bench::BatchLaneResult result = runner.run()[0];
+    return {result, json_lines(sink.events())};
+}
+
+JobSpec gates_spec(fitness::FitnessId fn, std::uint8_t pop, std::uint32_t gens,
+                   std::uint16_t seed) {
+    JobSpec s;
+    s.fn = fn;
+    s.backend = service::JobBackend::kGates;
+    s.params = core::resolve_parameters(
+        0, {.pop_size = pop, .n_gens = gens, .xover_threshold = 12, .mut_threshold = 1,
+            .seed = seed});
+    return s;
+}
+
+TEST(Differential, RefilledGateBlockMatchesOneLaneRuns) {
+    // A two-lane block on one worker: jobs A and B open it together, then
+    // C, D and E arrive at staggered times while it is full and are loaded
+    // into the lanes A and B free — three fitness functions in one block.
+    // Every stream is attached while its job is still queued, so each
+    // job's full event stream can be compared with a one-lane direct run.
+    service::ServerConfig cfg;
+    cfg.socket_path = "t_diff_refill.sock";
+    cfg.scheduler.workers = 1;
+    cfg.scheduler.max_batch_lanes = 2;
+    service::Daemon d(cfg);
+    service::Client c(d.socket_path());
+
+    JobSpec blocker;
+    blocker.fn = fitness::FitnessId::kOneMax;
+    blocker.backend = service::JobBackend::kBehavioral;
+    blocker.params = core::resolve_parameters(
+        0, {.pop_size = 128, .n_gens = 50'000'000, .xover_threshold = 12,
+            .mut_threshold = 1, .seed = 1});
+    const std::uint64_t block_id = c.submit(blocker);
+    while (c.status(block_id).str("state") == "queued")
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    using fitness::FitnessId;
+    const std::vector<JobSpec> specs = {
+        gates_spec(FitnessId::kOneMax, 24, 20, 0x2961),     // A: ~18k cycles
+        gates_spec(FitnessId::kMBf6_2, 24, 16, 0x061F),     // B
+        gates_spec(FitnessId::kRoyalRoad, 16, 6, 0xB342),   // C
+        gates_spec(FitnessId::kOneMax, 24, 8, 0xAAAA),      // D
+        gates_spec(FitnessId::kMBf6_2, 16, 10, 0xA0A0),     // E
+    };
+    std::vector<std::uint64_t> ids;
+    std::vector<std::unique_ptr<Subscription>> subs;
+    for (std::size_t i = 0; i < 2; ++i) {
+        ids.push_back(c.submit(specs[i]));
+        subs.push_back(std::make_unique<Subscription>(d.socket_path(), ids.back()));
+    }
+    c.cancel(block_id);
+    for (std::size_t i = 0; i < 2; ++i)
+        while (c.status(ids[i]).str("state") == "queued")
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (std::size_t i = 2; i < specs.size(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ids.push_back(c.submit(specs[i]));
+        subs.push_back(std::make_unique<Subscription>(d.socket_path(), ids.back()));
+        EXPECT_EQ(c.status(ids[0]).str("state"), "running") << "A must outlive the arrivals";
+        EXPECT_EQ(c.status(ids[1]).str("state"), "running") << "B must outlive the arrivals";
+    }
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE("job " + std::string(1, static_cast<char>('A' + i)));
+        const Frame& end = subs[i]->wait();
+        ASSERT_EQ(end.str("state"), "done") << service::to_line(end);
+        const DirectLane want = direct_lane(specs[i]);
+        EXPECT_EQ(end.u64("best_fitness"), want.result.best_fitness);
+        EXPECT_EQ(end.u64("best_candidate"), want.result.best_candidate);
+        EXPECT_EQ(end.u64("generations"), want.result.generations);
+        EXPECT_EQ(c.status(ids[i]).u64("evaluations"), want.result.evaluations);
+        EXPECT_FALSE(want.events.empty());
+        EXPECT_EQ(json_lines(subs[i]->events()), want.events)
+            << "stream frames, cycle and t included";
+    }
+
+    const Frame st = c.stats();
+    EXPECT_EQ(st.u64("done_gates"), specs.size());
+    EXPECT_EQ(st.u64("gate_batches"), 1u) << "C, D and E refill the running block";
+    EXPECT_EQ(st.u64("gate_lanes"), specs.size());
+}
+
+TEST(Differential, BehavioralJobBehindGateStreamDoesNotStarve) {
+    // One worker, a steady stream of gates jobs keeping a lane block busy,
+    // and a behavioral job submitted into the middle of it. Once the
+    // behavioral job reaches the queue front the block stops admitting,
+    // runs out its lanes and the worker takes it: it finishes while the
+    // gates stream is still flowing.
+    service::ServerConfig cfg;
+    cfg.socket_path = "t_diff_starve.sock";
+    cfg.scheduler.workers = 1;
+    service::Daemon d(cfg);
+
+    // The stream runs until the behavioral job is done, capped at 10 s —
+    // far beyond a fair wait; a starving scheduler only serves the
+    // behavioral job once the cap has ended the stream.
+    std::atomic<bool> stop_feeding{false};
+    std::atomic<bool> streaming{true};
+    std::vector<std::uint64_t> gate_ids;
+    std::thread feeder([&] {
+        service::Client f(d.socket_path());
+        for (std::uint16_t k = 0; k < 1000 && !stop_feeding; ++k) {
+            gate_ids.push_back(f.submit(
+                gates_spec(fitness::FitnessId::kOneMax, 16, 6, static_cast<std::uint16_t>(0x5000 + k))));
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        streaming = false;
+    });
+
+    service::Client c(d.socket_path());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    JobSpec beh;
+    beh.fn = fitness::FitnessId::kOneMax;
+    beh.backend = service::JobBackend::kBehavioral;
+    beh.params = core::resolve_parameters(
+        0, {.pop_size = 16, .n_gens = 8, .xover_threshold = 12, .mut_threshold = 1,
+            .seed = 0x2961});
+    const Frame end = c.run_job(beh);
+    const bool stream_still_flowing = streaming.load();
+    stop_feeding = true;
+    feeder.join();
+    EXPECT_EQ(end.str("state"), "done");
+    EXPECT_TRUE(stream_still_flowing) << "the behavioral job waited for the whole gates stream";
+
+    for (const std::uint64_t id : gate_ids) EXPECT_EQ(c.stream(id).str("state"), "done");
+    EXPECT_EQ(c.stats().u64("done_gates"), gate_ids.size());
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ void usage() {
         "  --socket PATH      Unix-domain socket to listen on (default gaipd.sock)\n"
         "  --workers N        worker threads (default 1)\n"
         "  --max-queue N      admission-control queue bound (default 1024)\n"
-        "  --max-batch N      gate-job lanes packed per batch (default 256)\n"
+        "  --max-batch N      lane ceiling of one gate block (default 256)\n"
         "  --gate-backend K   auto | interp | jit (gate-lane evaluation engine)\n"
         "  --metrics PATH     append job lifecycle metrics as JSONL\n"
         "  --journal DIR      write-ahead job journal; replayed on boot (crash\n"
