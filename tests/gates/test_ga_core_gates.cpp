@@ -55,18 +55,20 @@ TEST_P(GateCoreEquivalence, FullRunBitAndCycleExactWithRtlCore) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SmallRuns, GateCoreEquivalence,
-    ::testing::Values(
-        GateEquivCase{FitnessId::kOneMax,
-                      {.pop_size = 8, .n_gens = 3, .xover_threshold = 10, .mut_threshold = 2,
-                       .seed = 0x2961}},
-        GateEquivCase{FitnessId::kMBf6_2,
-                      {.pop_size = 16, .n_gens = 4, .xover_threshold = 12, .mut_threshold = 1,
-                       .seed = 0x061F}},
-        GateEquivCase{FitnessId::kMShubert2D,
-                      {.pop_size = 9, .n_gens = 3, .xover_threshold = 14, .mut_threshold = 4,
-                       .seed = 0xB342}}));  // odd population exercises the Mu2 skip
+// A namespace-scope array, so the padding bytes inside each case are zero:
+// gtest names each case after the raw bytes of its parameter, and padding in
+// a stack temporary would give the case a different name in every process.
+const GateEquivCase kSmallRuns[] = {
+    {FitnessId::kOneMax,
+     {.pop_size = 8, .n_gens = 3, .xover_threshold = 10, .mut_threshold = 2, .seed = 0x2961}},
+    {FitnessId::kMBf6_2,
+     {.pop_size = 16, .n_gens = 4, .xover_threshold = 12, .mut_threshold = 1, .seed = 0x061F}},
+    {FitnessId::kMShubert2D,
+     {.pop_size = 9, .n_gens = 3, .xover_threshold = 14, .mut_threshold = 4,
+      .seed = 0xB342}},  // odd population exercises the Mu2 skip
+};
+
+INSTANTIATE_TEST_SUITE_P(SmallRuns, GateCoreEquivalence, ::testing::ValuesIn(kSmallRuns));
 
 TEST(GateCore, PresetModeRunsWithoutInitialization) {
     // The fault-tolerance path at gate level: preset pins only, no init.

@@ -55,50 +55,54 @@ TEST_P(EquivalenceTest, RtlMatchesBehavioralBitExactly) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedAndParameterSweep, EquivalenceTest,
-    ::testing::Values(
-        EquivCase{FitnessId::kOneMax,
-                  {.pop_size = 8, .n_gens = 4, .xover_threshold = 10, .mut_threshold = 2,
-                   .seed = 1}},
-        EquivCase{FitnessId::kOneMax,
-                  {.pop_size = 16, .n_gens = 8, .xover_threshold = 12, .mut_threshold = 1,
-                   .seed = 0x2961}},
-        EquivCase{FitnessId::kMBf6_2,
-                  {.pop_size = 32, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1,
-                   .seed = 0x061F}},
-        EquivCase{FitnessId::kF2,
-                  {.pop_size = 32, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 1,
-                   .seed = 45890}},
-        EquivCase{FitnessId::kMShubert2D,
-                  {.pop_size = 16, .n_gens = 6, .xover_threshold = 14, .mut_threshold = 3,
-                   .seed = 0xAAAA}},
-        EquivCase{FitnessId::kRoyalRoad,
-                  {.pop_size = 13, .n_gens = 5, .xover_threshold = 8, .mut_threshold = 4,
-                   .seed = 1567}},  // odd population exercises the Mu2 skip
-        // More odd populations: both models must drop the surplus second
-        // offspring without consuming its mutation draw, or the RNG streams
-        // shear apart and every later generation diverges.
-        EquivCase{FitnessId::kOneMax,
-                  {.pop_size = 3, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 2,
-                   .seed = 0x3A3A}},
-        EquivCase{FitnessId::kMBf6_2,
-                  {.pop_size = 5, .n_gens = 6, .xover_threshold = 12, .mut_threshold = 1,
-                   .seed = 0x55AA}},
-        EquivCase{FitnessId::kBf6,
-                  {.pop_size = 127, .n_gens = 2, .xover_threshold = 10, .mut_threshold = 1,
-                   .seed = 0x7F01}},
-        EquivCase{FitnessId::kBf6,
-                  {.pop_size = 64, .n_gens = 4, .xover_threshold = 12, .mut_threshold = 2,
-                   .seed = 10593}},
-        EquivCase{FitnessId::kMBf6_2,
-                  {.pop_size = 16, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 1,
-                   .seed = 0xB342},
-                  prng::RngKind::kLfsr},
-        EquivCase{FitnessId::kF3,
-                  {.pop_size = 16, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 2,
-                   .seed = 0xA0A0},
-                  prng::RngKind::kXorShift}));
+// A namespace-scope array, so the padding bytes inside each case are zero:
+// gtest names each case after the raw bytes of its parameter, and padding in
+// a stack temporary would give the case a different name in every process.
+const EquivCase kSweep[] = {
+    {FitnessId::kOneMax,
+     {.pop_size = 8, .n_gens = 4, .xover_threshold = 10, .mut_threshold = 2,
+      .seed = 1}},
+    {FitnessId::kOneMax,
+     {.pop_size = 16, .n_gens = 8, .xover_threshold = 12, .mut_threshold = 1,
+      .seed = 0x2961}},
+    {FitnessId::kMBf6_2,
+     {.pop_size = 32, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1,
+      .seed = 0x061F}},
+    {FitnessId::kF2,
+     {.pop_size = 32, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 1,
+      .seed = 45890}},
+    {FitnessId::kMShubert2D,
+     {.pop_size = 16, .n_gens = 6, .xover_threshold = 14, .mut_threshold = 3,
+      .seed = 0xAAAA}},
+    {FitnessId::kRoyalRoad,
+     {.pop_size = 13, .n_gens = 5, .xover_threshold = 8, .mut_threshold = 4,
+      .seed = 1567}},  // odd population exercises the Mu2 skip
+    // More odd populations: both models must drop the surplus second
+    // offspring without consuming its mutation draw, or the RNG streams
+    // shear apart and every later generation diverges.
+    {FitnessId::kOneMax,
+     {.pop_size = 3, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 2,
+      .seed = 0x3A3A}},
+    {FitnessId::kMBf6_2,
+     {.pop_size = 5, .n_gens = 6, .xover_threshold = 12, .mut_threshold = 1,
+      .seed = 0x55AA}},
+    {FitnessId::kBf6,
+     {.pop_size = 127, .n_gens = 2, .xover_threshold = 10, .mut_threshold = 1,
+      .seed = 0x7F01}},
+    {FitnessId::kBf6,
+     {.pop_size = 64, .n_gens = 4, .xover_threshold = 12, .mut_threshold = 2,
+      .seed = 10593}},
+    {FitnessId::kMBf6_2,
+     {.pop_size = 16, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 1,
+      .seed = 0xB342},
+     prng::RngKind::kLfsr},
+    {FitnessId::kF3,
+     {.pop_size = 16, .n_gens = 6, .xover_threshold = 10, .mut_threshold = 2,
+      .seed = 0xA0A0},
+     prng::RngKind::kXorShift},
+};
+
+INSTANTIATE_TEST_SUITE_P(SeedAndParameterSweep, EquivalenceTest, ::testing::ValuesIn(kSweep));
 
 }  // namespace
 }  // namespace gaip

@@ -38,12 +38,18 @@ TEST_P(GoldenRun, ExactResultForPinnedSeed) {
 // Golden values recorded from the verified three-level-equivalent build
 // (behavioral == RTL == gates). Regenerate deliberately with:
 //   ./build/tools/gacli --fitness <fn> --pop 32 --gens 16 --xover 10 --mut 1 --seed <s>
-INSTANTIATE_TEST_SUITE_P(PinnedSeeds, GoldenRun,
-                         ::testing::Values(Golden{FitnessId::kMBf6_2, 0x2961, 0xEF0C, 7659},
-                                           Golden{FitnessId::kMBf7_2, 0x061F, 0xECF6, 62198},
-                                           Golden{FitnessId::kMShubert2D, 0xB342, 0xA2FA, 65421},
-                                           Golden{FitnessId::kBf6, 0xAAAA, 0xF4B0, 4181},
-                                           Golden{FitnessId::kOneMax, 0xA0A0, 0xF7FF, 61425}));
+// A namespace-scope array, so the padding byte after `fn` is zero: gtest
+// names each case after the raw bytes of its parameter, and padding in a
+// stack temporary would give the case a different name in every process.
+const Golden kGoldens[] = {
+    {FitnessId::kMBf6_2, 0x2961, 0xEF0C, 7659},
+    {FitnessId::kMBf7_2, 0x061F, 0xECF6, 62198},
+    {FitnessId::kMShubert2D, 0xB342, 0xA2FA, 65421},
+    {FitnessId::kBf6, 0xAAAA, 0xF4B0, 4181},
+    {FitnessId::kOneMax, 0xA0A0, 0xF7FF, 61425},
+};
+
+INSTANTIATE_TEST_SUITE_P(PinnedSeeds, GoldenRun, ::testing::ValuesIn(kGoldens));
 
 TEST(GoldenRun, CycleCountPinnedForReferenceConfig) {
     // Timing golden: the modeled hardware time of the Sec. IV-C reference
