@@ -1,14 +1,22 @@
 // Write-ahead job journal of the gaipd service plane: the control-plane
-// analog of the supervisor's scan-chain checkpoints. Every job lifecycle
-// transition is appended to DIR/journal.jsonl as one CRC-tagged JSONL
-// record BEFORE the daemon acts on it, so a crash (power cut, OOM kill,
-// `kill -9`) never silently loses a job:
+// analog of the supervisor's scan-chain checkpoints. A job's submit record
+// is appended to DIR/journal.jsonl as one CRC-tagged JSONL record BEFORE
+// the job is queued or acked, and its terminal record BEFORE any client
+// can see the terminal state, so a crash (power cut, OOM kill, `kill -9`)
+// never silently loses a job:
 //
 //   * finished jobs are restored as terminal records (re-reportable via
 //     `status`/`list`);
 //   * queued or interrupted jobs are re-admitted through the normal
 //     JobSpec clamp/reject path and re-run — specs fully determine runs,
 //     so the recovered results are bit-identical to an uninterrupted run.
+//
+// Group commit: an append writes its line under the journal lock, then
+// either runs the one fdatasync for every line written so far (outside
+// that lock) or waits for a flush that started after its write. Every
+// append is durable on return; concurrent appenders share one flush.
+// The daemon writes j_submit and one terminal record per job; j_start is
+// accepted on replay (older journals) but no longer written by gaipd.
 //
 // Record grammar: the trace-event JSONL line format (kind + flat fields)
 // with a trailing `"crc":"xxxxxxxx"` field carrying the CRC-32 of the
@@ -26,6 +34,7 @@
 // taking the service down.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -39,7 +48,7 @@ namespace gaip::service {
 /// the docs drift test walks kJournalKinds and greps for each name.
 namespace jkind {
 inline constexpr const char* kSubmit = "j_submit";  ///< job admitted (full spec)
-inline constexpr const char* kStart = "j_start";    ///< worker picked the job up
+inline constexpr const char* kStart = "j_start";    ///< worker picked the job up (replay only)
 inline constexpr const char* kDone = "j_done";      ///< finished (full outcome)
 inline constexpr const char* kCancel = "j_cancel";  ///< cancel verb honored
 inline constexpr const char* kExpire = "j_expire";  ///< deadline passed
@@ -61,15 +70,18 @@ std::uint32_t crc32(const void* data, std::size_t n) noexcept;
 
 struct JournalStats {
     std::uint64_t records_written = 0;
+    std::uint64_t syncs = 0;         ///< fdatasync calls; records_written / syncs = group size
     std::uint64_t write_errors = 0;  ///< failed appends (ENOSPC, EIO, ...)
     std::uint64_t rotations = 0;
     bool degraded = false;  ///< at least one append failed since open/rotate
 };
 
 /// Append-only writer. Thread-safe; every append is CRC-tagged, written
-/// with an EINTR-safe full-write loop, and fdatasync'd so an acknowledged
-/// record survives `kill -9`. Never throws after construction: I/O errors
-/// degrade (see JournalStats), they do not crash the daemon.
+/// with an EINTR-safe full-write loop, and group-committed (see file
+/// comment): it returns once an fdatasync covering its line has finished,
+/// so an acknowledged record survives `kill -9`. Never throws after
+/// construction: I/O errors degrade (see JournalStats), they do not crash
+/// the daemon.
 class Journal {
 public:
     /// Creates `dir` if needed and opens dir/journal.jsonl for append.
@@ -82,6 +94,7 @@ public:
     Journal& operator=(const Journal&) = delete;
 
     void record_submit(const JobRecord& rec);
+    /// j_start: no longer written by gaipd, kept for tools and tests.
     void record_start(std::uint64_t id);
     /// Appends the record matching rec.state (j_done / j_cancel /
     /// j_expire / j_fail); no-op for non-terminal states.
@@ -89,7 +102,10 @@ public:
 
     /// Atomic compaction: rewrite the journal as one j_rotate header plus
     /// submit (+ terminal) records for `live`, then rename over the old
-    /// file and reopen. Also the SIGHUP reopen path.
+    /// file and reopen. Also the SIGHUP reopen path. Lines appended
+    /// concurrently land in the old file and are dropped with it, so
+    /// `live` must already cover them (Scheduler::rotate_journal holds
+    /// its appends off while it snapshots and rotates).
     void rotate(const std::vector<JobRecord>& live, std::uint64_t next_id);
 
     JournalStats stats() const;
@@ -97,12 +113,16 @@ public:
     const std::string& dir() const noexcept { return dir_; }
 
 private:
-    void append_line(std::string body);  // adds CRC tag + newline, writes, syncs
+    void append_line(const std::string& body);  // adds CRC tag + newline, writes, syncs
 
     std::string dir_;
     std::string path_;
     mutable std::mutex mu_;
+    std::condition_variable synced_cv_;  ///< a flush finished
     int fd_ = -1;
+    std::uint64_t written_ = 0;  ///< lines written to fd_ (sequence numbers)
+    std::uint64_t synced_ = 0;   ///< lines covered by a finished flush
+    bool syncing_ = false;       ///< a flush runs outside mu_
     JournalStats stats_{};
 };
 

@@ -25,10 +25,6 @@ supervisor::BackendKind to_supervisor_backend(JobBackend b) noexcept {
     return supervisor::BackendKind::kBehavioral;
 }
 
-bool is_terminal(JobState s) noexcept {
-    return s != JobState::kQueued && s != JobState::kRunning;
-}
-
 /// Gate jobs are packable when nothing job-specific escapes the lane:
 /// plain single-engine, unsupervised runs.
 bool batchable(const JobSpec& s) noexcept {
@@ -44,6 +40,7 @@ struct Scheduler::Job final : trace::TraceSink {
     JobRecord rec;
     Clock::time_point deadline{};  ///< zero when the job has none
     std::atomic<bool> cancel{false};
+    bool claimed = false;  ///< a path is ending it (guarded by mu_)
 
     std::mutex stream_mu;
     std::vector<trace::TraceSink*> sinks;
@@ -91,7 +88,6 @@ void Scheduler::mark_running(const JobPtr& j, Clock::time_point now) {
     j->rec.state = JobState::kRunning;
     j->rec.started = now;
     ++active_;
-    if (cfg_.journal != nullptr) cfg_.journal->record_start(j->rec.id);
 }
 
 void Scheduler::emit_start(const JobPtr& j) {
@@ -114,32 +110,24 @@ void Scheduler::emit_metric(trace::TraceEvent e) {
 }
 
 std::uint64_t Scheduler::submit(const JobSpec& spec) {
-    JobPtr j;
+    auto j = std::make_shared<Job>();
+    j->rec.spec = spec;
     std::size_t full_depth = 0;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::unique_lock<std::mutex> lk(mu_);
         if (stopping_ || draining_)
             throw ProtocolError(err::kShuttingDown,
                                 draining_ ? "daemon is draining" : "daemon is shutting down");
-        if (queue_.size() >= cfg_.max_queue) {
+        if (queue_.size() + submitting_ >= cfg_.max_queue) {
             ++counters_.rejected;
             full_depth = queue_.size();
         } else {
-            j = std::make_shared<Job>();
+            begin_journal(lk);
             j->rec.id = next_id_++;
-            j->rec.spec = spec;
-            j->rec.submitted = Clock::now();
-            if (spec.deadline_ms != 0)
-                j->deadline = j->rec.submitted + std::chrono::milliseconds(spec.deadline_ms);
-            // Write-ahead: the journal record lands before the job can run
-            // (or be acknowledged), so a crash never loses an accepted job.
-            if (cfg_.journal != nullptr) cfg_.journal->record_submit(j->rec);
-            jobs_[j->rec.id] = j;
-            enqueue(j);
-            ++counters_.submitted;
+            ++submitting_;
         }
     }
-    if (!j) {
+    if (j->rec.id == 0) {  // queue full: no id was allocated
         // Metrics are emitted (and flushed) outside mu_, like job_submit.
         trace::TraceEvent e("job_reject", 0, 0);
         e.add("queued", std::uint64_t{full_depth});
@@ -147,7 +135,29 @@ std::uint64_t Scheduler::submit(const JobSpec& spec) {
         throw ProtocolError(err::kQueueFull,
                             "queue full (" + std::to_string(cfg_.max_queue) + " jobs)");
     }
-    cv_.notify_one();
+    j->rec.submitted = Clock::now();
+    if (spec.deadline_ms != 0)
+        j->deadline = j->rec.submitted + std::chrono::milliseconds(spec.deadline_ms);
+    // Write-ahead: the journal record lands before the job can run (or be
+    // acknowledged), so a crash never loses an accepted job.
+    if (cfg_.journal != nullptr) cfg_.journal->record_submit(j->rec);
+    bool cancel_now = false;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        end_journal();
+        --submitting_;
+        jobs_[j->rec.id] = j;
+        ++counters_.submitted;
+        // Nothing is queued after stop(): it cancels this job like the ones
+        // it found queued; a drain leaves it journaled pending instead.
+        if (!stopping_) enqueue(j);
+        cancel_now = stopping_ && !draining_;
+    }
+    if (cancel_now) {
+        finish(j, JobState::kCancelled, {});
+    } else {
+        cv_.notify_one();
+    }
     trace::TraceEvent e("job_submit", 0, 0);
     e.add("id", j->rec.id);
     e.add("fitness", fitness::fitness_name(spec.fn));
@@ -161,48 +171,108 @@ std::uint64_t Scheduler::submit(const JobSpec& spec) {
 CancelOutcome Scheduler::cancel(std::uint64_t id) {
     JobPtr queued_victim;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::unique_lock<std::mutex> lk(mu_);
         const auto it = jobs_.find(id);
-        if (it == jobs_.end()) return CancelOutcome::kNotFound;
+        if (it == jobs_.end())
+            return terminal_row(id) != nullptr ? CancelOutcome::kTooLate
+                                               : CancelOutcome::kNotFound;
         JobPtr j = it->second;
-        if (is_terminal(j->rec.state)) return CancelOutcome::kTooLate;
+        if (j->claimed) return CancelOutcome::kTooLate;
         j->cancel.store(true, std::memory_order_relaxed);
         if (j->rec.state == JobState::kQueued) {
-            queue_.erase(std::remove(queue_.begin(), queue_.end(), j), queue_.end());
-            note_dequeued(j);
+            // Not in the queue when a submit that raced stop() registered it.
+            if (const auto q = std::find(queue_.begin(), queue_.end(), j); q != queue_.end()) {
+                queue_.erase(q);
+                note_dequeued(j);
+            }
+            j->claimed = true;
+            begin_journal(lk);
             queued_victim = std::move(j);
         }
     }
-    if (queued_victim) finish(queued_victim, JobState::kCancelled, {});
+    if (queued_victim) commit(queued_victim, JobState::kCancelled, {}, {});
     return CancelOutcome::kCancelled;
 }
 
 std::optional<JobRecord> Scheduler::status(std::uint64_t id) const {
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = jobs_.find(id);
-    if (it == jobs_.end()) return std::nullopt;
-    return it->second->rec;
+    if (it != jobs_.end()) return it->second->rec;
+    if (const TerminalRow* row = terminal_row(id)) return terminal_record(id, *row);
+    return std::nullopt;
 }
 
 std::vector<JobRecord> Scheduler::list() const {
     std::lock_guard<std::mutex> lk(mu_);
+    return list_locked();
+}
+
+std::vector<JobRecord> Scheduler::list_locked() const {
     std::vector<JobRecord> out;
-    out.reserve(jobs_.size());
+    for (std::size_t c = 0; c < terminal_.size(); ++c) {
+        if (!terminal_[c]) continue;
+        for (std::size_t k = 0; k < kRowsPerChunk; ++k)
+            if ((*terminal_[c])[k].state != JobState::kQueued)
+                out.push_back(terminal_record(c * kRowsPerChunk + k, (*terminal_[c])[k]));
+    }
     for (const auto& [id, j] : jobs_) out.push_back(j->rec);
     std::sort(out.begin(), out.end(),
               [](const JobRecord& a, const JobRecord& b) { return a.id < b.id; });
     return out;
 }
 
+void Scheduler::store_terminal(const JobRecord& rec) {
+    const std::size_t c = rec.id / kRowsPerChunk;
+    if (c >= terminal_.size()) terminal_.resize(c + 1);
+    if (!terminal_[c]) terminal_[c] = std::make_unique<RowChunk>();
+    TerminalRow& row = (*terminal_[c])[rec.id % kRowsPerChunk];
+    row.spec = rec.spec;
+    row.submitted = rec.submitted;
+    row.started = rec.started;
+    row.finished = rec.finished;
+    row.evaluations = rec.outcome.evaluations;
+    row.generations = rec.outcome.generations;
+    row.rollbacks = rec.outcome.rollbacks;
+    row.retries = rec.outcome.retries;
+    row.best_fitness = rec.outcome.best_fitness;
+    row.best_candidate = rec.outcome.best_candidate;
+    row.state = rec.state;
+    row.has_text = !rec.error.empty() || !rec.outcome.status.empty();
+    if (row.has_text) terminal_text_[rec.id] = {rec.error, rec.outcome.status};
+}
+
+const Scheduler::TerminalRow* Scheduler::terminal_row(std::uint64_t id) const {
+    const std::size_t c = id / kRowsPerChunk;
+    if (c >= terminal_.size() || !terminal_[c]) return nullptr;
+    const TerminalRow& row = (*terminal_[c])[id % kRowsPerChunk];
+    return row.state == JobState::kQueued ? nullptr : &row;
+}
+
+JobRecord Scheduler::terminal_record(std::uint64_t id, const TerminalRow& row) const {
+    JobRecord rec;
+    rec.id = id;
+    rec.spec = row.spec;
+    rec.state = row.state;
+    rec.outcome.best_fitness = row.best_fitness;
+    rec.outcome.best_candidate = row.best_candidate;
+    rec.outcome.generations = row.generations;
+    rec.outcome.evaluations = row.evaluations;
+    rec.outcome.rollbacks = row.rollbacks;
+    rec.outcome.retries = row.retries;
+    rec.submitted = row.submitted;
+    rec.started = row.started;
+    rec.finished = row.finished;
+    if (row.has_text) {
+        const TerminalText& text = terminal_text_.at(id);
+        rec.error = text.error;
+        rec.outcome.status = text.status;
+    }
+    return rec;
+}
+
 void Scheduler::restore_terminal(const JobRecord& rec) {
     std::lock_guard<std::mutex> lk(mu_);
-    auto j = std::make_shared<Job>();
-    j->rec = rec;
-    {
-        std::lock_guard<std::mutex> slk(j->stream_mu);
-        j->ended = true;
-    }
-    jobs_[rec.id] = std::move(j);
+    store_terminal(rec);
     next_id_ = std::max(next_id_, rec.id + 1);
     ++counters_.restored;
 }
@@ -260,6 +330,37 @@ std::uint64_t Scheduler::next_id() const {
     return next_id_;
 }
 
+void Scheduler::rotate_journal() {
+    if (cfg_.journal == nullptr) return;
+    std::vector<JobRecord> live;
+    std::uint64_t next = 0;
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        journal_cv_.wait(lk, [&] { return !rotating_; });
+        rotating_ = true;
+        // Every record written so far is visible in the snapshot once the
+        // slots held by in-flight submits and commits are returned.
+        journal_cv_.wait(lk, [&] { return journaling_ == 0; });
+        live = list_locked();
+        next = next_id_;
+    }
+    cfg_.journal->rotate(live, next);
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        rotating_ = false;
+    }
+    journal_cv_.notify_all();
+}
+
+void Scheduler::begin_journal(std::unique_lock<std::mutex>& lk, std::size_t n) {
+    journal_cv_.wait(lk, [&] { return !rotating_; });
+    journaling_ += n;
+}
+
+void Scheduler::end_journal() {
+    if (--journaling_ == 0 && rotating_) journal_cv_.notify_all();
+}
+
 ServiceStats Scheduler::stats() const {
     std::lock_guard<std::mutex> lk(mu_);
     ServiceStats s = counters_;
@@ -275,7 +376,10 @@ bool Scheduler::attach_stream(std::uint64_t id, trace::TraceSink* sink,
     {
         std::lock_guard<std::mutex> lk(mu_);
         const auto it = jobs_.find(id);
-        if (it == jobs_.end()) throw ProtocolError(err::kNotFound, "no such job");
+        if (it == jobs_.end()) {
+            if (terminal_row(id) != nullptr) return false;
+            throw ProtocolError(err::kNotFound, "no such job");
+        }
         j = it->second;
     }
     std::lock_guard<std::mutex> lk(j->stream_mu);
@@ -304,10 +408,11 @@ void Scheduler::detach_stream(std::uint64_t id, trace::TraceSink* sink) {
 std::size_t Scheduler::expire_overdue() {
     std::vector<JobPtr> victims;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::unique_lock<std::mutex> lk(mu_);
         for (auto it = queue_.begin(); it != queue_.end();) {
             const JobPtr& j = *it;
             if (j->deadline != Clock::time_point{} && Clock::now() > j->deadline) {
+                j->claimed = true;
                 victims.push_back(j);
                 note_dequeued(j);
                 it = queue_.erase(it);
@@ -315,8 +420,9 @@ std::size_t Scheduler::expire_overdue() {
                 ++it;
             }
         }
+        if (!victims.empty()) begin_journal(lk, victims.size());
     }
-    for (const JobPtr& j : victims) finish(j, JobState::kExpired, {});
+    for (const JobPtr& j : victims) commit(j, JobState::kExpired, {}, {});
     return victims.size();
 }
 
@@ -328,7 +434,7 @@ void Scheduler::wait_idle() {
 void Scheduler::stop() {
     std::vector<JobPtr> orphans;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::unique_lock<std::mutex> lk(mu_);
         if (stopping_ && workers_.empty()) return;
         stopping_ = true;
         if (!draining_) {
@@ -337,13 +443,15 @@ void Scheduler::stop() {
             orphans.assign(queue_.begin(), queue_.end());
             queue_.clear();
             queued_gates_.store(0, std::memory_order_relaxed);
+            for (const JobPtr& j : orphans) j->claimed = true;
             for (const auto& [id, j] : jobs_)
                 if (j->rec.state == JobState::kRunning)
                     j->cancel.store(true, std::memory_order_relaxed);
+            if (!orphans.empty()) begin_journal(lk, orphans.size());
         }
     }
     cv_.notify_all();
-    for (const JobPtr& j : orphans) finish(j, JobState::kCancelled, {});
+    for (const JobPtr& j : orphans) commit(j, JobState::kCancelled, {}, {});
     for (std::thread& t : workers_) t.join();
     workers_.clear();
     idle_cv_.notify_all();
@@ -351,28 +459,43 @@ void Scheduler::stop() {
 
 void Scheduler::finish(const JobPtr& j, JobState state, const JobOutcome& outcome,
                        const std::string& error) {
-    JobRecord snapshot;
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        if (j->claimed) return;
+        j->claimed = true;
+        begin_journal(lk);
+    }
+    commit(j, state, outcome, error);
+}
+
+void Scheduler::commit(const JobPtr& j, JobState state, const JobOutcome& outcome,
+                       const std::string& error) {
+    // A claimed job's record no longer changes, so it is read without mu_.
+    JobRecord rec = j->rec;
+    rec.state = state;
+    rec.outcome = outcome;
+    rec.error = error;
+    rec.finished = Clock::now();
+    if (rec.started == Clock::time_point{}) rec.started = rec.finished;
+    // Write-ahead: the terminal record is durable before status, list or
+    // stream_end can show the terminal state.
+    if (cfg_.journal != nullptr) cfg_.journal->record_terminal(rec);
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (is_terminal(j->rec.state)) return;
-        j->rec.state = state;
-        j->rec.outcome = outcome;
-        j->rec.error = error;
-        j->rec.finished = Clock::now();
-        if (j->rec.started == Clock::time_point{}) j->rec.started = j->rec.finished;
+        end_journal();
         switch (state) {
             case JobState::kDone: {
                 ++counters_.done;
                 counters_.gens_total += outcome.generations;
                 counters_.evals_total += outcome.evaluations;
                 counters_.rollbacks_total += outcome.rollbacks;
-                switch (j->rec.spec.backend) {
+                switch (rec.spec.backend) {
                     case JobBackend::kRtl: ++counters_.done_rtl; break;
                     case JobBackend::kBehavioral: ++counters_.done_behavioral; break;
                     case JobBackend::kGates: ++counters_.done_gates; break;
                 }
-                if (j->rec.spec.islands != 0) ++counters_.done_islands;
-                if (j->rec.spec.supervise) ++counters_.done_supervised;
+                if (rec.spec.islands != 0) ++counters_.done_islands;
+                if (rec.spec.supervise) ++counters_.done_supervised;
                 break;
             }
             case JobState::kFailed: ++counters_.failed; break;
@@ -383,18 +506,16 @@ void Scheduler::finish(const JobPtr& j, JobState state, const JobOutcome& outcom
                 break;
             default: break;
         }
-        // Write-ahead: the terminal record is durable before the end
-        // callbacks (and thus any client-visible ack) can observe it.
-        if (cfg_.journal != nullptr) cfg_.journal->record_terminal(j->rec);
-        snapshot = j->rec;
+        store_terminal(rec);
+        jobs_.erase(rec.id);
     }
     const char* metric_kind = "job_done";
     if (state == JobState::kFailed) metric_kind = "job_fail";
     if (state == JobState::kCancelled) metric_kind = "job_cancel";
     if (state == JobState::kExpired) metric_kind = "job_expire";
     trace::TraceEvent e(metric_kind, 0, 0);
-    e.add("id", snapshot.id);
-    e.add("backend", job_backend_name(snapshot.spec.backend));
+    e.add("id", rec.id);
+    e.add("backend", job_backend_name(rec.spec.backend));
     if (state == JobState::kDone) {
         e.add("best_fitness", std::uint64_t{outcome.best_fitness});
         e.add("generations", std::uint64_t{outcome.generations});
@@ -411,7 +532,7 @@ void Scheduler::finish(const JobPtr& j, JobState state, const JobOutcome& outcom
         j->sinks.clear();
         j->sink_count.store(0, std::memory_order_relaxed);
     }
-    for (auto& cb : cbs) cb(snapshot);
+    for (auto& cb : cbs) cb(rec);
 }
 
 void Scheduler::worker_main(unsigned worker_idx) {

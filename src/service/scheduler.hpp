@@ -37,8 +37,15 @@
 // cancelled between runs, or their finished result is discarded when the
 // flag arrives mid-run. Deadlines follow the same checkpoints; a job
 // finishing past its deadline is `expired` and counts as a deadline miss.
+//
+// Journal writes never run under the scheduler mutex: submit allocates the
+// id under it, journals outside it, then queues and acks; finish claims
+// the job, journals its terminal record outside the mutex, then publishes
+// the state. A terminal job then drops its Job and keeps a fixed-size
+// row in an id-indexed table that status, list, cancel and stream read.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -76,9 +83,11 @@ struct SchedulerConfig {
     /// Lifecycle metrics stream (job_submit/job_start/job_done/...);
     /// borrowed, may be null. The scheduler serializes its calls.
     trace::TraceSink* metrics = nullptr;
-    /// Write-ahead job journal; borrowed, may be null. Every lifecycle
-    /// transition is journaled BEFORE it takes effect (submit before the
-    /// job enters the queue, terminal before the end callbacks fire).
+    /// Write-ahead job journal; borrowed, may be null. A job's j_submit is
+    /// durable before the job is queued or acked, and its terminal record
+    /// before status, list or stream_end can show the terminal state. The
+    /// records are written outside the scheduler mutex and group-committed
+    /// (concurrent appends share one fdatasync); no j_start is written.
     Journal* journal = nullptr;
 };
 
@@ -145,8 +154,13 @@ public:
     /// Current queue depth / admission bound (overload-tier decisions).
     std::size_t queue_depth() const;
     std::size_t max_queue() const noexcept { return cfg_.max_queue; }
-    /// Next id to be allocated (journal rotation headers).
+    /// Next id to be allocated.
     std::uint64_t next_id() const;
+
+    /// Compact the journal to the current job set (SIGHUP). Holds journal
+    /// appends off until the snapshot is written, so no acked record can
+    /// land in the replaced file. No-op without a journal.
+    void rotate_journal();
 
     /// Cooperative cancel (see file comment).
     CancelOutcome cancel(std::uint64_t id);
@@ -196,10 +210,18 @@ private:
     void run_island_job(const JobPtr& j);
     void run_supervised_job(const JobPtr& j);
 
-    /// Mark terminal state, update counters, emit metrics, fire stream-end
-    /// callbacks. `outcome` only read for kDone.
+    /// Claim `j` and commit() it; no-op when another path claimed it.
     void finish(const JobPtr& j, JobState state, const JobOutcome& outcome,
                 const std::string& error = {});
+    /// End a claimed job: journal the terminal record (outside mu_), then
+    /// publish it — terminal row, counters, metric, stream-end callbacks.
+    void commit(const JobPtr& j, JobState state, const JobOutcome& outcome,
+                const std::string& error);
+    /// Wait out a journal rotation, then take `n` journal slots (mu_ held).
+    /// Every submit and commit holds one from before its journal write
+    /// until its result is visible, so a rotation snapshot covers it.
+    void begin_journal(std::unique_lock<std::mutex>& lk, std::size_t n = 1);
+    void end_journal();  ///< return one slot (mu_ held)
     void emit_metric(trace::TraceEvent e);
     void emit_start(const JobPtr& j);
     // Queue and worker bookkeeping; the first three need mu_ held.
@@ -208,6 +230,37 @@ private:
     void mark_running(const JobPtr& j, Clock::time_point now);
     void left_worker();  ///< one job left its worker (takes mu_)
     bool past_deadline(const JobPtr& j) const;
+
+    /// A terminal job once its Job is dropped: the record without its id
+    /// (the table index) and strings (kept in terminal_text_ by the few
+    /// jobs that have an error or supervisor status).
+    struct TerminalRow {
+        JobSpec spec{};
+        Clock::time_point submitted{};
+        Clock::time_point started{};
+        Clock::time_point finished{};
+        std::uint64_t evaluations = 0;
+        std::uint32_t generations = 0;
+        std::uint32_t rollbacks = 0;
+        std::uint32_t retries = 0;
+        std::uint16_t best_fitness = 0;
+        std::uint16_t best_candidate = 0;
+        JobState state = JobState::kQueued;  ///< kQueued: empty slot
+        bool has_text = false;
+    };
+    static_assert(sizeof(TerminalRow) <= 128, "terminal rows must stay compact");
+    struct TerminalText {
+        std::string error;
+        std::string status;
+    };
+    static constexpr std::size_t kRowsPerChunk = 1024;
+    using RowChunk = std::array<TerminalRow, kRowsPerChunk>;
+
+    // Terminal table and job snapshots; need mu_ held.
+    void store_terminal(const JobRecord& rec);
+    const TerminalRow* terminal_row(std::uint64_t id) const;
+    JobRecord terminal_record(std::uint64_t id, const TerminalRow& row) const;
+    std::vector<JobRecord> list_locked() const;
 
     SchedulerConfig cfg_;
     Clock::time_point started_;
@@ -219,8 +272,15 @@ private:
     /// Plain gates jobs in queue_: written under mu_, read lock-free by
     /// running gate blocks between cycles (the refill trigger).
     std::atomic<std::size_t> queued_gates_{0};
-    std::unordered_map<std::uint64_t, JobPtr> jobs_;
+    std::unordered_map<std::uint64_t, JobPtr> jobs_;  ///< queued and running jobs
+    /// Terminal jobs by id: chunk id / kRowsPerChunk, slot id % kRowsPerChunk.
+    std::vector<std::unique_ptr<RowChunk>> terminal_;
+    std::unordered_map<std::uint64_t, TerminalText> terminal_text_;
     std::uint64_t next_id_ = 1;
+    std::size_t submitting_ = 0;  ///< ids allocated, submit record not yet durable
+    std::size_t journaling_ = 0;  ///< journal slots held (begin_journal)
+    bool rotating_ = false;       ///< rotate_journal holds appends off
+    std::condition_variable journal_cv_;  ///< journaling_ / rotating_ changed
     std::size_t active_ = 0;  ///< jobs currently on workers
     bool stopping_ = false;
     bool draining_ = false;  ///< drain mode: no pickups, queued jobs preserved

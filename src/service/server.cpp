@@ -331,7 +331,7 @@ void Server::run() {
 
         // SIGHUP (or operator request): compact + reopen the journal.
         if (rotate_requested_.exchange(false, std::memory_order_relaxed) && journal_)
-            journal_->rotate(sched_->list(), sched_->next_id());
+            sched_->rotate_journal();
 
         if (rc > 0) {
             if (fds[1].revents & POLLIN) {
@@ -529,6 +529,7 @@ void Server::handle_line(Conn& c, const std::string& line) {
             if (journal_) {
                 const JournalStats js = journal_->stats();
                 f.add("journal_records", js.records_written);
+                f.add("journal_syncs", js.syncs);
                 f.add("journal_write_errors", js.write_errors);
                 f.add("journal_rotations", js.rotations);
                 f.add("journal_degraded", std::uint64_t{js.degraded ? 1u : 0u});

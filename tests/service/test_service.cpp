@@ -430,6 +430,83 @@ TEST(Service, ListShowsEveryJob) {
     EXPECT_EQ(rows, 3u);
 }
 
+/// Every terminal job must answer status, list, cancel and stream the same
+/// way whether it finished in this daemon life or was restored from the
+/// journal: both live in the compact terminal table.
+void expect_terminal_rows(Client& c, const std::vector<std::pair<std::uint64_t, Frame>>& want) {
+    for (const auto& [id, expected] : want) {
+        const Frame st = c.status(id);
+        for (const char* key : {"state", "fitness", "backend", "status", "error"})
+            EXPECT_EQ(st.str(key), expected.str(key)) << key << " of id " << id;
+        for (const char* key : {"pop", "gens", "seed", "supervise", "best_fitness",
+                                "best_candidate", "generations", "evaluations"})
+            EXPECT_EQ(st.u64(key), expected.u64(key)) << key << " of id " << id;
+        EXPECT_EQ(c.cancel(id), service::CancelOutcome::kTooLate) << "id " << id;
+        std::vector<trace::TraceEvent> events;
+        const Frame end = c.stream(id, [&](const trace::TraceEvent& e) { events.push_back(e); });
+        EXPECT_EQ(end.str("state"), expected.str("state")) << "id " << id;
+        EXPECT_EQ(end.str("error"), expected.str("error")) << "id " << id;
+        EXPECT_TRUE(events.empty());
+    }
+    c.send(Frame(service::verb::kList));
+    std::vector<std::uint64_t> listed;
+    for (;;) {
+        const Frame f = c.read_frame();
+        if (f.verb == service::verb::kList) break;
+        listed.push_back(f.u64("id"));
+    }
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, expected] : want) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(listed, ids);
+}
+
+TEST(Service, TerminalRowsServeLiveAndRestoredJobs) {
+    const std::string dir = "t_svc_rows.j";
+    std::filesystem::remove_all(dir);
+    service::ServerConfig cfg = daemon_config("t_svc_rows.sock", /*workers=*/1);
+    cfg.journal_dir = dir;
+    std::vector<std::pair<std::uint64_t, Frame>> want;
+    {
+        service::Daemon d(cfg);
+        Client c(d.socket_path());
+        JobSpec supervised = small_job(service::JobBackend::kRtl, 0x91);
+        supervised.supervise = true;
+        for (const JobSpec& spec : {small_job(service::JobBackend::kBehavioral, 0x92), supervised,
+                                    small_job(service::JobBackend::kGates, 0x93)}) {
+            const Frame end = c.run_job(spec);
+            want.emplace_back(end.u64("id"), c.status(end.u64("id")));
+        }
+        EXPECT_EQ(want[1].second.str("status"), "ok");
+        // A cancelled queued job: behind a blocker on the only worker.
+        const std::uint64_t blocker = c.submit(long_job());
+        const std::uint64_t victim = c.submit(small_job(service::JobBackend::kBehavioral, 0x94));
+        EXPECT_EQ(c.cancel(victim), service::CancelOutcome::kCancelled);
+        EXPECT_EQ(c.cancel(blocker), service::CancelOutcome::kCancelled);
+        wait_terminal(c, blocker);
+        want.emplace_back(blocker, c.status(blocker));
+        want.emplace_back(victim, c.status(victim));
+        expect_terminal_rows(c, want);
+    }
+    // A failed job with its error string, as a previous life journaled it.
+    {
+        service::Journal j(dir);
+        service::JobRecord failed;
+        failed.id = 40;
+        failed.spec = small_job(service::JobBackend::kRtl, 0x95);
+        j.record_submit(failed);
+        failed.state = service::JobState::kFailed;
+        failed.error = "supervisor abort: out of retries";
+        j.record_terminal(failed);
+        Frame row = service::job_frame(failed);
+        want.emplace_back(failed.id, row);
+    }
+    service::Daemon d2(cfg);
+    Client c2(d2.socket_path());
+    EXPECT_EQ(c2.stats().u64("restored"), want.size());
+    expect_terminal_rows(c2, want);
+}
+
 TEST(Service, SlowStreamConsumerIsEvictedNeverBlocksScheduler) {
     // A subscriber that stops reading must be EVICTED once its outbox
     // bound fills — the workers and every other client keep moving.
