@@ -16,9 +16,9 @@ double mean_best(FitnessId fn, const GaParameters& base, bool elitism) {
     for (const std::uint16_t seed : gaip::bench::kPaperSeeds) {
         GaParameters p = base;
         p.seed = seed;
-        const auto r = gaip::core::run_behavioral_ga(
-            p, [&](std::uint16_t x) { return gaip::fitness::fitness_u16(fn, x); },
-            gaip::prng::RngKind::kCellularAutomaton, /*keep_populations=*/false, elitism);
+        const auto r = gaip::core::run_behavioral_ga(p, gaip::core::rom_fitness(fn),
+                                                     gaip::prng::RngKind::kCellularAutomaton,
+                                                     /*keep_populations=*/false, elitism);
         sum += r.best_fitness;
     }
     return sum / static_cast<double>(gaip::bench::kPaperSeeds.size());

@@ -42,8 +42,7 @@ int main() {
                                        .xover_threshold = c.xr, .mut_threshold = 1,
                                        .seed = seed};
             const core::RunResult r = core::run_behavioral_ga(
-                p, [&](std::uint16_t x) { return fitness::fitness_u16(c.fn, x); },
-                prng::RngKind::kCellularAutomaton, false);
+                p, core::rom_fitness(c.fn), prng::RngKind::kCellularAutomaton, false);
             bests.push_back(r.best_fitness);
             if (r.best_fitness == optimum) ++hits;
         }

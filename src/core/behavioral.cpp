@@ -1,8 +1,10 @@
 #include "core/behavioral.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
+#include "fitness/rom_builder.hpp"
 #include "util/bits.hpp"
 
 namespace gaip::core {
@@ -20,6 +22,27 @@ std::size_t proportionate_select(const std::vector<Member>& pop, std::uint32_t f
         cum += fit;
         idx = (idx + 1) % pop.size();
     }
+}
+
+std::size_t select_from_prefix(const std::vector<std::uint32_t>& prefix, std::uint32_t fit_sum,
+                               std::uint16_t r) {
+    if (prefix.empty()) throw std::invalid_argument("select_from_prefix: empty population");
+    const std::uint32_t thresh =
+        static_cast<std::uint32_t>((static_cast<std::uint64_t>(fit_sum) * r) >> 16);
+    const std::uint32_t total = prefix.back();
+    const std::uint32_t t = thresh < total ? thresh : thresh - total;
+    // upper_bound with a select in place of the branch: the thresholds are
+    // random, so a branching search mispredicts about half its steps. The
+    // answer (first i with prefix[i] > t, or P) stays in [lo, lo + n].
+    std::size_t lo = 0;
+    for (std::size_t n = prefix.size(); n > 1; n -= n / 2)
+        lo = prefix[lo + n / 2] <= t ? lo + n / 2 : lo;
+    const std::size_t first = lo + (prefix[lo] <= t ? 1 : 0);
+    return std::min(first, prefix.size() - 1);
+}
+
+FitnessFn rom_fitness(fitness::FitnessId id) {
+    return [rom = fitness::fitness_rom(id)](std::uint16_t c) { return rom->words()[c]; };
 }
 
 std::pair<std::uint16_t, std::uint16_t> crossover_pair(std::uint16_t p1, std::uint16_t p2,
@@ -49,6 +72,7 @@ BehavioralEngine::BehavioralEngine(const GaParameters& raw_params, FitnessFn fit
     // --- initial population ---
     cur_.resize(params_.pop_size);
     next_.resize(params_.pop_size);
+    prefix_.resize(params_.pop_size);
     for (Member& m : cur_) {
         m.candidate = rng_.next16();
         m.fitness = fitness_(m.candidate);
@@ -78,6 +102,9 @@ void BehavioralEngine::poke_member(std::size_t slot, Member m) {
 void BehavioralEngine::step_generation() {
     if (done()) throw std::logic_error("BehavioralEngine: run already complete");
 
+    std::uint32_t cum = 0;
+    for (std::size_t i = 0; i < cur_.size(); ++i) prefix_[i] = cum += cur_[i].fitness;
+
     std::uint32_t fit_sum_new = 0;
     std::size_t idx = 0;
     if (elitism_) {
@@ -89,9 +116,9 @@ void BehavioralEngine::step_generation() {
 
     while (idx < params_.pop_size) {
         const std::uint16_t r1 = rng_.next16();
-        const std::size_t i1 = proportionate_select(cur_, fit_sum_cur_, r1);
+        const std::size_t i1 = select_from_prefix(prefix_, fit_sum_cur_, r1);
         const std::uint16_t r2 = rng_.next16();
-        const std::size_t i2 = proportionate_select(cur_, fit_sum_cur_, r2);
+        const std::size_t i2 = select_from_prefix(prefix_, fit_sum_cur_, r2);
 
         const std::uint16_t rx = rng_.next16();
         std::uint16_t off1 = cur_[i1].candidate;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/params.hpp"
+#include "fitness/functions.hpp"
 #include "prng/rng_module.hpp"
 
 namespace gaip::core {
@@ -48,6 +49,11 @@ struct RunResult {
 
 using FitnessFn = std::function<std::uint16_t(std::uint16_t)>;
 
+/// The fitness function `id` as the FEMs compute it: a read of the cached
+/// lookup ROM (fitness::fitness_rom), which holds fitness_u16(id, c) at
+/// address c. Same values as the closed form, at the cost of one load.
+FitnessFn rom_fitness(fitness::FitnessId id);
+
 /// Deterministic 16-bit generator state shared with the RTL RNG module.
 class RngState {
 public:
@@ -68,8 +74,24 @@ private:
 
 /// Proportionate (roulette) selection exactly as the core's scan implements
 /// it: threshold = (fit_sum * r) >> 16, wrap-around scan, 2P-read fallback.
+/// This is the reference scan, O(P) per draw; BehavioralEngine draws through
+/// select_from_prefix instead, which returns the same index.
 std::size_t proportionate_select(const std::vector<Member>& pop, std::uint32_t fit_sum,
                                  std::uint16_t r);
+
+/// Closed form of proportionate_select in O(log P). `prefix[i]` is the sum
+/// of the fitness values of members 0..i (inclusive) and `fit_sum` the
+/// register the threshold is taken from, which may be stale. With
+/// total = prefix.back() and thresh = (fit_sum * r) >> 16:
+///   * thresh < total: the scan's first pass stops at the first i with
+///     prefix[i] > thresh;
+///   * otherwise its second pass carries cum = total and stops at the first
+///     i with prefix[i] > thresh - total, and its 2P-read cap stops it at
+///     slot P-1 when there is no such i (thresh >= 2 * total, or every
+///     fitness zero).
+/// So the result equals the scan for every fit_sum, stale ones included.
+std::size_t select_from_prefix(const std::vector<std::uint32_t>& prefix, std::uint32_t fit_sum,
+                               std::uint16_t r);
 
 /// Single-point crossover via the bit-mask construction of Fig. 3.
 std::pair<std::uint16_t, std::uint16_t> crossover_pair(std::uint16_t p1, std::uint16_t p2,
@@ -88,6 +110,10 @@ std::pair<std::uint16_t, std::uint16_t> crossover_pair(std::uint16_t p1, std::ui
 ///     reads the poked fitness values — identical to the RTL timing);
 ///   * the best-ever tracker is a register too: a poked member enters it
 ///     only once an offspring evaluation beats it, never retroactively.
+/// Each generation draws its parents with select_from_prefix over prefix
+/// sums of the current bank, rebuilt when the generation starts (so pokes
+/// are included), which makes a generation O(P log P) instead of the
+/// scan's O(P^2) with bit-identical picks.
 /// run_behavioral_ga() is a thin wrapper over this class; the
 /// behavioral-vs-RTL equivalence tests pin both to the same bit pattern.
 class BehavioralEngine {
@@ -142,6 +168,7 @@ private:
 
     std::vector<Member> cur_;
     std::vector<Member> next_;
+    std::vector<std::uint32_t> prefix_;  ///< inclusive fitness prefix sums of cur_
     std::uint32_t fit_sum_cur_ = 0;
     std::uint32_t gen_ = 0;
     std::uint16_t best_fit_ = 0;

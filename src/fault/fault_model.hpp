@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/ga_core.hpp"
+#include "fitness/functions.hpp"
 
 namespace gaip::fault {
 
@@ -117,6 +118,16 @@ inline FaultOutcome classify(bool finished, std::uint16_t best_fitness,
 /// watchdog; this throws std::overflow_error with the offending values
 /// instead.
 std::uint64_t watchdog_budget(std::uint64_t ga_cycles, std::uint64_t factor);
+
+/// Exact result of Table IV preset mode `preset` (its low two bits, 1..3)
+/// on fitness function `fn`: the run a PRESET fallback restarts into. The
+/// preset modes resolve every parameter and the seed from constants, so the
+/// (RTL-bit-exact) behavioral model gives it without a 10^5-cycle
+/// simulation. `ga_cycles` is 0: it is not cycle-measured. The result
+/// depends only on (fn, preset), so it is computed once per process and
+/// shared by the SEU injector and the mission supervisor; safe to call from
+/// any thread. Throws std::invalid_argument for mode 0.
+GoldenRun preset_baseline(fitness::FitnessId fn, std::uint8_t preset);
 
 /// Per-register aggregation for the vulnerability table.
 struct RegisterVulnerability {

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/behavioral.hpp"
-#include "prng/rng_module.hpp"
 #include "system/ga_system.hpp"
 
 namespace gaip::fault {
@@ -61,18 +59,7 @@ SeuInjector::SeuInjector(InjectorConfig cfg) : cfg_(cfg) {
     golden_.generations = sys.core().generation();
     golden_.ga_cycles = c;
 
-    // Preset baseline: Table IV modes resolve every parameter and the seed
-    // from constants, so the (RTL-bit-exact) behavioral model gives the
-    // exact post-fallback result without a 10^5-cycle simulation.
-    core::GaParameters pp = core::preset_parameters(cfg_.fallback_preset);
-    pp.seed = prng::RngModule::effective_seed(cfg_.fallback_preset, 0);
-    const core::RunResult pr = core::run_behavioral_ga(
-        pp, [fn = cfg_.fn](std::uint16_t x) { return fitness::fitness_u16(fn, x); },
-        prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
-    preset_baseline_.best_fitness = pr.best_fitness;
-    preset_baseline_.best_candidate = pr.best_candidate;
-    preset_baseline_.generations = pp.n_gens;
-    preset_baseline_.ga_cycles = 0;  // not cycle-measured; watchdog uses a formula bound
+    preset_baseline_ = fault::preset_baseline(cfg_.fn, cfg_.fallback_preset);
 }
 
 bool SeuInjector::run_to_start(system::GaSystem& sys) const {

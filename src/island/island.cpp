@@ -114,8 +114,7 @@ IslandResult IslandSystem::run() {
 
 IslandResult IslandSystem::run_behavioral() {
     const unsigned n = cfg_.islands;
-    const fitness::FitnessId fn = cfg_.fn;
-    const core::FitnessFn fitness = [fn](std::uint16_t x) { return fitness::fitness_u16(fn, x); };
+    const core::FitnessFn fitness = core::rom_fitness(cfg_.fn);
 
     std::vector<std::unique_ptr<core::BehavioralEngine>> eng(n);
     for (unsigned i = 0; i < n; ++i) {

@@ -604,10 +604,8 @@ void Scheduler::run_single(const JobPtr& j) {
 
 void Scheduler::run_behavioral_job(const JobPtr& j) {
     const JobSpec& spec = j->rec.spec;
-    const fitness::FitnessId fn = spec.fn;
-    core::BehavioralEngine eng(
-        spec.params, [fn](std::uint16_t c) { return fitness::fitness_u16(fn, c); },
-        prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
+    core::BehavioralEngine eng(spec.params, core::rom_fitness(spec.fn),
+                               prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
     while (!eng.done()) {
         if (j->cancel.load(std::memory_order_relaxed)) {
             finish(j, JobState::kCancelled, {});

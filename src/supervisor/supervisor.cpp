@@ -109,20 +109,10 @@ MissionSupervisor::MissionSupervisor(SupervisorConfig cfg) : cfg_(std::move(cfg)
                                                  : formula_cycles(cfg_.params);
     budget0_ = fault::watchdog_budget(expected_cycles_, cfg_.watchdog_factor);
 
-    if (cfg_.ladder.fallback_preset != 0) {
-        // Exact post-fallback result: the preset modes resolve parameters
-        // and seed from constants, and the behavioral model is bit-exact
-        // with the RTL/gate substrates — so the degraded result is known
-        // without a long simulation and can be verified against.
-        core::GaParameters pp = core::preset_parameters(cfg_.ladder.fallback_preset);
-        pp.seed = prng::RngModule::effective_seed(cfg_.ladder.fallback_preset, 0);
-        const core::RunResult pr = core::run_behavioral_ga(
-            pp, [fn = cfg_.fn](std::uint16_t x) { return fitness::fitness_u16(fn, x); },
-            prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
-        preset_baseline_.best_fitness = pr.best_fitness;
-        preset_baseline_.best_candidate = pr.best_candidate;
-        preset_baseline_.generations = pp.n_gens;
-    }
+    // Exact post-fallback result, known without a long simulation, so the
+    // degraded result can be verified against it.
+    if (cfg_.ladder.fallback_preset != 0)
+        preset_baseline_ = fault::preset_baseline(cfg_.fn, cfg_.ladder.fallback_preset);
 }
 
 BackendKind MissionSupervisor::replica_backend(unsigned r) const {
@@ -273,8 +263,8 @@ AttemptRecord MissionSupervisor::run_behavioral_attempt(const AttemptInfo& info,
     core::GaParameters p = cfg_.params;
     p.seed = seed;
     const core::RunResult r = core::run_behavioral_ga(
-        p, [fn = cfg_.fn](std::uint16_t x) { return fitness::fitness_u16(fn, x); },
-        prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
+        p, core::rom_fitness(cfg_.fn), prng::RngKind::kCellularAutomaton,
+        /*keep_populations=*/false);
     rec.outcome = AttemptOutcome::kFinished;
     rec.best_fitness = r.best_fitness;
     rec.best_candidate = r.best_candidate;

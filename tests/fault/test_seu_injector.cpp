@@ -7,11 +7,15 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "core/behavioral.hpp"
 #include "core/ga_core.hpp"
 #include "fault/seu_injector.hpp"
 #include "gates/compiled.hpp"
 #include "gates/rng_gates.hpp"
+#include "prng/rng_module.hpp"
 #include "system/ga_system.hpp"
 
 namespace gaip::fault {
@@ -179,6 +183,51 @@ TEST(SeuInjector, RejectsBadConfig) {
     cfg = small_config();
     cfg.fallback_preset = 0;
     EXPECT_THROW(SeuInjector{cfg}, std::invalid_argument);
+}
+
+TEST(PresetBaseline, ConcurrentCallersGetTheDirectPresetRun) {
+    // 8 threads fill the process-wide (fitness, preset) table at once, each
+    // walking the 8 x 3 slots from a different start. Every answer must
+    // equal a direct behavioral run of the Table IV preset, evaluated with
+    // the closed-form fitness rather than the ROM the table uses.
+    constexpr unsigned kThreads = 8;
+    constexpr std::size_t kSlots = fitness::kNumFitnessIds * 3;
+    const auto slot_fn = [](std::size_t s) { return static_cast<fitness::FitnessId>(s / 3); };
+    const auto slot_preset = [](std::size_t s) { return static_cast<std::uint8_t>(s % 3 + 1); };
+    std::vector<std::vector<GoldenRun>> got(kThreads, std::vector<GoldenRun>(kSlots));
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            for (std::size_t k = 0; k < kSlots; ++k) {
+                const std::size_t s = (k + 3 * t) % kSlots;
+                got[t][s] = preset_baseline(slot_fn(s), slot_preset(s));
+            }
+        });
+    }
+    for (std::thread& th : pool) th.join();
+
+    for (std::size_t s = 0; s < kSlots; ++s) {
+        const fitness::FitnessId fn = slot_fn(s);
+        const std::uint8_t preset = slot_preset(s);
+        core::GaParameters p = core::preset_parameters(preset);
+        p.seed = prng::kPresetSeeds[preset - 1];
+        const core::RunResult direct = core::run_behavioral_ga(
+            p, [fn](std::uint16_t x) { return fitness::fitness_u16(fn, x); },
+            prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
+        for (unsigned t = 0; t < kThreads; ++t) {
+            const GoldenRun& g = got[t][s];
+            EXPECT_EQ(g.best_fitness, direct.best_fitness) << fitness::fitness_name(fn) << " preset "
+                                                           << unsigned{preset} << " thread " << t;
+            EXPECT_EQ(g.best_candidate, direct.best_candidate) << fitness::fitness_name(fn);
+            EXPECT_EQ(g.generations, p.n_gens);
+            EXPECT_EQ(g.ga_cycles, 0u);
+        }
+    }
+}
+
+TEST(PresetBaseline, RejectsModeZero) {
+    EXPECT_THROW(preset_baseline(fitness::FitnessId::kOneMax, 0), std::invalid_argument);
+    EXPECT_THROW(preset_baseline(fitness::FitnessId::kOneMax, 4), std::invalid_argument);
 }
 
 TEST(CompiledNetlist, XorRegisterLanesFlipsOnlyMaskedLanes) {

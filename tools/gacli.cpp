@@ -210,9 +210,8 @@ int run_summary(const Options& opt) {
         core::GaParameters p = core::resolve_parameters(opt.preset, opt.params);
         if (opt.preset != 0) p.seed = prng::kPresetSeeds[opt.preset - 1];
         p.seed = i == 0 ? p.seed : seeder.next16();
-        const core::RunResult r = core::run_behavioral_ga(
-            p, [&](std::uint16_t x) { return fitness::fitness_u16(opt.fn, x); }, opt.rng,
-            false);
+        const core::RunResult r =
+            core::run_behavioral_ga(p, core::rom_fitness(opt.fn), opt.rng, false);
         bests.push_back(r.best_fitness);
         if (r.best_fitness > best_fit) {
             best_fit = r.best_fitness;
@@ -292,8 +291,7 @@ int main(int argc, char** argv) {
             const core::GaParameters eff = core::resolve_parameters(opt.preset, opt.params);
             core::GaParameters p = eff;
             if (opt.preset != 0) p.seed = prng::kPresetSeeds[opt.preset - 1];
-            result = core::run_behavioral_ga(
-                p, [&](std::uint16_t x) { return fitness::fitness_u16(opt.fn, x); }, opt.rng);
+            result = core::run_behavioral_ga(p, core::rom_fitness(opt.fn), opt.rng);
         } else {
             system::GaSystemConfig cfg;
             cfg.params = opt.params;
