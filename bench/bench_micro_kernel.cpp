@@ -7,11 +7,11 @@
 #include "core/dual_core.hpp"
 #include "gates/ga_core_gates.hpp"
 #include "fitness/rom_builder.hpp"
+#include "island/island.hpp"
 #include "prng/ca_prng.hpp"
 #include "prng/lfsr.hpp"
 #include "swga/software_ga.hpp"
 #include "system/ga_system.hpp"
-#include "system/parallel.hpp"
 
 namespace {
 
@@ -106,23 +106,24 @@ BENCHMARK(BM_RtlSystemScheduler)
     ->Arg(1)
     ->ArgName("full_settle");
 
-void BM_ParallelGaSystemRun(benchmark::State& state) {
-    // 4-engine parallel array; arg = worker threads (1 = sequential). On a
-    // multi-core host the pooled run is near-linearly faster; the results
-    // are bit-identical either way (asserted in test_parallel).
-    system::ParallelGaConfig cfg;
-    cfg.params = {.pop_size = 16, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1,
-                  .seed = 0};
+void BM_RtlIslandArrayRun(benchmark::State& state) {
+    // 4-engine RT-level array, migration off; arg = worker threads (1 =
+    // sequential). On a multi-core host the pooled run is near-linearly
+    // faster; the results are bit-identical either way (asserted in
+    // IslandDifferential.ThreadCountInvariant).
+    island::IslandConfig cfg;
+    cfg.fn = fitness::FitnessId::kMBf6_2;
+    cfg.base = {.pop_size = 16, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1};
     cfg.seeds = {0x2961, 0x061F, 0xB342, 0xAAAA};
-    cfg.fitness = fitness::FitnessId::kMBf6_2;
+    cfg.islands = 4;
+    cfg.backend = supervisor::BackendKind::kRtl;
     cfg.threads = static_cast<unsigned>(state.range(0));
-    system::ParallelGaSystem sys(cfg);
+    island::IslandSystem sys(cfg);
     for (auto _ : state) benchmark::DoNotOptimize(sys.run());
-    state.counters["threads"] =
-        benchmark::Counter(static_cast<double>(sys.resolved_threads()));
-    state.counters["engines"] = benchmark::Counter(static_cast<double>(sys.engine_count()));
+    state.counters["threads"] = benchmark::Counter(static_cast<double>(cfg.threads));
+    state.counters["engines"] = benchmark::Counter(static_cast<double>(cfg.islands));
 }
-BENCHMARK(BM_ParallelGaSystemRun)
+BENCHMARK(BM_RtlIslandArrayRun)
     ->Arg(1)
     ->Arg(4)
     ->ArgName("threads")

@@ -1,14 +1,14 @@
 // Parallel seed-diverse engines: the cheapest way to exploit the core's
 // small footprint (13% of an xc2vp30 → several engines fit one device).
-// K complete GA systems run concurrently on different seeds; a best-of
-// combiner exports the winner — K times the seed coverage in the wall-clock
-// time of one run.
+// K complete GA systems run concurrently on different seeds with the
+// migration interconnect off; the fittest island is the winner — K times
+// the seed coverage in the wall-clock time of one run.
 //
 // Build & run:   ./build/examples/parallel_engines
 #include <cstdio>
 
 #include "fitness/functions.hpp"
-#include "system/parallel.hpp"
+#include "island/island.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -16,28 +16,28 @@ int main() {
     const auto fn = fitness::FitnessId::kBf6;  // hard, many local maxima
     std::printf("Four GA engines on one simulated FPGA, one seed each (BF6, pop 32, 24 gens)\n\n");
 
-    system::ParallelGaConfig cfg;
-    cfg.params = {.pop_size = 32, .n_gens = 24, .xover_threshold = 10, .mut_threshold = 1,
-                  .seed = 0};
+    island::IslandConfig cfg;
+    cfg.fn = fn;
+    cfg.base = {.pop_size = 32, .n_gens = 24, .xover_threshold = 10, .mut_threshold = 1};
     cfg.seeds = {0x2961, 0x061F, 0xB342, 0xAAAA};
-    cfg.fitness = fn;
-
-    system::ParallelGaSystem par(cfg);
-    const system::ParallelRunResult r = par.run();
+    cfg.islands = 4;
+    cfg.backend = supervisor::BackendKind::kRtl;
+    cfg.threads = 4;
+    const island::IslandResult r = island::IslandSystem(cfg).run();
 
     util::TextTable table({"Engine", "Seed", "Best fitness", "Best candidate"});
-    for (std::size_t i = 0; i < r.per_engine.size(); ++i) {
-        table.add(i, util::hex16(cfg.seeds[i]), r.per_engine[i].best_fitness,
-                  util::hex16(r.per_engine[i].best_candidate));
+    for (std::size_t i = 0; i < r.islands.size(); ++i) {
+        table.add(i, util::hex16(r.islands[i].seed), r.islands[i].best_fitness,
+                  util::hex16(r.islands[i].best_candidate));
     }
     table.print();
 
-    std::printf("\nwinner: engine %zu with fitness %u (optimum %u) after %llu concurrent"
+    std::printf("\nwinner: engine %u with fitness %u (optimum %u) after %llu concurrent"
                 " 50 MHz cycles\n",
-                r.best_engine, r.best_fitness, fitness::grid_optimum(fn).best_value,
-                static_cast<unsigned long long>(r.ga_cycles));
+                r.best_island, r.best_fitness, fitness::grid_optimum(fn).best_value,
+                static_cast<unsigned long long>(r.makespan_cycles));
     std::printf("sequentially, the same seed coverage would cost ~%zux the hardware time.\n",
-                r.per_engine.size());
+                r.islands.size());
 
     // Resource sanity: four engines of a 13%% core still fit the device.
     std::printf("\nfootprint: 4 engines x ~13%% slices ~ 52%% of the xc2vp30 — the parallel\n"

@@ -133,6 +133,8 @@ struct IslandStats {
     /// Best-ever fitness register at each generation 0..n_gens (the
     /// monitor-tap trajectory the differential harness compares).
     std::vector<std::uint16_t> best_trajectory;
+
+    friend bool operator==(const IslandStats&, const IslandStats&) = default;
 };
 
 struct IslandResult {
@@ -155,6 +157,8 @@ struct IslandResult {
     /// (mirrors the requested raw values; set on the RTL substrate only).
     std::uint16_t bus_interval_reg = 0;
     std::uint16_t bus_count_reg = 0;
+
+    friend bool operator==(const IslandResult&, const IslandResult&) = default;
 };
 
 class IslandSystem {

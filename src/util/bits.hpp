@@ -51,10 +51,9 @@ constexpr std::uint16_t sat_u16(std::int64_t v) noexcept {
 }
 
 /// Saturating u64 addition: clamps to UINT64_MAX instead of wrapping.
-/// Cycle-bound computations (bench/gate_batch_runner.hpp,
-/// src/system/parallel.cpp) use these so adversarial pop/gens configs
-/// produce "effectively unbounded" instead of a tiny wrapped bound that
-/// would flag healthy runs as hangs.
+/// Cycle-bound computations (bench/gate_batch_runner.hpp) use these so
+/// adversarial pop/gens configs produce "effectively unbounded" instead of
+/// a tiny wrapped bound that would flag healthy runs as hangs.
 constexpr std::uint64_t sat_add_u64(std::uint64_t a, std::uint64_t b) noexcept {
     std::uint64_t r = 0;
     return __builtin_add_overflow(a, b, &r) ? ~std::uint64_t{0} : r;

@@ -1,8 +1,8 @@
 // Minimal work-stealing-free worker pool: parallel_for_n runs `count`
 // index-addressed jobs on up to `threads` std::threads with an atomic
-// fetch-add cursor — the same scheduling pattern ParallelGaSystem::run has
-// used since PR 4, extracted here so FaultCampaign batches and future
-// sweeps share one audited implementation instead of growing copies.
+// fetch-add cursor, so IslandSystem's barrier-to-barrier segments,
+// FaultCampaign batches and future sweeps share one audited implementation
+// instead of growing copies.
 //
 // Guarantees:
 //   * job(i) is invoked exactly once for each i in [0, count);

@@ -9,6 +9,7 @@
 // independent islands.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -186,6 +187,19 @@ TEST(MigrationRegisters, ZeroEmigrantEnsembleEqualsIndependentRuns) {
         EXPECT_TRUE(sys.boundaries().empty());
         const IslandResult ens = sys.run();
         EXPECT_TRUE(ens.migrations.empty());
+        // Best-of reduction: the maximum over the islands, credited to the
+        // lowest island index that reaches it.
+        std::uint16_t best = 0;
+        for (const IslandStats& s : ens.islands) best = std::max(best, s.best_fitness);
+        EXPECT_EQ(ens.best_fitness, best);
+        ASSERT_LT(ens.best_island, ens.islands.size());
+        EXPECT_EQ(ens.islands[ens.best_island].best_fitness, best);
+        EXPECT_EQ(ens.best_candidate, ens.islands[ens.best_island].best_candidate);
+        for (unsigned i = 0; i < ens.best_island; ++i)
+            EXPECT_LT(ens.islands[i].best_fitness, best) << "island " << i;
+        EXPECT_EQ(fitness::fitness_u16(cfg.fn, ens.best_candidate), ens.best_fitness);
+        // run() rebuilds every island, so a repeat call is bit-identical.
+        EXPECT_EQ(sys.run(), ens);
         for (unsigned i = 0; i < cfg.islands; ++i) {
             IslandConfig solo = cfg;
             solo.islands = 1;
@@ -196,8 +210,18 @@ TEST(MigrationRegisters, ZeroEmigrantEnsembleEqualsIndependentRuns) {
                 << "island " << i;
             EXPECT_EQ(ens.islands[i].best_trajectory, one.islands[0].best_trajectory)
                 << "island " << i;
+            // Elitist budget: pop initial evaluations + (pop - 1) per generation.
+            EXPECT_EQ(ens.islands[i].evaluations, 16u + 15u * 16u) << "island " << i;
         }
     }
+    // Islands with one seed tie on every register: the reduction credits island 0.
+    IslandConfig twins;
+    twins.base.pop_size = 16;
+    twins.base.n_gens = 16;
+    twins.islands = 3;
+    twins.seeds = {0xB342, 0xB342, 0xB342};
+    twins.backend = BackendKind::kRtl;
+    EXPECT_EQ(IslandSystem(twins).run().best_island, 0u);
 }
 
 // ------------------------------------------------------------ bus readback
