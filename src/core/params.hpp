@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace gaip::core {
 
@@ -76,6 +78,23 @@ constexpr GaParameters resolve_parameters(std::uint8_t preset, const GaParameter
         return p;
     }
     return preset_parameters(preset);
+}
+
+/// One init-handshake write: {parameter index, value}.
+using InitWrite = std::pair<std::uint8_t, std::uint16_t>;
+
+/// The six init-handshake writes covering Table III for `p` (both halves
+/// of n_gens, pop size, both rates, seed).
+inline std::vector<InitWrite> init_program(const GaParameters& p) {
+    const auto at = [](ParamIndex i) { return static_cast<std::uint8_t>(i); };
+    return {
+        {at(ParamIndex::kNumGensLo), static_cast<std::uint16_t>(p.n_gens & 0xFFFF)},
+        {at(ParamIndex::kNumGensHi), static_cast<std::uint16_t>(p.n_gens >> 16)},
+        {at(ParamIndex::kPopSize), p.pop_size},
+        {at(ParamIndex::kCrossoverRate), p.xover_threshold},
+        {at(ParamIndex::kMutationRate), p.mut_threshold},
+        {at(ParamIndex::kRngSeed), p.seed},
+    };
 }
 
 /// Static configuration of a core instance (fixed at synthesis time, like

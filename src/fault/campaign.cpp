@@ -1,20 +1,15 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "gates/compiled.hpp"
-#include "gates/ga_core_gates.hpp"
-#include "gates/rng_gates.hpp"
-#include "mem/ga_memory.hpp"
-#include "util/bits.hpp"
+#include "gates/batch_runner.hpp"
 #include "util/worker_pool.hpp"
 
 namespace gaip::fault {
@@ -25,518 +20,131 @@ using core::GaCore;
 
 constexpr unsigned kWordBits = gates::CompiledNetlist::kWordBits;
 
-/// The gate-level lane-block batch engine behind FaultCampaign::run_gate.
-/// The per-lane peripheral models (init-handshake FSM, zero-latency FEM,
-/// write-first 256x32 memory, start pulse) mirror bench/gate_batch_runner's
-/// — re-stated here because src/ libraries cannot depend on bench/ headers
-/// — except that every lane runs the SAME configuration and each non-golden
-/// lane carries one scheduled SEU. The compiled cores run with the
-/// instruction-stream optimizer's dead-gate prune, keeping the observable
-/// port surface this runner reads.
-class GateLaneRunner {
+/// One campaign worker's gate engine: a lane-block BatchGateRunner on which
+/// every lane runs the campaign configuration — lane 0 the fault-free
+/// golden reference, each other lane one scheduled SEU.
+class GateWorker {
 public:
-    GateLaneRunner(const CampaignConfig& cfg, const GoldenRun& golden)
+    explicit GateWorker(const CampaignConfig& cfg)
         : cfg_(cfg),
-          golden_(golden),
-          core_src_(gates::build_ga_core_netlist()),
-          rng_src_(gates::build_rng_netlist()),
-          core_(core_src_->nl,
-                gates::CompiledNetlist::Options{.words = cfg.lane_words,
-                                                .cse = true,
-                                                .prune = true,
-                                                .keep = core_src_->observable_port_nets(),
-                                                .backend = cfg.backend}),
-          rng_(rng_src_->nl,
-               gates::CompiledNetlist::Options{.words = cfg.lane_words,
-                                               .cse = true,
-                                               .prune = true,
-                                               .keep = rng_src_->observable_port_nets(),
-                                               .backend = cfg.backend}),
-          words_(core_.words()),
-          lane_count_(core_.lane_count()) {
-        const core::GaParameters& p = cfg_.params;
-        program_ = {
-            {0, static_cast<std::uint16_t>(p.n_gens & 0xFFFF)},
-            {1, static_cast<std::uint16_t>(p.n_gens >> 16)},
-            {2, p.pop_size},
-            {3, p.xover_threshold},
-            {4, p.mut_threshold},
-            {5, p.seed},
-        };
+          runner_(cfg.fn, {cfg.params}, cfg.lane_words, cfg.backend) {
         // Fault-site addressing: register bit nets are named "<reg><bit>".
-        for (const gates::Net q : core_src_->nl.register_q_nets())
-            reg_net_by_name_.emplace(core_src_->nl.name_of(q), q);
-
-        // Resolve every signal step() touches to its storage slot ONCE:
-        // the per-call validation inside set_input_word/lanes_word (net
-        // kind + word range + pruning checks, ~1500 calls per cycle at
-        // 8-word blocks) dominated the harness profile, swamping the SIMD
-        // kernel itself. The cycle loop below runs exclusively on the
-        // inline unchecked handle accessors.
-        hc_ga_load_ = core_.input_handle(core_src_->ga_load);
-        hc_data_valid_ = core_.input_handle(core_src_->data_valid);
-        hc_start_ = core_.input_handle(core_src_->start_ga);
-        hc_fit_valid_ = core_.input_handle(core_src_->fit_valid);
-        hc_fit_request_ = core_.read_handle(core_src_->fit_request);
-        hc_data_ack_ = core_.read_handle(core_src_->data_ack);
-        hc_mem_wr_ = core_.read_handle(core_src_->mem_wr);
-        hc_rn_next_ = core_.read_handle(core_src_->rn_next);
-        for (unsigned j = 0; j < 3; ++j) {
-            hc_index_[j] = core_.input_handle(core_src_->index[j]);
-            hr_index_[j] = rng_.input_handle(rng_src_->index[j]);
-        }
-        for (unsigned j = 0; j < 16; ++j) {
-            hc_value_[j] = core_.input_handle(core_src_->value[j]);
-            hc_fit_value_[j] = core_.input_handle(core_src_->fit_value[j]);
-            hc_rn_[j] = core_.input_handle(core_src_->rn[j]);
-            hc_cand_[j] = core_.read_handle(core_src_->candidate[j]);
-            hr_value_[j] = rng_.input_handle(rng_src_->value[j]);
-            hr_rn_[j] = rng_.read_handle(rng_src_->rn[j]);
-        }
-        for (unsigned j = 0; j < 32; ++j) {
-            hc_mdi_[j] = core_.input_handle(core_src_->mem_data_in[j]);
-            hc_mdo_[j] = core_.read_handle(core_src_->mem_data_out[j]);
-        }
-        for (unsigned j = 0; j < 8; ++j)
-            hc_addr_[j] = core_.read_handle(core_src_->mem_address[j]);
-        for (unsigned j = 0; j < 6; ++j)
-            hc_state_[j] = core_.read_handle(core_src_->state[j]);
-        hr_ga_load_ = rng_.input_handle(rng_src_->ga_load);
-        hr_data_valid_ = rng_.input_handle(rng_src_->data_valid);
-        hr_start_ = rng_.input_handle(rng_src_->start);
-        hr_rn_next_ = rng_.input_handle(rng_src_->rn_next);
-
-        // The same-cycle fitness response only changes fit_valid/fit_value;
-        // its fanout is a few hundred instructions, so the second eval of
-        // step() runs just that cone instead of the full stream.
-        std::vector<gates::Net> fit_sources{core_src_->fit_valid};
-        fit_sources.insert(fit_sources.end(), core_src_->fit_value.begin(),
-                           core_src_->fit_value.end());
-        fit_cone_ = core_.make_cone(fit_sources);
+        const gates::GateNetlist& nl = runner_.core_ports().nl;
+        for (const gates::Net q : nl.register_q_nets()) reg_net_by_name_.emplace(nl.name_of(q), q);
     }
 
-    std::uint64_t cycles() const noexcept { return cycle_; }
-    unsigned lane_count() const noexcept { return lane_count_; }
-    /// Injections retired per batch: every lane except golden lane 0.
-    unsigned sites_per_batch() const noexcept { return lane_count_ - 1; }
+    std::uint64_t cycles() const noexcept { return runner_.cycles(); }
 
-    /// Run one batch: `sites` (at most lane_count() - 1) map to lanes 1..;
-    /// lane 0 stays fault-free and must reproduce `golden_` exactly.
-    /// Returns one record per site, in order.
-    std::vector<FaultRecord> run_batch(const std::vector<FaultSite>& sites) {
-        if (sites.empty() || sites.size() > sites_per_batch())
-            throw std::invalid_argument("GateLaneRunner: need 1.." +
-                                        std::to_string(sites_per_batch()) +
-                                        " sites per batch");
-        reset();
-        for (std::size_t i = 0; i < sites.size(); ++i) {
-            Lane& l = lanes_[i + 1];
-            l.has_site = true;
-            l.site = sites[i];
-            l.site_net = net_for(sites[i]);
-        }
+    /// Run one batch: `sites` (at most lanes - 1) map to lanes 1..; lane 0
+    /// stays fault-free and must reproduce `golden` exactly. Returns one
+    /// record per site, in order.
+    std::vector<FaultRecord> run_batch(const std::vector<FaultSite>& sites,
+                                       const GoldenRun& golden) {
+        // Resolve every site before simulating: an unknown one is an
+        // argument error, whatever its cycle.
+        std::vector<gates::Net> nets(sites.size());
+        for (std::size_t i = 0; i < sites.size(); ++i) nets[i] = net_for(sites[i]);
+        runner_.reconfigure(cfg_.fn, std::vector<core::GaParameters>(sites.size() + 1, cfg_.params));
+        std::vector<std::optional<std::uint64_t>> inject_cycle(sites.size());
+        std::size_t pending = sites.size();
+        // Optimizer cycle each lane finished at (lane 0 = golden); 0 = not
+        // yet, since no lane finishes at the kStart edge.
+        std::vector<std::uint64_t> done_cycle(sites.size() + 1, 0);
+        std::size_t open = sites.size() + 1;
 
-        const std::uint64_t watchdog =
-            golden_.ga_cycles * cfg_.watchdog_factor + 64;
-        // Bound on edges before the optimizer starts (init handshake).
+        const std::uint64_t watchdog = golden.ga_cycles * cfg_.watchdog_factor + 64;
+        // Optimizer cycle: 0 = the edge that loaded kStart in golden lane 0
+        // (SeuInjector's numbering); -1 until then. Bound on edges before
+        // the optimizer starts (init handshake).
+        std::int64_t opt_cycle = -1;
         std::uint64_t prestart_guard = 4096;
+        runner_.begin_run();
         while (true) {
-            step();
-            if (opt_cycle_ < 0) {
+            const std::size_t unfinished = runner_.step_cycle();
+            const std::uint8_t gstate = runner_.lane_state(0);
+            if (opt_cycle >= 0) {
+                ++opt_cycle;
+            } else if (gstate == static_cast<std::uint8_t>(GaCore::State::kStart)) {
+                opt_cycle = 0;
+            } else {
                 if (--prestart_guard == 0)
-                    throw std::runtime_error("GateLaneRunner: optimizer never started");
+                    throw std::runtime_error("FaultCampaign: optimizer never started");
                 continue;
             }
-            bool open = false;
-            for (const Lane& l : lanes_)
-                open |= (l.tracked() && !l.finished);
-            if (!open || static_cast<std::uint64_t>(opt_cycle_) >= watchdog) break;
+            const auto opt = static_cast<std::uint64_t>(opt_cycle);
+            if (unfinished < open) {
+                for (std::size_t k = 0; k < done_cycle.size(); ++k)
+                    if (done_cycle[k] == 0 && runner_.lane_result(static_cast<unsigned>(k)).finished)
+                        done_cycle[k] = opt;
+                open = unfinished;
+            }
+
+            // Fault injection: a lane is injected at the first scan-safe
+            // cycle >= its site's grid cycle. Pre-injection every lane is
+            // bit-exact with golden lane 0, so lane 0's state decides
+            // safety for all.
+            if (pending > 0 && scan_safe_state(gstate)) {
+                for (std::size_t i = 0; i < sites.size(); ++i) {
+                    if (inject_cycle[i] || sites[i].cycle > opt) continue;
+                    runner_.flip_register_bit(static_cast<unsigned>(i + 1), nets[i]);
+                    inject_cycle[i] = opt;
+                    --pending;
+                }
+            } else if (pending > 0 && gstate == static_cast<std::uint8_t>(GaCore::State::kDone)) {
+                throw std::logic_error(
+                    "FaultCampaign: golden run ended before injection (grid too late)");
+            }
+            if (unfinished == 0 || opt >= watchdog) break;
         }
 
         // Golden-lane determinism check: the batched gate simulation must
         // reproduce the RT-level golden run bit- and cycle-exactly.
-        const Lane& g = lanes_[0];
-        if (!g.finished || g.best_fitness != golden_.best_fitness ||
-            g.best_candidate != golden_.best_candidate || g.ga_cycles != golden_.ga_cycles)
+        const gates::BatchLaneResult& g = runner_.lane_result(0);
+        if (!g.finished || g.best_fitness != golden.best_fitness ||
+            g.best_candidate != golden.best_candidate || done_cycle[0] != golden.ga_cycles)
             throw std::runtime_error(
-                "GateLaneRunner: golden lane diverged from the RT-level reference (finished=" +
+                "FaultCampaign: golden lane diverged from the RT-level reference (finished=" +
                 std::to_string(g.finished) + " fit=" + std::to_string(g.best_fitness) + "/" +
-                std::to_string(golden_.best_fitness) + " cand=" +
-                std::to_string(g.best_candidate) + "/" + std::to_string(golden_.best_candidate) +
-                " cycles=" + std::to_string(g.ga_cycles) + "/" +
-                std::to_string(golden_.ga_cycles) + ")");
+                std::to_string(golden.best_fitness) + " cand=" + std::to_string(g.best_candidate) +
+                "/" + std::to_string(golden.best_candidate) + " cycles=" +
+                std::to_string(done_cycle[0]) + "/" + std::to_string(golden.ga_cycles) + ")");
 
         std::vector<FaultRecord> out;
         out.reserve(sites.size());
         for (std::size_t i = 0; i < sites.size(); ++i) {
-            const Lane& l = lanes_[i + 1];
-            if (!l.injected)
-                throw std::logic_error("GateLaneRunner: site was never injected (grid too late)");
+            if (!inject_cycle[i])
+                throw std::logic_error("FaultCampaign: site was never injected (grid too late)");
+            const auto lane = static_cast<unsigned>(i + 1);
+            const gates::BatchLaneResult& r = runner_.lane_result(lane);
             FaultRecord rec;
-            rec.site = l.site;
-            rec.inject_cycle = l.inject_cycle;
-            rec.finished = l.finished;
-            rec.final_state = l.final_state;
-            if (l.finished) {
-                rec.best_fitness = l.best_fitness;
-                rec.best_candidate = l.best_candidate;
-                rec.ga_cycles = l.ga_cycles;
+            rec.site = sites[i];
+            rec.inject_cycle = *inject_cycle[i];
+            rec.finished = r.finished;
+            rec.final_state = runner_.lane_state(lane);
+            if (r.finished) {
+                rec.best_fitness = r.best_fitness;
+                rec.best_candidate = r.best_candidate;
+                rec.ga_cycles = done_cycle[lane];
             }
             rec.outcome = classify(rec.finished, rec.best_fitness, rec.best_candidate,
-                                   rec.final_state, golden_);
+                                   rec.final_state, golden);
             out.push_back(rec);
         }
         return out;
     }
 
 private:
-    /// One lane-block's worth of packed bits for a single signal.
-    using WordVec = std::array<std::uint64_t, gates::CompiledNetlist::kMaxWords>;
-
-    struct Lane {
-        std::size_t init_item = 0;
-        bool init_asserting = true;
-        bool init_done = false;
-        int start_hold = -1;
-
-        bool has_site = false;
-        FaultSite site;
-        gates::Net site_net = gates::kNoNet;
-        bool injected = false;
-        std::uint64_t inject_cycle = 0;
-
-        bool finished = false;
-        std::uint16_t best_fitness = 0;
-        std::uint16_t best_candidate = 0;
-        std::uint64_t ga_cycles = 0;
-        std::uint8_t final_state = 0;
-
-        /// Lanes whose completion gates the batch: golden lane 0 (index
-        /// checked by position) and every site lane.
-        bool tracked() const noexcept { return has_site || golden_lane; }
-        bool golden_lane = false;
-    };
-
-    using Handle = gates::CompiledNetlist::SlotHandle;
-
-    static bool get(const WordVec& v, std::size_t k) noexcept {
-        return (v[k / kWordBits] >> (k % kWordBits)) & 1u;
-    }
-    static void set(WordVec& v, std::size_t k) noexcept {
-        v[k / kWordBits] |= std::uint64_t{1} << (k % kWordBits);
-    }
-    WordVec read_net(Handle h) const {
-        WordVec v{};
-        core_.read_words(h, v.data());
-        return v;
-    }
-    static bool any(const WordVec& v) noexcept {
-        std::uint64_t o = 0;
-        for (const std::uint64_t w : v) o |= w;
-        return o != 0;
-    }
-    void drive_core(Handle h, const WordVec& v) { core_.write_words(h, v.data()); }
-    void drive_rng(Handle h, const WordVec& v) { rng_.write_words(h, v.data()); }
-
     gates::Net net_for(const FaultSite& site) const {
         const auto it = reg_net_by_name_.find(site.reg + std::to_string(site.bit));
         if (it == reg_net_by_name_.end())
-            throw std::invalid_argument("GateLaneRunner: unknown fault site " + site.reg + "[" +
+            throw std::invalid_argument("FaultCampaign: unknown fault site " + site.reg + "[" +
                                         std::to_string(site.bit) + "]");
         return it->second;
     }
 
-    std::uint8_t lane_state(unsigned lane) const {
-        std::uint8_t s = 0;
-        for (unsigned j = 0; j < 6; ++j)
-            if (get(state_w_[j], lane)) s |= static_cast<std::uint8_t>(1u << j);
-        return s;
-    }
-
-    void reset() {
-        lanes_.assign(lane_count_, Lane{});
-        lanes_[0].golden_lane = true;
-        opt_cycle_ = -1;
-        inputs_quiet_ = false;
-        mdi_w_ = {};
-        mem_.assign(std::size_t{mem::kGaMemoryDepth} * lane_count_, 0);
-
-        core_.set_input_all(core_src_->reset, false);
-        for (const gates::Net n : core_src_->preset) core_.set_input_all(n, false);
-        for (const gates::Net n : core_src_->fitfunc_select) core_.set_input_all(n, false);
-        for (const gates::Net n : core_src_->fit_value_ext) core_.set_input_all(n, false);
-        core_.set_input_all(core_src_->fit_valid_ext, false);
-        core_.set_input_all(core_src_->sel_force_found, false);
-        for (const gates::Net n : core_src_->mem_data_in) core_.set_input_all(n, false);
-        for (const gates::Net n : core_src_->fit_value) core_.set_input_all(n, false);
-        core_.set_input_all(core_src_->fit_valid, false);
-        core_.set_input_all(core_src_->start_ga, false);
-        core_.set_input_all(core_src_->ga_load, false);
-        core_.set_input_all(core_src_->data_valid, false);
-        for (const gates::Net n : core_src_->index) core_.set_input_all(n, false);
-        for (const gates::Net n : core_src_->value) core_.set_input_all(n, false);
-        rng_.set_input_all(rng_src_->reset, false);
-        for (const gates::Net n : rng_src_->preset) rng_.set_input_all(n, false);
-        rng_.set_input_all(rng_src_->start, false);
-        rng_.set_input_all(rng_src_->rn_next, false);
-        rng_.set_input_all(rng_src_->ga_load, false);
-        rng_.set_input_all(rng_src_->data_valid, false);
-        for (const gates::Net n : rng_src_->index) rng_.set_input_all(n, false);
-        for (const gates::Net n : rng_src_->value) rng_.set_input_all(n, false);
-
-        core_.set_input_all(core_src_->reset, true);
-        rng_.set_input_all(rng_src_->reset, true);
-        core_.eval();
-        rng_.eval();
-        core_.clock();
-        rng_.clock();
-        core_.set_input_all(core_src_->reset, false);
-        rng_.set_input_all(rng_src_->reset, false);
-    }
-
-    /// One GA-clock cycle across all lanes (per-lane peripherals, clock
-    /// edge, then fault injection and completion tracking post-edge).
-    void step() {
-        // Init-handshake/start drive words. Every lane runs the same
-        // program, so once all lanes are past programming these vectors are
-        // zero forever; `inputs_quiet_` skips the lane scan AND the drives
-        // (the storage already holds zeros from the transition cycle).
-        WordVec ga_load_w{}, data_valid_w{}, start_w{};
-        const bool drive_handshake = !inputs_quiet_;
-        if (drive_handshake) {
-            std::array<WordVec, 3> index_w{};
-            std::array<WordVec, 16> value_w{};
-            bool all_idle = true;
-            for (unsigned k = 0; k < lane_count_; ++k) {
-                const Lane& l = lanes_[k];
-                if (!l.init_done) {
-                    all_idle = false;
-                    set(ga_load_w, k);
-                    if (l.init_asserting) {
-                        set(data_valid_w, k);
-                        const auto& [idx, val] = program_[l.init_item];
-                        for (unsigned j = 0; j < 3; ++j)
-                            if ((idx >> j) & 1u) set(index_w[j], k);
-                        for (unsigned j = 0; j < 16; ++j)
-                            if ((val >> j) & 1u) set(value_w[j], k);
-                    }
-                }
-                if (l.start_hold > 0) {
-                    all_idle = false;
-                    set(start_w, k);
-                }
-            }
-            inputs_quiet_ = all_idle;
-            drive_core(hc_ga_load_, ga_load_w);
-            drive_core(hc_data_valid_, data_valid_w);
-            drive_core(hc_start_, start_w);
-            drive_rng(hr_ga_load_, ga_load_w);
-            drive_rng(hr_data_valid_, data_valid_w);
-            drive_rng(hr_start_, start_w);
-            for (unsigned j = 0; j < 3; ++j) {
-                drive_core(hc_index_[j], index_w[j]);
-                drive_rng(hr_index_[j], index_w[j]);
-            }
-            for (unsigned j = 0; j < 16; ++j) {
-                drive_core(hc_value_[j], value_w[j]);
-                drive_rng(hr_value_[j], value_w[j]);
-            }
-        }
-        drive_core(hc_fit_valid_, WordVec{});
-        for (unsigned j = 0; j < 16; ++j) {
-            drive_core(hc_fit_value_[j], WordVec{});
-            WordVec rn{};
-            rng_.read_words(hr_rn_[j], rn.data());
-            core_.write_words(hc_rn_[j], rn.data());
-        }
-        for (unsigned j = 0; j < 32; ++j) drive_core(hc_mdi_[j], mdi_w_[j]);
-        core_.eval();
-
-        // Same-cycle fitness response, matching the RT-level system where
-        // the 200 MHz FEM answers inside one 50 MHz core cycle: fit_valid
-        // combinationally tracks fit_request. fit_request and candidate are
-        // Moore outputs, so sampling them before driving fit_valid back is
-        // loop-free; the re-propagation runs only the precompiled
-        // fit_valid/fit_value fanout cone (a few hundred instructions).
-        const WordVec fit_req_w = read_net(hc_fit_request_);
-        if (any(fit_req_w)) {
-            std::array<WordVec, 16> fitv_w{};
-            for (unsigned w = 0; w < words_; ++w) {
-                if (fit_req_w[w] == 0) continue;
-                // Gather this word's candidates into one value per lane,
-                // evaluate the requesting lanes, scatter the fitness bits
-                // back — two 64x64 transposes instead of per-lane bit
-                // probes.
-                std::uint64_t cand[kWordBits] = {};
-                for (unsigned j = 0; j < 16; ++j) cand[j] = core_.read_word(hc_cand_[j], w);
-                util::transpose64(cand);
-                std::uint64_t fv[kWordBits] = {};
-                for (std::uint64_t req = fit_req_w[w]; req != 0; req &= req - 1) {
-                    const unsigned k = static_cast<unsigned>(std::countr_zero(req));
-                    fv[k] = fitness::fitness_u16(cfg_.fn,
-                                                 static_cast<std::uint16_t>(cand[k]));
-                }
-                util::transpose64(fv);
-                for (unsigned j = 0; j < 16; ++j) fitv_w[j][w] = fv[j];
-            }
-            drive_core(hc_fit_valid_, fit_req_w);
-            for (unsigned j = 0; j < 16; ++j) drive_core(hc_fit_value_[j], fitv_w[j]);
-            core_.eval_cone(fit_cone_);
-        }
-
-        const WordVec data_ack_w = read_net(hc_data_ack_);
-        const WordVec mem_wr_w = read_net(hc_mem_wr_);
-        const WordVec rn_next_w = read_net(hc_rn_next_);
-
-        drive_rng(hr_rn_next_, rn_next_w);
-        rng_.eval();
-
-        core_.clock();
-        rng_.clock();
-        ++cycle_;
-
-        // Post-edge register state: the cycle counter and injection points
-        // are defined on it (cycle 0 = the edge that loaded kStart).
-        for (unsigned j = 0; j < 6; ++j) state_w_[j] = read_net(hc_state_[j]);
-        if (opt_cycle_ >= 0) {
-            ++opt_cycle_;
-        } else if (lane_state(0) == static_cast<std::uint8_t>(GaCore::State::kStart)) {
-            opt_cycle_ = 0;
-        }
-
-        // Fault injection: a lane is injected at the first scan-safe cycle
-        // >= its site's grid cycle. Pre-injection every lane is bit-exact
-        // with golden lane 0, so lane 0's state decides safety for all.
-        if (opt_cycle_ >= 0) {
-            const std::uint8_t gstate = lane_state(0);
-            if (scan_safe_state(gstate)) {
-                for (unsigned k = 1; k < lane_count_; ++k) {
-                    Lane& l = lanes_[k];
-                    if (l.has_site && !l.injected &&
-                        l.site.cycle <= static_cast<std::uint64_t>(opt_cycle_)) {
-                        core_.xor_register_word(l.site_net, k / kWordBits,
-                                                std::uint64_t{1} << (k % kWordBits));
-                        l.injected = true;
-                        l.inject_cycle = static_cast<std::uint64_t>(opt_cycle_);
-                    }
-                }
-            } else if (gstate == static_cast<std::uint8_t>(GaCore::State::kDone)) {
-                for (unsigned k = 1; k < lane_count_; ++k)
-                    if (lanes_[k].has_site && !lanes_[k].injected)
-                        throw std::logic_error(
-                            "GateLaneRunner: golden run ended before injection (grid too late)");
-            }
-        }
-
-        // Per-lane peripheral models (identical to the batch runner); the
-        // memory address/data sampling point (post-edge) is unchanged from
-        // the original 64-lane engine — the golden-lane determinism check
-        // pins it. All lane-block <-> per-lane conversions go through one
-        // 64x64 bit transpose per word instead of per-lane bit probes.
-        for (unsigned w = 0; w < words_; ++w) {
-            const unsigned lane_base = w * kWordBits;
-            std::uint64_t addr_t[kWordBits] = {};
-            for (unsigned j = 0; j < 8; ++j) addr_t[j] = core_.read_word(hc_addr_[j], w);
-            util::transpose64(addr_t);  // addr_t[k] = lane lane_base+k's address
-            const std::uint64_t wr = mem_wr_w[w];
-            std::uint64_t mdo_t[kWordBits] = {};
-            if (wr != 0) {
-                for (unsigned j = 0; j < 32; ++j) mdo_t[j] = core_.read_word(hc_mdo_[j], w);
-                util::transpose64(mdo_t);  // mdo_t[k] = lane's write data
-            }
-            std::uint64_t st_t[kWordBits] = {};
-            for (unsigned j = 0; j < 6; ++j) st_t[j] = state_w_[j][w];
-            util::transpose64(st_t);  // st_t[k] = lane's post-edge FSM state
-            const std::uint64_t ack = data_ack_w[w];
-            std::uint64_t dout[kWordBits];
-
-            for (unsigned k = 0; k < kWordBits; ++k) {
-                Lane& l = lanes_[lane_base + k];
-
-                // Shared [addr][lane] memory layout: pre-divergence every
-                // lane reads the same address, so the per-cycle accesses
-                // stay on a handful of contiguous cache lines instead of
-                // one private 1 KiB array per lane.
-                const std::uint8_t addr = static_cast<std::uint8_t>(addr_t[k]);
-                std::uint32_t& cell =
-                    mem_[std::size_t{addr} * lane_count_ + lane_base + k];
-                if ((wr >> k) & 1u) cell = static_cast<std::uint32_t>(mdo_t[k]);
-                dout[k] = cell;
-
-                if (!l.init_done) {
-                    if (l.init_asserting) {
-                        if ((ack >> k) & 1u) l.init_asserting = false;
-                    } else if (!((ack >> k) & 1u)) {
-                        if (++l.init_item >= program_.size()) {
-                            l.init_done = true;
-                            l.start_hold = 2;
-                        } else {
-                            l.init_asserting = true;
-                        }
-                    }
-                } else if (l.start_hold > 0) {
-                    --l.start_hold;
-                }
-
-                // Completion / watchdog bookkeeping on the post-edge state.
-                if (!l.finished && opt_cycle_ >= 0) {
-                    const std::uint8_t s = static_cast<std::uint8_t>(st_t[k]);
-                    l.final_state = s;
-                    if (s == static_cast<std::uint8_t>(GaCore::State::kDone)) {
-                        l.finished = true;
-                        l.best_fitness = static_cast<std::uint16_t>(
-                            core_.word_value(core_src_->best_fit, lane_base + k));
-                        l.best_candidate = static_cast<std::uint16_t>(
-                            core_.word_value(core_src_->best_ind, lane_base + k));
-                        l.ga_cycles = static_cast<std::uint64_t>(opt_cycle_);
-                    }
-                }
-            }
-
-            // Transposed mem_data_out -> next cycle's mem_data_in drive.
-            util::transpose64(dout);
-            for (unsigned j = 0; j < 32; ++j) mdi_w_[j][w] = dout[j];
-        }
-    }
-
     CampaignConfig cfg_;
-    GoldenRun golden_;
-    std::unique_ptr<gates::GaCoreNetlist> core_src_;
-    std::unique_ptr<gates::RngNetlist> rng_src_;
-    gates::CompiledNetlist core_;
-    gates::CompiledNetlist rng_;
-    unsigned words_ = 1;
-    unsigned lane_count_ = kWordBits;
-    std::vector<std::pair<std::uint8_t, std::uint16_t>> program_;
+    gates::BatchGateRunner runner_;
     std::unordered_map<std::string, gates::Net> reg_net_by_name_;
-    // Validated-once storage handles for every per-cycle signal (resolved
-    // in the constructor; see the comment there).
-    Handle hc_ga_load_, hc_data_valid_, hc_start_, hc_fit_valid_;
-    Handle hc_fit_request_, hc_data_ack_, hc_mem_wr_, hc_rn_next_;
-    std::array<Handle, 3> hc_index_{};
-    std::array<Handle, 16> hc_value_{}, hc_fit_value_{}, hc_rn_{}, hc_cand_{};
-    std::array<Handle, 32> hc_mdi_{}, hc_mdo_{};
-    std::array<Handle, 8> hc_addr_{};
-    std::array<Handle, 6> hc_state_{};
-    Handle hr_ga_load_, hr_data_valid_, hr_start_, hr_rn_next_;
-    std::array<Handle, 3> hr_index_{};
-    std::array<Handle, 16> hr_value_{}, hr_rn_{};
-    std::vector<Lane> lanes_;
-    /// Per-lane write-first GA memory, transposed: element [addr *
-    /// lane_count_ + lane]. See the locality note in the peripheral loop.
-    std::vector<std::uint32_t> mem_;
-    std::array<WordVec, 6> state_w_{};
-    /// Transposed mem_data_in drive words for the NEXT cycle (bit k of
-    /// [j][w] = bit j of lane w*64+k's mem_dout), refreshed at the end of
-    /// each step()'s peripheral pass.
-    std::array<WordVec, 32> mdi_w_{};
-    /// True once every lane is past programming + start pulse: the
-    /// handshake drive words are all-zero from then on and step() skips
-    /// building and driving them.
-    bool inputs_quiet_ = false;
-    std::uint32_t fit_cone_ = 0;  // fanout of fit_valid/fit_value (see ctor)
-    std::int64_t opt_cycle_ = -1;
-    std::uint64_t cycle_ = 0;
 };
 
 }  // namespace
@@ -591,23 +199,21 @@ CampaignResult FaultCampaign::run_gate(
     const std::size_t n_batches = (sites.size() + per_batch - 1) / per_batch;
     const unsigned threads = util::resolve_threads(cfg_.threads, n_batches);
 
-    std::vector<std::unique_ptr<GateLaneRunner>> runners(threads);
+    std::vector<std::unique_ptr<GateWorker>> workers(threads);
     std::vector<std::vector<FaultRecord>> batch_recs(n_batches);
     std::vector<std::uint64_t> batch_cycles(n_batches, 0);
     std::mutex progress_mu;
     std::size_t done = 0;
 
     util::parallel_for_workers(threads, n_batches, [&](unsigned worker, std::size_t b) {
-        if (!runners[worker])
-            runners[worker] = std::make_unique<GateLaneRunner>(cfg_, res.golden);
-        GateLaneRunner& runner = *runners[worker];
+        if (!workers[worker]) workers[worker] = std::make_unique<GateWorker>(cfg_);
+        GateWorker& gw = *workers[worker];
         const std::size_t base = b * per_batch;
         const std::size_t n = std::min(per_batch, sites.size() - base);
         const std::vector<FaultSite> batch(sites.begin() + static_cast<std::ptrdiff_t>(base),
                                            sites.begin() + static_cast<std::ptrdiff_t>(base + n));
-        const std::uint64_t cycles_before = runner.cycles();
-        batch_recs[b] = runner.run_batch(batch);
-        batch_cycles[b] = runner.cycles() - cycles_before;
+        batch_recs[b] = gw.run_batch(batch, res.golden);
+        batch_cycles[b] = gw.cycles();
         if (progress) {
             const std::lock_guard<std::mutex> lock(progress_mu);
             done += n;

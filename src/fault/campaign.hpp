@@ -1,9 +1,9 @@
 // FaultCampaign: enumerates the SEU fault space of the GA core — every
 // scan-chain flip-flop x a coarse grid of injection cycles — and classifies
-// each fault by running it on the N-word lane-block compiled gate-level
-// simulation (64 x lane_words lanes per batch): lane 0 of every batch is
-// the fault-free golden reference, each remaining lane carries one
-// independent upset (CompiledNetlist::xor_register_word), so one batched
+// each fault on the gate-level lane harness (gates::BatchGateRunner, an
+// N-word lane block of 64 x lane_words lanes per batch): lane 0 of every
+// batch is the fault-free golden reference, each remaining lane carries one
+// independent upset (BatchGateRunner::flip_register_bit), so one batched
 // simulation retires up to 64 x lane_words - 1 injections. Batches are
 // independent simulations and fan out across `threads` workers; records,
 // counts and cycle totals are deterministic regardless of width/threads.

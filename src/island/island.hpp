@@ -13,7 +13,7 @@
 //                current population bank through the simulator backdoor;
 //   kBehavioral  N core::BehavioralEngine instances stepped generation by
 //                generation — the executable spec of the same exchange;
-//   kGateLane    one bench::BatchGateRunner lane block (the compiled
+//   kGateLane    one gates::BatchGateRunner lane block (the compiled
 //                gate-level netlist, interpreter or JIT backend): island i
 //                is SIMD lane i, the barrier is per-lane clock gating
 //                (CompiledNetlist::clock_gated), and migration pokes the

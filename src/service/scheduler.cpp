@@ -4,8 +4,8 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "bench/gate_batch_runner.hpp"
 #include "core/behavioral.hpp"
+#include "gates/batch_runner.hpp"
 #include "island/island.hpp"
 #include "island/supervised.hpp"
 #include "supervisor/supervisor.hpp"
@@ -62,7 +62,7 @@ struct Scheduler::Job final : trace::TraceSink {
 Scheduler::Scheduler(SchedulerConfig cfg) : cfg_(cfg), started_(Clock::now()) {
     if (cfg_.workers == 0) cfg_.workers = 1;
     cfg_.max_batch_lanes =
-        std::clamp<unsigned>(cfg_.max_batch_lanes, 1, bench::BatchGateRunner::kMaxLanes);
+        std::clamp<unsigned>(cfg_.max_batch_lanes, 1, gates::BatchGateRunner::kMaxLanes);
     runner_cache_.resize(cfg_.workers);
     workers_.reserve(cfg_.workers);
     for (unsigned w = 0; w < cfg_.workers; ++w)
@@ -730,7 +730,7 @@ void Scheduler::run_supervised_job(const JobPtr& j) {
 }
 
 void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
-    using bench::BatchGateRunner;
+    using gates::BatchGateRunner;
     // Lane-block width: honor the largest per-job hint, then grow to fit
     // the opening lane count. Refill admits up to `cap` lanes.
     unsigned words = 1;
@@ -788,7 +788,7 @@ void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
             if (runner->step_cycle() < live) {
                 for (std::size_t k = 0; k < cap; ++k) {
                     if (!lanes[k]) continue;
-                    const bench::BatchLaneResult& lr = runner->lane_result(static_cast<unsigned>(k));
+                    const gates::BatchLaneResult& lr = runner->lane_result(static_cast<unsigned>(k));
                     if (!lr.finished) continue;
                     JobOutcome out;
                     out.best_fitness = lr.best_fitness;
@@ -825,7 +825,7 @@ void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {
     }
 }
 
-bool Scheduler::refill_lanes(bench::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
+bool Scheduler::refill_lanes(gates::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
                              std::size_t& live) {
     std::vector<std::size_t> loaded;
     bool open = true;

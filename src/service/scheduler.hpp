@@ -63,7 +63,7 @@
 #include "service/journal.hpp"
 #include "trace/event.hpp"
 
-namespace gaip::bench {
+namespace gaip::gates {
 class BatchGateRunner;
 }
 
@@ -203,7 +203,7 @@ private:
     /// Move queued gates jobs from the queue front into free lanes of a
     /// running block (lanes[k] null = free). Returns false once admission
     /// has stopped for this block.
-    bool refill_lanes(bench::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
+    bool refill_lanes(gates::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
                       std::size_t& live);
     void run_behavioral_job(const JobPtr& j);
     void run_rtl_job(const JobPtr& j);
@@ -289,7 +289,7 @@ private:
     std::mutex metrics_mu_;
 
     /// Per-worker gate-runner cache, keyed by lane-block words.
-    std::vector<std::unordered_map<unsigned, std::unique_ptr<bench::BatchGateRunner>>> runner_cache_;
+    std::vector<std::unordered_map<unsigned, std::unique_ptr<gates::BatchGateRunner>>> runner_cache_;
 
     std::vector<std::thread> workers_;
 };

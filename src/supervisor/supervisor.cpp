@@ -7,8 +7,8 @@
 #include <string>
 #include <utility>
 
-#include "bench/gate_batch_runner.hpp"
 #include "core/ga_core.hpp"
+#include "gates/batch_runner.hpp"
 #include "mem/ga_memory.hpp"
 #include "prng/rng_module.hpp"
 #include "rtl/scan.hpp"
@@ -283,11 +283,11 @@ AttemptRecord MissionSupervisor::run_gate_attempt(const AttemptInfo& info, std::
     rec.budget = budget;
     core::GaParameters p = cfg_.params;
     p.seed = seed;
-    bench::BatchGateRunner runner(cfg_.fn, {p});
+    gates::BatchGateRunner runner(cfg_.fn, {p});
     if (preset != 0) runner.set_lane_preset(0, preset);
     // run_bounded counts from reset, so the init handshake rides on the
     // budget; give it the same slack the RT-level path gets.
-    const std::vector<bench::BatchLaneResult> res = runner.run_bounded(budget + kInitBound);
+    const std::vector<gates::BatchLaneResult> res = runner.run_bounded(budget + kInitBound);
     if (res.front().finished) {
         rec.outcome = AttemptOutcome::kFinished;
         rec.best_fitness = res.front().best_fitness;

@@ -36,16 +36,7 @@ public:
     /// Replace the parameter program with the six writes covering Table III
     /// for `params` (both halves of n_gens, pop size, both rates, seed).
     void program_parameters(const core::GaParameters& params) {
-        program_ = {
-            {static_cast<std::uint8_t>(core::ParamIndex::kNumGensLo),
-             static_cast<std::uint16_t>(params.n_gens & 0xFFFF)},
-            {static_cast<std::uint8_t>(core::ParamIndex::kNumGensHi),
-             static_cast<std::uint16_t>(params.n_gens >> 16)},
-            {static_cast<std::uint8_t>(core::ParamIndex::kPopSize), params.pop_size},
-            {static_cast<std::uint8_t>(core::ParamIndex::kCrossoverRate), params.xover_threshold},
-            {static_cast<std::uint8_t>(core::ParamIndex::kMutationRate), params.mut_threshold},
-            {static_cast<std::uint8_t>(core::ParamIndex::kRngSeed), params.seed},
-        };
+        program_ = core::init_program(params);
     }
 
     /// Arbitrary write program (tests exercise partial initialization).

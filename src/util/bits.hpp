@@ -51,7 +51,7 @@ constexpr std::uint16_t sat_u16(std::int64_t v) noexcept {
 }
 
 /// Saturating u64 addition: clamps to UINT64_MAX instead of wrapping.
-/// Cycle-bound computations (bench/gate_batch_runner.hpp) use these so
+/// Cycle-bound computations (gates::BatchGateRunner) use these so
 /// adversarial pop/gens configs produce "effectively unbounded" instead of
 /// a tiny wrapped bound that would flag healthy runs as hangs.
 constexpr std::uint64_t sat_add_u64(std::uint64_t a, std::uint64_t b) noexcept {

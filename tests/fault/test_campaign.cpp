@@ -64,6 +64,17 @@ TEST(FaultCampaign, RejectsBadConfig) {
     EXPECT_THROW(FaultCampaign{cfg}, std::invalid_argument);
 }
 
+TEST(FaultCampaign, UnknownGateSiteIsAnArgumentError) {
+    // Sites are resolved before the batch runs, so an unknown register or
+    // bit is rejected as such even when its cycle lies past the golden
+    // run's end.
+    FaultCampaign campaign(small_config());
+    const std::uint64_t late = campaign.golden().ga_cycles * 4;
+    EXPECT_THROW(campaign.run_gate({FaultSite{"no_such_reg", 0, late}}), std::invalid_argument);
+    EXPECT_THROW(campaign.run_gate({FaultSite{"no_such_reg", 0, 0}}), std::invalid_argument);
+    EXPECT_THROW(campaign.run_gate({FaultSite{"scan_reads", 999, late}}), std::invalid_argument);
+}
+
 TEST(FaultCampaign, GateBackendAgreesWithBothRtlBackends) {
     // A strided slice of the real fault space through the gate backend,
     // then every record replayed on the RT-level scan and poke backends.

@@ -1,29 +1,39 @@
 // BatchGateRunner verification: batched lane-block gate-level GA runs must
 // reproduce the RT-level GaSystem results (best fitness/candidate,
-// evaluation counts, generation counts) for the same seeds and settings,
+// evaluation counts, generation counts, GA cycles) for the same seeds and
+// settings,
 // and lanes must be fully independent of batch composition — including
 // lanes that live beyond word 0 of a multi-word block.
 #include <gtest/gtest.h>
 
 #include "bench/common.hpp"
-#include "bench/gate_batch_runner.hpp"
+#include "gates/batch_runner.hpp"
 #include "gates/jit.hpp"
 #include "system/ga_system.hpp"
 #include "trace/event.hpp"
 #include "trace/jsonl.hpp"
 
-namespace gaip::bench {
+namespace gaip::gates {
 namespace {
 
 using core::GaParameters;
 using fitness::FitnessId;
 
-core::RunResult run_rtl(FitnessId fn, const GaParameters& p) {
+struct RtlRun {
+    core::RunResult result;
+    std::uint64_t ga_cycles = 0;
+};
+
+RtlRun run_rtl(FitnessId fn, const GaParameters& p) {
     system::GaSystemConfig cfg;
     cfg.params = p;
     cfg.internal_fems = {fn};
     cfg.keep_populations = false;
-    return system::run_ga_system(cfg);
+    system::GaSystem sys(cfg);
+    RtlRun out;
+    out.result = sys.run();
+    out.ga_cycles = sys.ga_cycles();
+    return out;
 }
 
 TEST(BatchGateRunner, LanesMatchRtlSystemResults) {
@@ -45,13 +55,14 @@ TEST(BatchGateRunner, LanesMatchRtlSystemResults) {
 
     for (std::size_t k = 0; k < lanes.size(); ++k) {
         SCOPED_TRACE("lane " + std::to_string(k));
-        const core::RunResult rtl = run_rtl(fn, lanes[k]);
+        const RtlRun rtl = run_rtl(fn, lanes[k]);
         EXPECT_TRUE(batch[k].finished);
-        EXPECT_EQ(batch[k].best_fitness, rtl.best_fitness);
-        EXPECT_EQ(batch[k].best_candidate, rtl.best_candidate);
-        EXPECT_EQ(batch[k].evaluations, rtl.evaluations);
-        EXPECT_EQ(batch[k].generations + 1, rtl.history.size())
+        EXPECT_EQ(batch[k].best_fitness, rtl.result.best_fitness);
+        EXPECT_EQ(batch[k].best_candidate, rtl.result.best_candidate);
+        EXPECT_EQ(batch[k].evaluations, rtl.result.evaluations);
+        EXPECT_EQ(batch[k].generations + 1, rtl.result.history.size())
             << "one monitor record per generation plus the initial population";
+        EXPECT_EQ(batch[k].ga_cycles, rtl.ga_cycles) << "the lane FEM answers in the same cycle";
     }
 }
 
@@ -60,7 +71,7 @@ TEST(BatchGateRunner, MultiSeedSweepMatchesRtl) {
     // sweep pattern at toy size so the RT reference stays fast).
     const FitnessId fn = FitnessId::kOneMax;
     std::vector<GaParameters> lanes;
-    for (const std::uint16_t seed : kPaperSeeds)
+    for (const std::uint16_t seed : bench::kPaperSeeds)
         lanes.push_back({.pop_size = 8, .n_gens = 2, .xover_threshold = 12,
                          .mut_threshold = 1, .seed = seed});
 
@@ -68,9 +79,10 @@ TEST(BatchGateRunner, MultiSeedSweepMatchesRtl) {
     const auto batch = runner.run();
     for (std::size_t k = 0; k < lanes.size(); ++k) {
         SCOPED_TRACE("seed " + std::to_string(lanes[k].seed));
-        const core::RunResult rtl = run_rtl(fn, lanes[k]);
-        EXPECT_EQ(batch[k].best_fitness, rtl.best_fitness);
-        EXPECT_EQ(batch[k].best_candidate, rtl.best_candidate);
+        const RtlRun rtl = run_rtl(fn, lanes[k]);
+        EXPECT_EQ(batch[k].best_fitness, rtl.result.best_fitness);
+        EXPECT_EQ(batch[k].best_candidate, rtl.result.best_candidate);
+        EXPECT_EQ(batch[k].ga_cycles, rtl.ga_cycles);
     }
 }
 
@@ -322,4 +334,4 @@ TEST(BatchGateRunner, FreedLaneStopsCounting) {
 }
 
 }  // namespace
-}  // namespace gaip::bench
+}  // namespace gaip::gates

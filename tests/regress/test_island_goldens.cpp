@@ -35,10 +35,10 @@ struct ScalingGolden {
 // the per-generation handshake cost and the barrier stalls of a real
 // N-core fabric.
 const ScalingGolden kScaling[] = {
-    {1, 57678, 8143, 65162},
-    {2, 16906, 7668, 61200},
-    {4, 5558, 8009, 64449},
-    {8, 1980, 7845, 63008},
+    {1, 56038, 8143, 65162},
+    {2, 16098, 7668, 61200},
+    {4, 5166, 8009, 64449},
+    {8, 1796, 7845, 63008},
 };
 
 IslandResult run_scaling(unsigned n) {

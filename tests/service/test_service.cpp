@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench/gate_batch_runner.hpp"
 #include "core/params.hpp"
+#include "gates/batch_runner.hpp"
 #include "service/client.hpp"
 #include "service/journal.hpp"
 #include "service/server.hpp"
@@ -74,17 +74,17 @@ void wait_running(Client& c, std::uint64_t id) {
 
 /// Direct runs of gates specs, one lane each of a single direct runner
 /// (a lane's result does not depend on the block around it).
-std::vector<bench::BatchLaneResult> direct_lanes(const std::vector<JobSpec>& specs) {
+std::vector<gates::BatchLaneResult> direct_lanes(const std::vector<JobSpec>& specs) {
     std::vector<core::GaParameters> params;
     for (const JobSpec& s : specs) params.push_back(s.params);
-    bench::BatchGateRunner runner(specs.front().fn, params);
+    gates::BatchGateRunner runner(specs.front().fn, params);
     for (std::size_t k = 0; k < specs.size(); ++k)
         runner.set_lane_fitness(static_cast<unsigned>(k), specs[k].fn);
     return runner.run();
 }
 
 /// A done gates job must carry exactly its direct run's result.
-void expect_result(const Frame& st, const bench::BatchLaneResult& want) {
+void expect_result(const Frame& st, const gates::BatchLaneResult& want) {
     ASSERT_EQ(st.str("state"), "done") << service::to_line(st);
     EXPECT_EQ(st.u64("best_fitness"), want.best_fitness);
     EXPECT_EQ(st.u64("best_candidate"), want.best_candidate);
@@ -241,7 +241,7 @@ TEST(Service, CancelOneLaneOfRunningGateBlock) {
         if (k != 3 && c.status(ids[k]).str("state") == "running") ++still_running;
     EXPECT_EQ(still_running, 7u) << "the cancelled lane must end long before its block";
 
-    const std::vector<bench::BatchLaneResult> want = direct_lanes(specs);
+    const std::vector<gates::BatchLaneResult> want = direct_lanes(specs);
     for (std::size_t k = 0; k < ids.size(); ++k) {
         if (k == 3) continue;
         SCOPED_TRACE("lane job " + std::to_string(k));
@@ -274,7 +274,7 @@ TEST(Service, DeadlineMidBlockExpiresOnlyThatLane) {
     const std::uint64_t late_id = c.submit(late);
     for (std::size_t k = 1; k < specs.size(); ++k) ids.push_back(c.submit(specs[k]));
     EXPECT_EQ(wait_terminal(c, late_id).str("state"), "expired");
-    const std::vector<bench::BatchLaneResult> want = direct_lanes(specs);
+    const std::vector<gates::BatchLaneResult> want = direct_lanes(specs);
     for (std::size_t k = 0; k < ids.size(); ++k) {
         SCOPED_TRACE("lane job " + std::to_string(k));
         expect_result(wait_terminal(c, ids[k]), want[k]);

@@ -16,10 +16,10 @@
 #include <thread>
 #include <vector>
 
-#include "bench/gate_batch_runner.hpp"
 #include "core/behavioral.hpp"
 #include "core/params.hpp"
 #include "fitness/functions.hpp"
+#include "gates/batch_runner.hpp"
 #include "prng/rng_module.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -63,7 +63,7 @@ Expected direct_run(const JobSpec& spec) {
         case service::JobBackend::kGates: {
             // A one-lane runner: lane packing must not change any lane's
             // result, so the single-lane run is the reference.
-            bench::BatchGateRunner runner(spec.fn, {spec.params});
+            gates::BatchGateRunner runner(spec.fn, {spec.params});
             const auto out = runner.run();
             return {out[0].best_fitness, out[0].best_candidate};
         }
@@ -263,15 +263,15 @@ std::vector<std::string> json_lines(const std::vector<trace::TraceEvent>& events
 
 /// A one-lane direct run: its result and the events it streams.
 struct DirectLane {
-    bench::BatchLaneResult result;
+    gates::BatchLaneResult result;
     std::vector<std::string> events;
 };
 
 DirectLane direct_lane(const JobSpec& spec) {
-    bench::BatchGateRunner runner(spec.fn, {spec.params});
+    gates::BatchGateRunner runner(spec.fn, {spec.params});
     trace::MemorySink sink;
     runner.set_lane_sink(0, &sink);
-    const bench::BatchLaneResult result = runner.run()[0];
+    const gates::BatchLaneResult result = runner.run()[0];
     return {result, json_lines(sink.events())};
 }
 

@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/gate_batch_runner.hpp"
 #include "fault/seu_injector.hpp"
+#include "gates/batch_runner.hpp"
 #include "gates/jit.hpp"
 #include "fitness/functions.hpp"
 #include "service/client.hpp"
@@ -67,7 +67,7 @@ void usage() {
         "                       rtl   = RT-level system\n"
         "                       gates = gate-level GA module in the system\n"
         "                       lanes = lane 0 of the 64-lane batched gate sim\n"
-        "    --flip REG:BIT:CYC plant an SEU (rtl backend; adds fault events)\n"
+        "    --flip REG:BIT:CYC plant an SEU (rtl backend, no --preset; adds fault events)\n"
         "    --daemon SOCKET    record through a gaipd daemon (thin client;\n"
         "                       exit 4 = cannot connect, 5 = malformed response)\n"
         "    -o PATH            output JSONL (default trace.jsonl)\n"
@@ -183,6 +183,10 @@ int cmd_record(const RecordOptions& opt) {
             std::fprintf(stderr, "gaip-trace: --flip requires the rtl backend\n");
             return 2;
         }
+        if (opt.preset != 0) {
+            std::fprintf(stderr, "gaip-trace: --flip does not support --preset\n");
+            return 2;
+        }
         fault::InjectorConfig icfg;
         icfg.fn = opt.fn;
         icfg.params = opt.params;
@@ -208,15 +212,16 @@ int cmd_record(const RecordOptions& opt) {
         // jit_fallback under GAIP_JIT=1) must be attached first; detached
         // before the sink dies.
         gates::jit::set_trace_sink(&sink);
-        bench::BatchGateRunner runner(opt.fn, {opt.params});
+        gates::BatchGateRunner runner(opt.fn, {opt.params});
         gates::jit::set_trace_sink(nullptr);
+        runner.set_lane_preset(0, opt.preset);
         runner.set_lane_sink(0, &sink);
         std::unique_ptr<trace::VcdWriter> vcd;
         if (!opt.vcd_path.empty()) {
             vcd = std::make_unique<trace::VcdWriter>(opt.vcd_path);
             runner.add_vcd(vcd.get(), {0});
         }
-        const std::vector<bench::BatchLaneResult> res = runner.run();
+        const std::vector<gates::BatchLaneResult> res = runner.run();
         sink.flush();
         std::printf("lane 0: best=%u cand=%u gens=%u, %llu events -> %s\n",
                     res[0].best_fitness, res[0].best_candidate, res[0].generations,
@@ -228,6 +233,9 @@ int cmd_record(const RecordOptions& opt) {
     system::GaSystemConfig cfg;
     cfg.params = opt.params;
     cfg.preset = opt.preset;
+    // A preset run is the Table IV init-failure scenario: the pins alone
+    // carry the run, no handshake (as gacli and the gate lanes run it).
+    cfg.skip_initialization = opt.preset != 0;
     cfg.internal_fems = {opt.fn};
     cfg.keep_populations = false;
     cfg.trace_path = opt.out_path;
