@@ -85,7 +85,9 @@ void BM_RtlSystemScheduler(benchmark::State& state) {
     // Event-driven (arg 0) vs evaluate-everything sweep (arg 1) on the same
     // full-system run. The kernel's stats counters expose how much work the
     // dirty-tracking scheduler avoids: module eval() calls per simulated
-    // time point and modules skipped per settle.
+    // time point and modules skipped per settle. ticks_per_cycle and
+    // commits_per_cycle are module ticks and register commits per GA clock
+    // edge: deterministic counts, the same under both schedulers.
     const bool full_settle = state.range(0) != 0;
     system::GaSystemConfig cfg;
     cfg.params = {.pop_size = 16, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1,
@@ -100,6 +102,11 @@ void BM_RtlSystemScheduler(benchmark::State& state) {
     state.counters["settle_passes"] = benchmark::Counter(static_cast<double>(s.settle_passes));
     state.counters["module_evals"] = benchmark::Counter(static_cast<double>(s.module_evals));
     state.counters["skipped"] = benchmark::Counter(static_cast<double>(s.modules_skipped));
+    const double ga_edges = static_cast<double>(sys.ga_clock().edges());
+    state.counters["ticks_per_cycle"] =
+        benchmark::Counter(static_cast<double>(s.module_ticks) / ga_edges);
+    state.counters["commits_per_cycle"] =
+        benchmark::Counter(static_cast<double>(s.register_commits) / ga_edges);
 }
 BENCHMARK(BM_RtlSystemScheduler)
     ->Arg(0)

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace gaip::rtl {
 
@@ -35,23 +36,22 @@ Clock& Kernel::add_clock(std::string name, std::uint64_t freq_hz, SimTime phase_
 }
 
 void Kernel::register_module(Module& m) {
+    m.attach_kernel(&worklist_);  // throws if m is registered anywhere already
     all_modules_.push_back(&m);
-    if (m.event_driven()) {
-        m.attach_scheduler(&worklist_);
-    } else {
-        legacy_.push_back(&m);
+    if (!m.event_driven()) legacy_.push_back(&m);
+}
+
+Kernel::Domain& Kernel::domain_of(const Clock& c, const char* caller) {
+    for (Domain& d : domains_) {
+        if (d.clock.get() == &c) return d;
     }
+    throw std::invalid_argument(std::string(caller) + ": clock does not belong to this kernel");
 }
 
 void Kernel::bind(Module& m, Clock& c) {
-    for (Domain& d : domains_) {
-        if (d.clock.get() == &c) {
-            d.modules.push_back(&m);
-            register_module(m);
-            return;
-        }
-    }
-    throw std::invalid_argument("bind: clock does not belong to this kernel");
+    Domain& d = domain_of(c, "bind");
+    register_module(m);
+    d.modules.push_back(&m);
 }
 
 void Kernel::add_combinational(Module& m) {
@@ -167,19 +167,22 @@ void Kernel::step() {
     settle();
 
     // Tick every module whose clock rises at t, then commit exactly those
-    // modules' registers (simultaneous flip-flop semantics). A module whose
-    // registers changed is re-scheduled so its Moore outputs get refreshed.
-    std::vector<Module*> ticked;
+    // modules' loaded registers (simultaneous flip-flop semantics). A module
+    // whose registers changed is re-scheduled so its Moore outputs get
+    // refreshed.
+    ticked_.clear();
     for (Domain& d : domains_) {
         if (d.clock->next_edge() == t) {
             for (Module* m : d.modules) {
                 m->tick();
-                ticked.push_back(m);
+                ticked_.push_back(m);
             }
             d.clock->advance();
         }
     }
-    for (Module* m : ticked) {
+    stats_.module_ticks += ticked_.size();
+    for (Module* m : ticked_) {
+        stats_.register_commits += m->pending_commits();
         if (m->commit_registers() && m->event_driven()) m->input_changed();
     }
 
@@ -189,11 +192,13 @@ void Kernel::step() {
 }
 
 void Kernel::run_cycles(Clock& c, std::uint64_t n) {
+    domain_of(c, "run_cycles");  // a foreign clock never advances here
     const std::uint64_t target = c.edges() + n;
     while (c.edges() < target) step();
 }
 
 bool Kernel::run_until(Clock& c, const std::function<bool()>& pred, std::uint64_t max_edges) {
+    domain_of(c, "run_until");
     const std::uint64_t limit = c.edges() + max_edges;
     while (c.edges() < limit) {
         if (pred()) return true;

@@ -6,7 +6,12 @@
 //   2. tick() every module bound to a clock whose rising edge falls at t
 //      (multiple domains can coincide, e.g. 50 MHz and 200 MHz every 20 ns).
 //   3. commit the registers of exactly the ticked modules; modules whose
-//      registers actually changed are marked for re-evaluation.
+//      registers actually changed are marked for re-evaluation. Each module
+//      keeps a pending-commit list that Reg::load() fills (each register at
+//      most once per edge), so a commit visits only the registers loaded
+//      since the module last ticked, not every attached flip-flop. A load
+//      into a module that does not tick at t stays pending until its own
+//      clock's next edge.
 //   4. settle() again so Moore outputs reflect the new state before the
 //      next domain's edge.
 //
@@ -51,6 +56,8 @@ struct KernelStats {
     std::uint64_t settle_passes = 0;   ///< fixed-point sweep iterations executed
     std::uint64_t module_evals = 0;    ///< individual Module::eval() calls
     std::uint64_t modules_skipped = 0; ///< evals avoided vs. one full sweep per settle pass
+    std::uint64_t module_ticks = 0;    ///< Module::tick() calls
+    std::uint64_t register_commits = 0;  ///< RegBase::commit() calls (loaded registers only)
 
     double evals_per_time_point() const noexcept {
         return time_points == 0 ? 0.0
@@ -68,10 +75,13 @@ public:
     Clock& add_clock(std::string name, std::uint64_t freq_hz, SimTime phase_ps = 0);
 
     /// Bind a module to a clock domain (tick on its rising edges). A module
-    /// may be bound to at most one clock.
+    /// is registered with one kernel, once: binding or adding a module that
+    /// is already registered (here or with another kernel) throws
+    /// std::invalid_argument, as does a clock of another kernel.
     void bind(Module& m, Clock& c);
 
     /// Register a purely combinational module (eval only, never ticked).
+    /// Same one-registration rule as bind().
     void add_combinational(Module& m);
 
     /// Hard-reset: resets every module's registers and state, rewinds all
@@ -79,11 +89,12 @@ public:
     void reset();
 
     /// Advance simulation until `n` further rising edges of `c` have been
-    /// processed.
+    /// processed. Throws std::invalid_argument if `c` is not this kernel's.
     void run_cycles(Clock& c, std::uint64_t n);
 
     /// Advance until `pred()` becomes true (checked after each time point)
     /// or `max_edges` edges of `c` elapse. Returns true if pred fired.
+    /// Throws std::invalid_argument if `c` is not this kernel's.
     bool run_until(Clock& c, const std::function<bool()>& pred, std::uint64_t max_edges);
 
     /// Process exactly one time point (the earliest pending clock edge).
@@ -129,11 +140,16 @@ private:
         std::vector<Module*> modules;
     };
 
+    /// The domain of `c`; throws std::invalid_argument naming `caller` if
+    /// `c` belongs to another kernel.
+    Domain& domain_of(const Clock& c, const char* caller);
+
     std::vector<Domain> domains_;
     std::vector<Module*> combinational_;
     std::vector<Module*> all_modules_;
     std::vector<Module*> legacy_;    ///< modules without a sensitivity list
     std::vector<Module*> worklist_;  ///< event-driven modules pending eval
+    std::vector<Module*> ticked_;    ///< step()'s modules ticked at now_; keeps its capacity
     SimTime now_ = 0;
     KernelStats stats_;
     bool full_settle_ = false;

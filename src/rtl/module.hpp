@@ -7,12 +7,15 @@
 //   * tick()  — sequential logic: executed once per rising edge of the clock
 //               the module is bound to. Reads wires/registers, loads
 //               registers. Register commits are performed by the kernel
-//               after every module at the edge has ticked.
+//               after every module at the edge has ticked; only registers
+//               loaded since the module's last commit are visited.
 //   * reset_state() — re-initialize registers / local state.
 //
 // Modules register their Reg<> members with attach() so the kernel can
 // commit/reset them and so the scan chain, VCD tracer, and resource model
-// can enumerate every flip-flop in the design.
+// can enumerate every flip-flop in the design. attach() also makes the
+// module the register's owner: Reg::load() queues the register on the
+// owner's pending-commit list, which commit_registers() drains.
 //
 // Event-driven scheduling: a module that declares the complete set of wires
 // its eval() reads via sense(...) opts into the kernel's event-driven
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,16 +65,29 @@ public:
         return n;
     }
 
-    /// Commit all pending register loads; returns true iff any register
-    /// value actually changed (i.e. the module's Moore outputs may move).
+    /// Commit every register loaded since the last commit and empty the
+    /// pending list; returns true iff any register value actually changed
+    /// (i.e. the module's Moore outputs may move). A register whose load
+    /// was dropped by set_bits()/hard_reset() stays listed and commits
+    /// nothing.
     bool commit_registers() {
         bool changed = false;
-        for (RegBase* r : regs_) changed |= r->commit();
+        for (RegBase* r : pending_) {
+            r->queued_ = false;
+            changed |= r->commit();
+        }
+        pending_.clear();
         return changed;
     }
 
+    /// Registers on the pending-commit list: the commit() calls the next
+    /// commit_registers() makes.
+    std::size_t pending_commits() const noexcept { return pending_.size(); }
+
     void reset_registers() {
         for (RegBase* r : regs_) r->hard_reset();
+        for (RegBase* r : pending_) r->queued_ = false;
+        pending_.clear();
     }
 
     /// True once the module declared its complete eval() sensitivity list
@@ -88,12 +105,19 @@ public:
         }
     }
 
-    /// Install the kernel's worklist the module enqueues itself on. Called
-    /// at bind time; a module belongs to exactly one kernel. A module whose
-    /// inputs moved before it was bound (wires driven during system
-    /// construction) is enqueued right away — its dirty flag is already set,
-    /// so later input_changed() calls would short-circuit and never queue it.
-    void attach_scheduler(std::vector<Module*>* worklist) noexcept {
+    /// Register the module with a kernel, once: a module belongs to exactly
+    /// one kernel and is ticked at most once per edge, so a second call
+    /// throws std::invalid_argument. An event-driven module also gets the
+    /// kernel's worklist to enqueue itself on. One whose inputs moved
+    /// before it was bound (wires driven during system construction) is
+    /// enqueued right away — its dirty flag is already set, so later
+    /// input_changed() calls would short-circuit and never queue it.
+    void attach_kernel(std::vector<Module*>* worklist) {
+        if (in_kernel_)
+            throw std::invalid_argument("module '" + name_ +
+                                        "' is already registered with a kernel");
+        in_kernel_ = true;
+        if (!event_driven()) return;
         worklist_ = worklist;
         if (dirty_) worklist_->push_back(this);
     }
@@ -102,7 +126,11 @@ public:
     void clear_dirty() noexcept { dirty_ = false; }
 
 protected:
-    void attach(RegBase& r) { regs_.push_back(&r); }
+    void attach(RegBase& r) {
+        regs_.push_back(&r);
+        pending_.reserve(regs_.size());
+        r.pending_ = &pending_;
+    }
 
     template <typename... Rs>
     void attach_all(Rs&... rs) {
@@ -121,9 +149,11 @@ protected:
 private:
     std::string name_;
     std::vector<RegBase*> regs_;
+    std::vector<RegBase*> pending_;  ///< loaded since the last commit, each once
     std::vector<Module*>* worklist_ = nullptr;
     bool dirty_ = false;
     bool sensitivity_declared_ = false;
+    bool in_kernel_ = false;
 };
 
 }  // namespace gaip::rtl

@@ -7,11 +7,13 @@
 //    an eval() input (Module::sense) are notified on every value change,
 //    which is what powers the kernel's event-driven scheduler.
 //  * Reg<T>   — a clocked register with two-phase semantics: Module::tick()
-//    calls load(); the kernel commits all registers of the ticked modules
-//    after every module has sampled its inputs, which models simultaneous
-//    edge-triggered flip-flops without ordering races. commit() reports
-//    whether the stored value actually changed so the scheduler can skip
-//    re-evaluating modules whose state is unchanged.
+//    calls load(); the kernel commits the loaded registers of the ticked
+//    modules after every module has sampled its inputs, which models
+//    simultaneous edge-triggered flip-flops without ordering races. The
+//    first load() of an edge puts the register on its owning module's
+//    pending-commit list, so a commit touches only registers that were
+//    loaded. commit() reports whether the stored value actually changed so
+//    the scheduler can skip re-evaluating modules whose state is unchanged.
 //
 // Registers expose their raw bits (bits()/set_bits()), which powers the scan
 // chain model and exact flip-flop counting for the resource report.
@@ -156,9 +158,25 @@ public:
     const std::string& name() const noexcept { return name_; }
     unsigned width() const noexcept { return width_; }
 
+protected:
+    /// Called by every load(): on the first load since the owner last
+    /// committed, put the register on the owner's pending-commit list. The
+    /// owner reserved room for every attached register and `queued_` keeps
+    /// each one on the list at most once, so the push never reallocates.
+    void enqueue() noexcept {
+        if (!queued_ && pending_ != nullptr) {
+            queued_ = true;
+            pending_->push_back(this);
+        }
+    }
+
 private:
+    friend class Module;
+
     std::string name_;
     unsigned width_;
+    std::vector<RegBase*>* pending_ = nullptr;  ///< owner's list (Module::attach)
+    bool queued_ = false;                       ///< on *pending_ until the owner commits
 };
 
 /// Edge-triggered register of `width` bits (defaults to the full width of T).
@@ -179,6 +197,7 @@ public:
     void load(const T& v) noexcept {
         nxt_ = v;
         loaded_ = true;
+        enqueue();
     }
 
     bool commit() override {

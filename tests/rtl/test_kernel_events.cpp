@@ -257,5 +257,120 @@ TEST(KernelEvents, MixedLegacyAndEventModulesAgreeWithFullSettle) {
     EXPECT_EQ(run(false), (25u + 100u) * 2u);
 }
 
+/// Clocked module with a register the test loads from outside, as another
+/// module's tick() or a testbench would; its own tick() loads nothing.
+class Holder final : public Module {
+public:
+    explicit Holder(std::string name) : Module(std::move(name)) {
+        attach(r);
+        sense();
+    }
+    void tick() override { ++ticks; }
+    Reg<std::uint32_t> r{"r", 0};
+    std::uint64_t ticks = 0;
+};
+
+TEST(KernelEvents, DoubleRegistrationIsRejected) {
+    Kernel k, other;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Clock& other_clk = other.add_clock("clk", 100'000'000);
+    Holder h("h");
+    k.bind(h, clk);
+    EXPECT_THROW(k.bind(h, clk), std::invalid_argument);
+    EXPECT_THROW(k.add_combinational(h), std::invalid_argument);
+    EXPECT_THROW(other.bind(h, other_clk), std::invalid_argument);
+    EXPECT_THROW(other.add_combinational(h), std::invalid_argument);
+    k.reset();
+    k.run_cycles(clk, 3);
+    EXPECT_EQ(h.ticks, 3u) << "a rejected registration must not tick the module again";
+    EXPECT_EQ(k.stats().module_ticks, 3u);
+    EXPECT_EQ(k.modules().size(), 1u);
+}
+
+TEST(KernelEvents, ForeignClockIsRejected) {
+    Kernel k, other;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Clock& foreign = other.add_clock("clk", 100'000'000);
+    Holder h("h");
+    k.bind(h, clk);
+    k.reset();
+    // Stepping k never advances `foreign`, so both loops would spin forever.
+    EXPECT_THROW(k.run_cycles(foreign, 1), std::invalid_argument);
+    EXPECT_THROW(k.run_until(foreign, [] { return false; }, 1), std::invalid_argument);
+    EXPECT_EQ(k.stats().time_points, 0u);
+    EXPECT_THROW(k.bind(h, foreign), std::invalid_argument);
+}
+
+TEST(KernelEvents, CommitCountersCountLoadedRegistersOnly) {
+    Kernel k;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Wire<std::uint32_t> a, in, out;
+    ECounter cnt("c", a);      // loads its register every edge
+    ELatch latch("latch", in, out);  // loads every edge too
+    Holder h("h");             // loads nothing by itself
+    k.bind(cnt, clk);
+    k.bind(latch, clk);
+    k.bind(h, clk);
+    k.reset();
+    k.run_cycles(clk, 10);
+    EXPECT_EQ(k.stats().module_ticks, 30u);
+    EXPECT_EQ(k.stats().register_commits, 20u) << "h's idle register is never committed";
+
+    h.r.load(1);
+    h.r.load(2);  // two loads in one edge: one commit, the last value
+    k.run_cycles(clk, 1);
+    EXPECT_EQ(h.r.read(), 2u);
+    EXPECT_EQ(k.stats().register_commits, 23u);
+
+    h.r.load(5);
+    h.r.set_bits(6);  // drops the load; the stale list entry commits nothing
+    h.r.load(7);      // and is not listed twice
+    h.r.set_bits(8);
+    k.run_cycles(clk, 1);
+    EXPECT_EQ(h.r.read(), 8u);
+    EXPECT_EQ(k.stats().register_commits, 26u);
+}
+
+TEST(KernelEvents, ResetDropsPendingLoads) {
+    Kernel k;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Holder h("h");
+    k.bind(h, clk);
+    k.reset();
+    h.r.load(42);
+    k.reset();
+    EXPECT_EQ(h.pending_commits(), 0u);
+    k.run_cycles(clk, 2);
+    EXPECT_EQ(h.r.read(), 0u) << "a load from before reset() must never commit";
+    EXPECT_EQ(k.stats().register_commits, 0u);
+}
+
+TEST(KernelEvents, LoadStaysPendingUntilItsOwnClockTicks) {
+    // 200 MHz A and 50 MHz B, both rising at t = 0: B rises on every fourth
+    // A edge. A load into a B-domain register commits at the next B edge,
+    // never at an A-only edge.
+    Kernel k;
+    Clock& a = k.add_clock("a", 200'000'000);
+    Clock& b = k.add_clock("b", 50'000'000);
+    Holder fast("fast"), slow("slow");
+    k.bind(fast, a);
+    k.bind(slow, b);
+    k.reset();
+    k.run_cycles(b, 1);  // t = 0: both domains
+    slow.r.load(9);
+    for (int i = 0; i < 3; ++i) {
+        k.step();  // t = 5, 10, 15 ns: A only
+        EXPECT_EQ(slow.r.read(), 0u);
+        EXPECT_EQ(slow.pending_commits(), 1u);
+    }
+    EXPECT_EQ(b.edges(), 1u);
+    k.step();  // t = 20 ns: B rises again
+    EXPECT_EQ(b.edges(), 2u);
+    EXPECT_EQ(slow.r.read(), 9u);
+    EXPECT_EQ(slow.pending_commits(), 0u);
+    EXPECT_EQ(k.stats().register_commits, 1u);
+    EXPECT_EQ(k.stats().module_ticks, 5u + 2u);
+}
+
 }  // namespace
 }  // namespace gaip::rtl

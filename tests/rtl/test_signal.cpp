@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "rtl/module.hpp"
 #include "rtl/signal.hpp"
 
 namespace gaip::rtl {
@@ -79,6 +80,74 @@ TEST(Reg, SetBitsClearsPendingLoad) {
 
 TEST(Reg, RejectsWidthOver64) {
     EXPECT_THROW((Reg<std::uint64_t>("w", 0, 65)), std::invalid_argument);
+}
+
+/// A module whose registers the test loads directly, as a tick() would.
+class TwoRegs final : public Module {
+public:
+    TwoRegs() : Module("two_regs") { attach_all(a, b); }
+    Reg<std::uint16_t> a{"a", 3};
+    Reg<std::uint16_t> b{"b", 4};
+};
+
+TEST(PendingCommits, OnlyLoadedRegistersAreListed) {
+    TwoRegs m;
+    EXPECT_EQ(m.pending_commits(), 0u);
+    m.b.load(8);
+    EXPECT_EQ(m.pending_commits(), 1u);
+    EXPECT_TRUE(m.commit_registers());
+    EXPECT_EQ(m.b.read(), 8u);
+    EXPECT_EQ(m.a.read(), 3u);
+    EXPECT_EQ(m.pending_commits(), 0u) << "a commit empties the list";
+    EXPECT_FALSE(m.commit_registers()) << "nothing loaded, nothing changes";
+}
+
+TEST(PendingCommits, TwoLoadsInOneEdgeCommitOnceAndTheLastWins) {
+    TwoRegs m;
+    m.a.load(10);
+    m.a.load(11);
+    EXPECT_EQ(m.pending_commits(), 1u) << "a register is listed at most once per edge";
+    EXPECT_TRUE(m.commit_registers());
+    EXPECT_EQ(m.a.read(), 11u);
+}
+
+TEST(PendingCommits, LoadThenSetBitsCommitsNothingAndIsNotListedTwice) {
+    TwoRegs m;
+    m.a.load(10);
+    m.a.set_bits(20);  // drops the load but not the list entry
+    m.a.load(30);
+    m.a.set_bits(40);
+    EXPECT_EQ(m.pending_commits(), 1u);
+    EXPECT_FALSE(m.commit_registers()) << "set_bits cancelled every pending load";
+    EXPECT_EQ(m.a.read(), 40u);
+    m.a.load(50);  // the list entry was released by the commit
+    EXPECT_EQ(m.pending_commits(), 1u);
+    EXPECT_TRUE(m.commit_registers());
+    EXPECT_EQ(m.a.read(), 50u);
+}
+
+TEST(PendingCommits, UnchangedValuesReportNoChange) {
+    TwoRegs m;
+    m.a.load(3);  // both equal their current values
+    m.b.load(4);
+    EXPECT_EQ(m.pending_commits(), 2u);
+    EXPECT_FALSE(m.commit_registers());
+    m.a.load(3);
+    m.b.load(5);
+    EXPECT_TRUE(m.commit_registers()) << "one changed register is enough";
+}
+
+TEST(PendingCommits, ResetRegistersDropsPendingLoads) {
+    TwoRegs m;
+    m.a.load(9);
+    m.b.load(9);
+    m.reset_registers();
+    EXPECT_EQ(m.pending_commits(), 0u);
+    EXPECT_FALSE(m.commit_registers());
+    EXPECT_EQ(m.a.read(), 3u);
+    EXPECT_EQ(m.b.read(), 4u);
+    m.a.load(7);
+    EXPECT_EQ(m.pending_commits(), 1u) << "a reset register can be listed again";
 }
 
 }  // namespace

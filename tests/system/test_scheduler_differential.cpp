@@ -5,6 +5,7 @@
 // is missing a wire its eval() reads.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -89,6 +90,35 @@ INSTANTIATE_TEST_SUITE_P(
                  {.pop_size = 13, .n_gens = 5, .xover_threshold = 8, .mut_threshold = 4,
                   .seed = 1567}}),
     [](const ::testing::TestParamInfo<Workload>& info) { return std::string(info.param.name); });
+
+// Machine-independent cost gate of the RT-level kernel on the
+// BM_RtlSystemRun configuration: module ticks and register commits are
+// deterministic counts, identical under both schedulers. Only loaded
+// registers are committed, a handful per GA edge; committing every attached
+// register of every ticked module cost 73 per GA edge.
+TEST(KernelWorkCounters, PinnedOnTheRtlSystemBenchmarkRun) {
+    auto run_mode = [](bool full_settle) {
+        GaSystemConfig cfg;
+        cfg.params = {.pop_size = 16, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1,
+                      .seed = 0x2961};
+        cfg.internal_fems = {FitnessId::kMBf6_2};
+        cfg.keep_populations = false;
+        GaSystem sys(cfg);
+        sys.kernel().set_full_settle(full_settle);
+        sys.run();
+        const rtl::KernelStats s = sys.kernel().stats();
+        return std::array<std::uint64_t, 4>{s.time_points, s.module_ticks, s.register_commits,
+                                            sys.ga_clock().edges()};
+    };
+    const auto [points, ticks, commits, ga_edges] = run_mode(false);
+    EXPECT_EQ(ga_edges, 3484u);
+    EXPECT_EQ(points, 13934u) << "four time points per GA cycle (50/200 MHz)";
+    EXPECT_EQ(ticks, 55738u);
+    EXPECT_EQ(commits, 20234u);
+    EXPECT_LE(static_cast<double>(commits) / static_cast<double>(ga_edges), 8.0);
+    EXPECT_EQ(run_mode(true), (std::array<std::uint64_t, 4>{points, ticks, commits, ga_edges}))
+        << "tick and commit counts must not depend on the settle scheduler";
+}
 
 }  // namespace
 }  // namespace gaip::system
