@@ -35,6 +35,9 @@ std::uint64_t backoff_delay_ms(const RetryPolicy& p, unsigned failures) {
 
 void sleep_ms(std::uint64_t ms) { std::this_thread::sleep_for(std::chrono::milliseconds(ms)); }
 
+/// Bytes per recv: a batch of streamed events arrives in a few reads.
+constexpr std::size_t kReadChunk = std::size_t{64} << 10;
+
 }  // namespace
 
 Client::Client(const std::string& socket_path) {
@@ -63,8 +66,12 @@ Client::~Client() {
 }
 
 Client::Client(Client&& other) noexcept
-    : fd_(other.fd_), inbuf_(std::move(other.inbuf_)), op_deadline_ms_(other.op_deadline_ms_) {
+    : fd_(other.fd_),
+      inbuf_(std::move(other.inbuf_)),
+      in_off_(other.in_off_),
+      op_deadline_ms_(other.op_deadline_ms_) {
     other.fd_ = -1;
+    other.in_off_ = 0;
 }
 
 Client& Client::operator=(Client&& other) noexcept {
@@ -73,6 +80,8 @@ Client& Client::operator=(Client&& other) noexcept {
         fd_ = other.fd_;
         other.fd_ = -1;
         inbuf_ = std::move(other.inbuf_);
+        in_off_ = other.in_off_;
+        other.in_off_ = 0;
         op_deadline_ms_ = other.op_deadline_ms_;
     }
     return *this;
@@ -139,15 +148,19 @@ void Client::send(const Frame& f) {
 std::string Client::read_line() {
     const auto deadline = Clock::now() + std::chrono::milliseconds(op_deadline_ms_);
     for (;;) {
-        const std::size_t nl = inbuf_.find('\n');
+        const std::size_t nl = inbuf_.find('\n', in_off_);
         if (nl != std::string::npos) {
-            std::string line = inbuf_.substr(0, nl);
-            inbuf_.erase(0, nl + 1);
+            std::string line = inbuf_.substr(in_off_, nl - in_off_);
+            in_off_ = nl + 1;
             if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
             return line;
         }
+        // Only a partial line is left: drop the consumed prefix once per
+        // read, not once per line.
+        inbuf_.erase(0, in_off_);
+        in_off_ = 0;
         if (op_deadline_ms_ != 0) wait_io(POLLIN, deadline);
-        char buf[4096];
+        char buf[kReadChunk];
         const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
         if (n == 0) throw MalformedResponse("connection closed mid-conversation");
         if (n < 0) {

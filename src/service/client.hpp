@@ -136,6 +136,7 @@ private:
 
     int fd_ = -1;
     std::string inbuf_;
+    std::size_t in_off_ = 0;  ///< start of the unconsumed bytes of inbuf_
     std::uint64_t op_deadline_ms_ = 0;
 };
 

@@ -42,11 +42,14 @@ struct Scheduler::Job final : trace::TraceSink {
     std::atomic<bool> cancel{false};
     bool claimed = false;  ///< a path is ending it (guarded by mu_)
 
+    struct Subscriber {
+        std::shared_ptr<trace::TraceSink> sink;
+        std::function<void(const JobRecord&)> on_end;
+    };
     std::mutex stream_mu;
-    std::vector<trace::TraceSink*> sinks;
-    std::vector<std::function<void(const JobRecord&)>> end_cbs;
+    std::vector<Subscriber> subs;
     std::atomic<unsigned> sink_count{0};
-    bool ended = false;  ///< end callbacks fired (guarded by stream_mu)
+    bool ended = false;  ///< subscriptions closed (guarded by stream_mu)
 
     bool streaming() const noexcept {
         return sink_count.load(std::memory_order_relaxed) != 0;
@@ -55,7 +58,7 @@ struct Scheduler::Job final : trace::TraceSink {
     void on_event(const trace::TraceEvent& e) override {
         if (!streaming()) return;
         std::lock_guard<std::mutex> lk(stream_mu);
-        for (trace::TraceSink* s : sinks) s->on_event(e);
+        for (const Subscriber& s : subs) s.sink->on_event(e);
     }
 };
 
@@ -370,7 +373,7 @@ ServiceStats Scheduler::stats() const {
     return s;
 }
 
-bool Scheduler::attach_stream(std::uint64_t id, trace::TraceSink* sink,
+bool Scheduler::attach_stream(std::uint64_t id, std::shared_ptr<trace::TraceSink> sink,
                               std::function<void(const JobRecord&)> on_end) {
     JobPtr j;
     {
@@ -384,25 +387,24 @@ bool Scheduler::attach_stream(std::uint64_t id, trace::TraceSink* sink,
     }
     std::lock_guard<std::mutex> lk(j->stream_mu);
     if (j->ended) return false;
-    if (sink != nullptr) {
-        j->sinks.push_back(sink);
-        j->sink_count.store(static_cast<unsigned>(j->sinks.size()), std::memory_order_relaxed);
-    }
-    if (on_end) j->end_cbs.push_back(std::move(on_end));
+    j->subs.push_back({std::move(sink), std::move(on_end)});
+    j->sink_count.store(static_cast<unsigned>(j->subs.size()), std::memory_order_relaxed);
     return true;
 }
 
-void Scheduler::detach_stream(std::uint64_t id, trace::TraceSink* sink) {
+bool Scheduler::detach_stream(std::uint64_t id, const trace::TraceSink* sink) {
     JobPtr j;
     {
         std::lock_guard<std::mutex> lk(mu_);
         const auto it = jobs_.find(id);
-        if (it == jobs_.end()) return;
+        if (it == jobs_.end()) return false;
         j = it->second;
     }
     std::lock_guard<std::mutex> lk(j->stream_mu);
-    j->sinks.erase(std::remove(j->sinks.begin(), j->sinks.end(), sink), j->sinks.end());
-    j->sink_count.store(static_cast<unsigned>(j->sinks.size()), std::memory_order_relaxed);
+    const std::size_t erased = std::erase_if(
+        j->subs, [sink](const Job::Subscriber& s) { return s.sink.get() == sink; });
+    j->sink_count.store(static_cast<unsigned>(j->subs.size()), std::memory_order_relaxed);
+    return erased != 0;
 }
 
 std::size_t Scheduler::expire_overdue() {
@@ -524,15 +526,16 @@ void Scheduler::commit(const JobPtr& j, JobState state, const JobOutcome& outcom
     if (!error.empty()) e.add("error", error);
     emit_metric(std::move(e));
 
-    std::vector<std::function<void(const JobRecord&)>> cbs;
+    // Flush every sink before any stream_end: no event overtakes its end.
+    std::vector<Job::Subscriber> subs;
     {
         std::lock_guard<std::mutex> lk(j->stream_mu);
+        for (const Job::Subscriber& s : j->subs) s.sink->flush();
         j->ended = true;
-        cbs.swap(j->end_cbs);
-        j->sinks.clear();
+        subs.swap(j->subs);
         j->sink_count.store(0, std::memory_order_relaxed);
     }
-    for (auto& cb : cbs) cb(rec);
+    for (const Job::Subscriber& s : subs) s.on_end(rec);
 }
 
 void Scheduler::worker_main(unsigned worker_idx) {

@@ -169,16 +169,22 @@ public:
     std::vector<JobRecord> list() const;
     ServiceStats stats() const;
 
-    /// Attach a live trace sink to a job. Events produced by the job's
-    /// engine (generation, island_*, sup_*, ...) are forwarded as they
-    /// happen; `on_end` fires once, from the finishing worker thread, when
-    /// the job reaches a terminal state. Returns false when the job is
-    /// already terminal (caller should answer with the final record
-    /// directly). Throws ProtocolError(not_found) for unknown ids.
-    bool attach_stream(std::uint64_t id, trace::TraceSink* sink,
+    /// Attach a live trace sink (non-null) and an end callback to a job.
+    /// Events produced by the job's engine (generation, island_*, sup_*,
+    /// ...) are forwarded to `sink` under the job's stream mutex; the scheduler shares ownership of it
+    /// until the subscription ends. When the job reaches a terminal state
+    /// the finishing worker flushes every attached sink, then fires each
+    /// `on_end` once — so no event can follow its stream's end. Returns
+    /// false when the job is already terminal (caller should answer with
+    /// the final record directly). Throws ProtocolError(not_found) for
+    /// unknown ids.
+    bool attach_stream(std::uint64_t id, std::shared_ptr<trace::TraceSink> sink,
                        std::function<void(const JobRecord&)> on_end);
-    /// Detach a sink registered by attach_stream (no-op when unknown).
-    void detach_stream(std::uint64_t id, trace::TraceSink* sink);
+    /// Detach a subscription made by attach_stream: its sink gets no
+    /// further event or flush and its `on_end` never fires. Returns false
+    /// when it was no longer attached — the job ended (or is ending) and
+    /// its `on_end` has fired or is about to.
+    bool detach_stream(std::uint64_t id, const trace::TraceSink* sink);
 
     /// Expire queued jobs whose deadline has passed (server tick calls
     /// this; workers also check at pickup). Returns expired-job count.

@@ -7,11 +7,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 
 namespace gaip::service {
 
@@ -32,15 +35,14 @@ public:
     ConnWriter(int fd, std::size_t max_outbox, int wake_fd)
         : fd_(fd), max_outbox_(max_outbox), wake_fd_(wake_fd) {}
 
-    bool write_line(const std::string& line) {
+    /// Write one or more complete lines ('\n'-terminated) as one unit.
+    bool write(std::string_view out) {
         std::lock_guard<std::mutex> lk(mu_);
         if (fd_ < 0 || dead_) return false;
-        std::string out = line;
-        out += '\n';
         std::size_t off = 0;
         if (outbox_.size() == ob_off_) {
             // Outbox empty: send opportunistically (the fast path — a
-            // healthy client takes the whole line here).
+            // healthy client takes the whole write here).
             while (off < out.size()) {
                 const ssize_t n = ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
                 if (n < 0) {
@@ -58,9 +60,15 @@ public:
             overflowed_ = true;
             return false;
         }
-        outbox_.append(out, off, std::string::npos);
+        outbox_.append(out.substr(off));
         nudge();  // wake the poll loop so it subscribes POLLOUT
         return true;
+    }
+
+    bool write_line(const std::string& line) {
+        std::string out = line;
+        out += '\n';
+        return write(out);
     }
 
     /// Poll-thread drain (POLLOUT / periodic). False = connection is dead.
@@ -123,14 +131,49 @@ private:
 };
 
 /// Forwards one job's trace events to the client as raw event lines
-/// (distinguished from frames by their leading "kind" key).
+/// (distinguished from frames by their leading "kind" key). Events are
+/// encoded straight into an open batch that goes to the writer in one
+/// write under the stream liveness contract (server.hpp); the scheduler
+/// calls flush() before stream_end. Called only under the job's stream
+/// mutex; a detached sink's open batch is dropped with it.
 class ConnStreamSink final : public trace::TraceSink {
 public:
-    ConnStreamSink(std::shared_ptr<ConnWriter> w) : w_(std::move(w)) {}
-    void on_event(const trace::TraceEvent& e) override { w_->write_line(trace::to_json_line(e)); }
+    ConnStreamSink(std::shared_ptr<ConnWriter> w, std::size_t batch_bytes,
+                   std::atomic<std::uint64_t>& events, std::atomic<std::uint64_t>& writes)
+        : w_(std::move(w)), batch_bytes_(batch_bytes), events_(events), writes_(writes) {}
+
+    void on_event(const trace::TraceEvent& e) override {
+        const auto now = std::chrono::steady_clock::now();
+        if (batch_.empty()) opened_ = now;
+        trace::append_json_line(batch_, e);
+        batch_ += '\n';
+        ++lines_;
+        if (batch_.size() >= batch_bytes_ || now - opened_ >= kStreamBatchAge) flush();
+    }
+
+    void flush() override {
+        if (batch_.empty()) return;
+        w_->write(batch_);
+        events_.fetch_add(lines_, std::memory_order_relaxed);
+        writes_.fetch_add(1, std::memory_order_relaxed);
+        batch_.clear();
+        lines_ = 0;
+    }
+
+    /// Set once this stream's stream_end is written; the poll thread then
+    /// drops the stream from its connection.
+    void mark_ended() noexcept { ended_.store(true, std::memory_order_release); }
+    bool ended() const noexcept { return ended_.load(std::memory_order_acquire); }
 
 private:
     std::shared_ptr<ConnWriter> w_;
+    std::size_t batch_bytes_;
+    std::atomic<std::uint64_t>& events_;
+    std::atomic<std::uint64_t>& writes_;
+    std::string batch_;
+    std::uint64_t lines_ = 0;  ///< event lines in batch_
+    std::chrono::steady_clock::time_point opened_{};
+    std::atomic<bool> ended_{false};
 };
 
 void set_nonblocking(int fd) {
@@ -145,9 +188,9 @@ struct Server::Conn {
     pid_t client_pid = 0;  ///< SO_PEERCRED (per-client connection cap key)
     std::string inbuf;
     std::shared_ptr<ConnWriter> writer;
-    /// Streams opened on this connection: (job id, sink) pairs detached +
-    /// freed at close.
-    std::vector<std::pair<std::uint64_t, std::unique_ptr<ConnStreamSink>>> streams;
+    /// Live streams opened on this connection: (job id, sink) pairs,
+    /// dropped once their stream_end is written and detached at close.
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<ConnStreamSink>>> streams;
     bool closing = false;
 };
 
@@ -257,13 +300,16 @@ void Server::request_rotate() noexcept {
     }
 }
 
-void Server::close_conn(Conn& c) {
-    if (c.fd < 0) return;
-    for (auto& [id, sink] : c.streams) sched_->detach_stream(id, sink.get());
+std::size_t Server::close_conn(Conn& c) {
+    if (c.fd < 0) return 0;
+    std::size_t attached = 0;
+    for (auto& [id, sink] : c.streams)
+        if (sched_->detach_stream(id, sink.get())) ++attached;
     c.streams.clear();
     c.writer->close_fd();  // also invalidates the fd for pending stream writes
     c.fd = -1;
     c.closing = true;
+    return attached;
 }
 
 void Server::accept_conns() {
@@ -357,13 +403,15 @@ void Server::run() {
 
         // Drop closed / dead-writer connections; an outbox overflow is a
         // slow-consumer eviction and counts the streams it held as shed.
+        // Streams whose stream_end is written leave their connection.
         std::erase_if(conns_, [this](const std::unique_ptr<Conn>& c) {
+            std::erase_if(c->streams, [](const auto& st) { return st.second->ended(); });
             if (c->fd >= 0 && c->writer->dead()) {
+                const std::size_t attached = close_conn(*c);
                 if (c->writer->overflowed()) {
                     ++slow_evicted_;
-                    streams_shed_ += c->streams.size();
+                    streams_shed_ += attached;
                 }
-                close_conn(*c);
             }
             return c->fd < 0;
         });
@@ -465,9 +513,11 @@ void Server::handle_line(Conn& c, const std::string& line) {
                                     "daemon overloaded (" + std::to_string(depth) +
                                         " queued); no new streams — retry later");
             const std::uint64_t id = req.u64("id");
-            auto sink = std::make_unique<ConnStreamSink>(c.writer);
+            auto sink = std::make_shared<ConnStreamSink>(
+                c.writer, std::min(kStreamBatchBytes, cfg_.max_outbox_bytes / 4), stream_events_,
+                stream_writes_);
             std::shared_ptr<ConnWriter> w = c.writer;
-            const auto on_end = [w, id](const JobRecord& rec) {
+            const auto on_end = [w, id, sink = sink.get()](const JobRecord& rec) {
                 Frame f("stream_end");
                 f.add("ok", std::uint64_t{1});
                 f.add("id", id);
@@ -479,6 +529,7 @@ void Server::handle_line(Conn& c, const std::string& line) {
                 }
                 if (!rec.error.empty()) f.add("error", rec.error);
                 w->write_line(to_line(f));
+                sink->mark_ended();
             };
             const auto pre = sched_->status(id);
             if (!pre) throw ProtocolError(err::kNotFound, "no such job");
@@ -491,7 +542,7 @@ void Server::handle_line(Conn& c, const std::string& line) {
             ack.add("id", id);
             ack.add("live", std::uint64_t{live ? 1u : 0u});
             c.writer->write_line(to_line(ack));
-            if (live && sched_->attach_stream(id, sink.get(), on_end)) {
+            if (live && sched_->attach_stream(id, sink, on_end)) {
                 c.streams.emplace_back(id, std::move(sink));
             } else {
                 // Job already terminal: no events will flow; end the
@@ -526,6 +577,8 @@ void Server::handle_line(Conn& c, const std::string& line) {
             f.add("streams_shed", streams_shed_);
             f.add("slow_evicted", slow_evicted_);
             f.add("conns_rejected", conns_rejected_);
+            f.add("stream_events", stream_events_.load(std::memory_order_relaxed));
+            f.add("stream_writes", stream_writes_.load(std::memory_order_relaxed));
             if (journal_) {
                 const JournalStats js = journal_->stats();
                 f.add("journal_records", js.records_written);
@@ -578,7 +631,8 @@ void Server::shed_streams() {
     for (auto& c : conns_) {
         if (c->fd < 0) continue;
         for (auto& [id, sink] : c->streams) {
-            sched_->detach_stream(id, sink.get());
+            // A stream that already ended has had its stream_end.
+            if (!sched_->detach_stream(id, sink.get())) continue;
             Frame f("stream_end");
             f.add("ok", std::uint64_t{1});
             f.add("id", id);

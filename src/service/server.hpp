@@ -8,6 +8,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -46,6 +47,14 @@ struct ServerConfig {
     bool announce = false;
 };
 
+/// Stream liveness contract: a job's events reach its subscriber in
+/// batches. A batch is written once it holds kStreamBatchBytes (capped at a
+/// quarter of --max-outbox), when the job's next event comes
+/// kStreamBatchAge or more after the batch opened, and always before the
+/// stream's stream_end.
+inline constexpr std::size_t kStreamBatchBytes = std::size_t{16} << 10;
+inline constexpr std::chrono::milliseconds kStreamBatchAge{1};
+
 class Server {
 public:
     /// Binds + listens and starts the worker pool; throws
@@ -76,7 +85,8 @@ private:
 
     void handle_readable(Conn& c);
     void handle_line(Conn& c, const std::string& line);
-    void close_conn(Conn& c);
+    /// Returns how many of the connection's streams were still attached.
+    std::size_t close_conn(Conn& c);
     void accept_conns();
     /// Overload tier 2: drop every stream subscriber (stream_end state
     /// "shed") so job capacity is preserved at the subscribers' expense.
@@ -98,6 +108,9 @@ private:
     std::uint64_t slow_evicted_ = 0;    ///< connections evicted on outbox overflow
     std::uint64_t conns_rejected_ = 0;  ///< connection-cap rejections
     std::uint64_t replay_skipped_ = 0;  ///< torn/corrupt journal lines skipped on boot
+    // Stream counters, bumped by worker threads.
+    std::atomic<std::uint64_t> stream_events_{0};  ///< event lines written to subscribers
+    std::atomic<std::uint64_t> stream_writes_{0};  ///< event batches handed to the writer
 };
 
 /// In-process daemon — scheduler + server + serving thread — so tests and

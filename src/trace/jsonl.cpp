@@ -1,6 +1,7 @@
 #include "trace/jsonl.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -31,9 +32,15 @@ void append_escaped(std::string& out, const std::string& s) {
     out += '"';
 }
 
+void append_u64(std::string& out, std::uint64_t v) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
 void append_value(std::string& out, const Value& v) {
     if (const auto* u = std::get_if<std::uint64_t>(&v)) {
-        out += std::to_string(*u);
+        append_u64(out, *u);
     } else if (const auto* d = std::get_if<double>(&v)) {
         // %.17g round-trips every finite double through strtod.
         char buf[40];
@@ -168,11 +175,13 @@ private:
 
 }  // namespace
 
-std::string to_json_line(const TraceEvent& e) {
-    std::string out = "{\"kind\":";
+void append_json_line(std::string& out, const TraceEvent& e) {
+    out += "{\"kind\":";
     append_escaped(out, e.kind);
-    out += ",\"t\":" + std::to_string(e.t);
-    out += ",\"cycle\":" + std::to_string(e.cycle);
+    out += ",\"t\":";
+    append_u64(out, e.t);
+    out += ",\"cycle\":";
+    append_u64(out, e.cycle);
     for (const Field& f : e.fields) {
         out += ',';
         append_escaped(out, f.key);
@@ -180,6 +189,11 @@ std::string to_json_line(const TraceEvent& e) {
         append_value(out, f.value);
     }
     out += '}';
+}
+
+std::string to_json_line(const TraceEvent& e) {
+    std::string out;
+    append_json_line(out, e);
     return out;
 }
 
@@ -208,7 +222,10 @@ JsonlSink::JsonlSink(const std::string& path) : out_(path) {
 }
 
 void JsonlSink::on_event(const TraceEvent& e) {
-    out_ << to_json_line(e) << '\n';
+    line_.clear();
+    append_json_line(line_, e);
+    line_ += '\n';
+    out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
     ++count_;
 }
 

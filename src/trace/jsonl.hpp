@@ -14,7 +14,12 @@
 
 namespace gaip::trace {
 
-/// Serialize one event as a single JSON line (no trailing newline).
+/// Append one event to `out` as a single JSON line (no trailing newline).
+/// Encoders that batch lines (stream sinks, file sinks) reuse one buffer.
+void append_json_line(std::string& out, const TraceEvent& e);
+
+/// Serialize one event as a single JSON line (no trailing newline); the
+/// same bytes append_json_line writes.
 std::string to_json_line(const TraceEvent& e);
 
 /// Parse one JSON line back into an event. Throws std::runtime_error on
@@ -39,6 +44,7 @@ public:
 
 private:
     std::ofstream out_;
+    std::string line_;  ///< reused encode buffer
     std::uint64_t count_ = 0;
 };
 

@@ -5,9 +5,13 @@
 // deadline expiry, admission control, and streaming semantics — including
 // per-lane cancel, deadline and drain inside a running gate block.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -18,7 +22,9 @@
 #include "service/client.hpp"
 #include "service/journal.hpp"
 #include "service/server.hpp"
+#include "system/ga_system.hpp"
 #include "trace/event.hpp"
+#include "trace/jsonl.hpp"
 
 namespace {
 
@@ -620,6 +626,181 @@ TEST(Service, QueueFullShedsStreamsAndHintsRetry) {
     c.cancel(queued);
     c.cancel(blocker);
     wait_terminal(c, blocker);
+}
+
+/// Subscribe `watcher` to `id` and return once the ack is read: the poll
+/// thread attaches the stream before it reads any later request.
+void subscribe(Client& watcher, std::uint64_t id) {
+    Frame sub(service::verb::kStream);
+    sub.add("id", id);
+    watcher.send(sub);
+    const Frame ack = watcher.read_frame();
+    ASSERT_TRUE(ack.ok()) << service::to_line(ack);
+    ASSERT_EQ(ack.u64("live"), 1u);
+}
+
+/// Read the watcher's frames up to and including the reply to a fresh
+/// ping; returns the stream_end frames among them.
+std::vector<Frame> stream_ends_before_ping(Client& watcher) {
+    watcher.send(Frame(service::verb::kPing));
+    std::vector<Frame> ends;
+    for (;;) {
+        Frame f = watcher.read_frame();
+        if (f.verb == service::verb::kPing) return ends;
+        if (f.verb == "stream_end") ends.push_back(std::move(f));
+    }
+}
+
+TEST(Service, QueueFullShedsOnlyStreamsStillAttached) {
+    // Job A streams to its end on the watcher's connection; later job B
+    // streams on the same connection and queue-full shedding strikes. Only
+    // B's stream is still attached: exactly one "shed" frame, for B, and
+    // streams_shed counts it once. A's ended stream is not re-ended.
+    service::Daemon d(daemon_config("t_svc_shed2.sock", /*workers=*/1, /*max_queue=*/4));
+    Client c(d.socket_path());
+    Client watcher(d.socket_path());
+
+    const std::uint64_t blocker_a = c.submit(long_job());
+    wait_running(c, blocker_a);
+    const std::uint64_t a = c.submit(small_job(service::JobBackend::kBehavioral));
+    subscribe(watcher, a);
+    c.cancel(blocker_a);
+    Frame end_a = watcher.read_frame();
+    EXPECT_EQ(end_a.verb, "stream_end");
+    EXPECT_EQ(end_a.u64("id"), a);
+    EXPECT_EQ(end_a.str("state"), "done");
+
+    const std::uint64_t blocker_b = c.submit(long_job());
+    wait_running(c, blocker_b);
+    const std::uint64_t b = c.submit(small_job(service::JobBackend::kBehavioral));
+    subscribe(watcher, b);
+    const std::uint64_t shed_before = c.stats().u64("streams_shed");
+    std::vector<std::uint64_t> filler;
+    for (int i = 0; i < 3; ++i)
+        filler.push_back(c.submit(small_job(service::JobBackend::kBehavioral)));
+    EXPECT_THROW(c.submit(small_job(service::JobBackend::kBehavioral)), service::RemoteError);
+
+    const std::vector<Frame> ends = stream_ends_before_ping(watcher);
+    ASSERT_EQ(ends.size(), 1u);
+    EXPECT_EQ(ends[0].u64("id"), b);
+    EXPECT_EQ(ends[0].str("state"), "shed");
+    EXPECT_EQ(c.stats().u64("streams_shed"), shed_before + 1);
+
+    // B's detached stream stays silent when B itself ends.
+    for (const auto id : filler) c.cancel(id);
+    c.cancel(blocker_b);
+    EXPECT_EQ(wait_terminal(c, b).str("state"), "done");
+    EXPECT_TRUE(stream_ends_before_ping(watcher).empty());
+}
+
+TEST(Service, StreamCountersCountBatchedEventLines) {
+    // An RT-level job streamed from before it starts: every event line of
+    // its direct run reaches the subscriber, in a few batched writes.
+    service::Daemon d(daemon_config("t_svc_batch.sock", /*workers=*/1));
+    Client c(d.socket_path());
+    const std::uint64_t blocker = c.submit(long_job());
+    wait_running(c, blocker);
+    const JobSpec spec = small_job(service::JobBackend::kRtl);
+    const std::uint64_t id = c.submit(spec);
+    Client watcher(d.socket_path());
+    subscribe(watcher, id);
+    c.cancel(blocker);
+
+    std::uint64_t received = 0, bytes = 0;
+    const Frame end = watcher.read_frame([&](const trace::TraceEvent& e) {
+        ++received;
+        bytes += trace::to_json_line(e).size() + 1;
+    });
+    EXPECT_EQ(end.verb, "stream_end");
+    EXPECT_EQ(end.str("state"), "done");
+
+    trace::MemorySink direct;
+    system::GaSystemConfig cfg;
+    cfg.params = spec.params;
+    cfg.internal_fems = {spec.fn};
+    cfg.keep_populations = false;
+    cfg.trace_sink = &direct;
+    system::run_ga_system(cfg);
+
+    const Frame st = c.stats();
+    const std::uint64_t events = st.u64("stream_events");
+    const std::uint64_t writes = st.u64("stream_writes");
+    EXPECT_EQ(received, direct.events().size());
+    EXPECT_EQ(events, direct.events().size());
+    EXPECT_GE(writes, 1u);
+    // The liveness contract bounds the writes: one per full batch, at most
+    // one per elapsed batch age (run_ms is truncated), one at the end.
+    const std::uint64_t run_ms = c.status(id).u64("run_ms");
+    const auto age_ms = static_cast<std::uint64_t>(service::kStreamBatchAge.count());
+    EXPECT_LE(writes, bytes / service::kStreamBatchBytes + (run_ms + 1) / age_ms + 1)
+        << service::to_line(st);
+    // At 8 or more events per batch age (an optimized build runs this job
+    // at ~300 per ms; a sanitizer build can fall below 8), that leaves at
+    // least 8 event lines per write.
+    if (events >= 8 * (run_ms + 1) / age_ms) {
+        EXPECT_LE(writes * 8, events) << service::to_line(st);
+    }
+}
+
+TEST(Service, ClientParsesBurstsAndSplitFrames) {
+    // A scripted peer answers with 1,000 event lines in one write, then a
+    // frame split across two writes, then a second frame. The client must
+    // hand over every event and both frames exactly as the lines parse.
+    const std::string path = "t_svc_burst.sock";
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    ::unlink(path.c_str());
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+
+    std::string burst;
+    std::vector<trace::TraceEvent> want;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        trace::TraceEvent e(trace::kind::kGeneration, i * 20'000, i);
+        e.add("gen", i).add("best_fit", i * 7).add("note", std::string("a\"b"));
+        trace::append_json_line(burst, e);
+        burst += '\n';
+        want.push_back(e);
+    }
+    Frame first("stream_end");
+    first.add("ok", std::uint64_t{1});
+    first.add("id", std::uint64_t{42});
+    first.add("state", "done");
+    const std::string first_line = service::to_line(first) + "\n";
+    const std::string second_line = service::to_line(service::ok_frame(service::verb::kPing)) + "\n";
+    const std::size_t split = first_line.size() / 2;
+    burst += first_line.substr(0, split);
+
+    std::thread peer([&] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        const auto send_all = [fd](const std::string& out) {
+            for (std::size_t off = 0; off < out.size();) {
+                const ssize_t n = ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+                if (n <= 0) return;
+                off += static_cast<std::size_t>(n);
+            }
+        };
+        send_all(burst);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        send_all(first_line.substr(split) + second_line);
+        char b;
+        [[maybe_unused]] const ssize_t n = ::recv(fd, &b, 1, 0);  // until the client closes
+        ::close(fd);
+    });
+    {
+        Client client(path);
+        std::vector<trace::TraceEvent> got;
+        const Frame f = client.read_frame([&](const trace::TraceEvent& e) { got.push_back(e); });
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(service::to_line(f), service::to_line(first));
+        EXPECT_EQ(client.read_frame().verb, service::verb::kPing);
+    }
+    peer.join();
+    ::close(lfd);
+    ::unlink(path.c_str());
 }
 
 TEST(Service, ShutdownVerbStopsTheDaemon) {

@@ -355,6 +355,104 @@ TEST(Differential, RefilledGateBlockMatchesOneLaneRuns) {
     EXPECT_EQ(st.u64("gate_lanes"), specs.size());
 }
 
+/// A direct run's events as the daemon must stream them: the behavioral
+/// events Scheduler::run_behavioral_job emits, the RT-level system tap, or
+/// a one-lane gate run.
+std::vector<std::string> direct_event_lines(const JobSpec& spec) {
+    trace::MemorySink sink;
+    switch (spec.backend) {
+        case service::JobBackend::kBehavioral: {
+            core::BehavioralEngine eng(spec.params, core::rom_fitness(spec.fn),
+                                       prng::RngKind::kCellularAutomaton,
+                                       /*keep_populations=*/false);
+            while (!eng.done()) {
+                eng.step_generation();
+                trace::TraceEvent e(trace::kind::kGeneration, 0, 0);
+                e.add("gen", std::uint64_t{eng.generation()});
+                e.add("best_fit", std::uint64_t{eng.best_fitness()});
+                e.add("best_ind", std::uint64_t{eng.best_candidate()});
+                sink.on_event(e);
+            }
+            trace::TraceEvent e(trace::kind::kDone, 0, 0);
+            e.add("best_fit", std::uint64_t{eng.best_fitness()});
+            e.add("best_ind", std::uint64_t{eng.best_candidate()});
+            sink.on_event(e);
+            return json_lines(sink.events());
+        }
+        case service::JobBackend::kRtl: {
+            system::GaSystemConfig cfg;
+            cfg.params = spec.params;
+            cfg.internal_fems = {spec.fn};
+            cfg.fitfunc_select = 0;
+            cfg.keep_populations = false;
+            cfg.trace_sink = &sink;
+            system::run_ga_system(cfg);
+            return json_lines(sink.events());
+        }
+        case service::JobBackend::kGates: return direct_lane(spec).events;
+    }
+    throw std::logic_error("unreachable");
+}
+
+TEST(Differential, StreamedLinesAreTheDirectRunsBytes) {
+    // One worker pinned on a blocker keeps every job queued while its
+    // stream attaches, so each stream carries its job's whole run. The raw
+    // lines on the wire — batched into few writes — must be exactly the
+    // direct run's event lines, in order, with stream_end last.
+    service::ServerConfig cfg;
+    cfg.socket_path = "t_diff_bytes.sock";
+    cfg.scheduler.workers = 1;
+    service::Daemon d(cfg);
+    service::Client c(d.socket_path());
+
+    JobSpec blocker = gates_spec(fitness::FitnessId::kOneMax, 128, 50'000'000, 1);
+    blocker.backend = service::JobBackend::kBehavioral;
+    const std::uint64_t block_id = c.submit(blocker);
+    while (c.status(block_id).str("state") == "queued")
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    std::vector<JobSpec> specs = {
+        gates_spec(fitness::FitnessId::kMBf6_2, 32, 12, 0x061F),
+        gates_spec(fitness::FitnessId::kOneMax, 16, 8, 0x2961),
+        gates_spec(fitness::FitnessId::kRoyalRoad, 16, 6, 0xB342),
+    };
+    specs[0].backend = service::JobBackend::kBehavioral;
+    specs[1].backend = service::JobBackend::kRtl;
+    std::vector<std::unique_ptr<service::Client>> subs;
+    for (const JobSpec& s : specs) {
+        const std::uint64_t id = c.submit(s);
+        subs.push_back(std::make_unique<service::Client>(d.socket_path()));
+        Frame req(service::verb::kStream);
+        req.add("id", id);
+        subs.back()->send(req);
+        const Frame ack = subs.back()->read_frame();
+        ASSERT_TRUE(ack.ok() && ack.u64("live") == 1) << service::to_line(ack);
+    }
+    c.cancel(block_id);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(service::job_backend_name(specs[i].backend));
+        std::vector<std::string> lines;
+        Frame end;
+        for (;;) {
+            std::string line = subs[i]->read_line();
+            if (!service::is_event_line(line)) {
+                end = service::parse_frame(line);
+                break;
+            }
+            lines.push_back(std::move(line));
+        }
+        EXPECT_EQ(end.verb, "stream_end");
+        EXPECT_EQ(end.str("state"), "done") << service::to_line(end);
+        const std::vector<std::string> want = direct_event_lines(specs[i]);
+        EXPECT_FALSE(want.empty());
+        EXPECT_EQ(lines, want);
+        // Nothing follows stream_end: the next line answers the next request.
+        subs[i]->send(Frame(service::verb::kPing));
+        EXPECT_EQ(service::parse_frame(subs[i]->read_line()).verb, service::verb::kPing);
+    }
+}
+
 TEST(Differential, BehavioralJobBehindGateStreamDoesNotStarve) {
     // One worker, a steady stream of gates jobs keeping a lane block busy,
     // and a behavioral job submitted into the middle of it. Once the

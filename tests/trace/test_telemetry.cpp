@@ -57,6 +57,35 @@ TEST(Jsonl, RoundTripsAllValueTypes) {
     EXPECT_EQ(back, e);
 }
 
+TEST(Jsonl, AppendJsonLineIsToJsonLineBytes) {
+    // u64 extremes, doubles that need all 17 digits, escaped strings and
+    // escaped keys, pinned to the bytes the encoder has always written.
+    TraceEvent e(kind::kFaultInject, 18446744073709551615ull, 42);
+    e.add("bit", std::uint64_t{0})
+        .add("max", std::uint64_t{18446744073709551615ull})
+        .add("score", 1.25)
+        .add("third", 1.0 / 3.0)
+        .add("neg", -2.5e-7)
+        .add("reg", std::string("best_fit"))
+        .add("note", std::string("a\"b\\c\n\r\t\x01/"))
+        .add("k\"e\\y\n\x1f", std::uint64_t{7});
+    const TraceEvent bare("we\"ird\tkind", 0, 0);
+    const std::string golden =
+        "{\"kind\":\"fault_inject\",\"t\":18446744073709551615,\"cycle\":42,\"bit\":0,"
+        "\"max\":18446744073709551615,\"score\":1.25,\"third\":0.33333333333333331,"
+        "\"neg\":-2.4999999999999999e-07,\"reg\":\"best_fit\","
+        "\"note\":\"a\\\"b\\\\c\\n\\r\\t\\u0001/\",\"k\\\"e\\\\y\\n\\u001f\":7}";
+    EXPECT_EQ(to_json_line(e), golden);
+    EXPECT_EQ(to_json_line(bare), "{\"kind\":\"we\\\"ird\\tkind\",\"t\":0,\"cycle\":0}");
+
+    // Appending extends a buffer in place, line after line.
+    std::string batch = "prefix\n";
+    append_json_line(batch, e);
+    batch += '\n';
+    append_json_line(batch, bare);
+    EXPECT_EQ(batch, "prefix\n" + to_json_line(e) + "\n" + to_json_line(bare));
+}
+
 TEST(Jsonl, RejectsMalformedLines) {
     EXPECT_THROW(from_json_line("not json"), std::runtime_error);
     EXPECT_THROW(from_json_line("{\"kind\":"), std::runtime_error);
