@@ -29,7 +29,7 @@ island::IslandConfig rtl_array(fitness::FitnessId fn, std::uint8_t pop, std::uin
     cfg.seeds = std::move(seeds);
     cfg.migration.interval = interval;
     cfg.migration.count = 1;
-    cfg.backend = supervisor::BackendKind::kRtl;
+    cfg.backend = core::Substrate::kRtl;
     return cfg;
 }
 

@@ -39,7 +39,7 @@ island::IslandConfig scaling_cfg(unsigned islands) {
     cfg.islands = islands;
     cfg.migration.interval = 4;
     cfg.migration.count = 2;
-    cfg.backend = supervisor::BackendKind::kGateLane;
+    cfg.backend = core::Substrate::kGates;
     return cfg;
 }
 
@@ -97,7 +97,7 @@ int main() {
             cfg.migration.interval = t == 0 ? 0 : 8;
             cfg.migration.count = 2;
             cfg.topology = t == 2 ? island::Topology::kStar : island::Topology::kRing;
-            cfg.backend = supervisor::BackendKind::kGateLane;
+            cfg.backend = core::Substrate::kGates;
             best[t] = island::run_island_system(cfg).best_fitness;
         }
         sum_iso += best[0];

@@ -123,7 +123,7 @@ void BM_RtlIslandArrayRun(benchmark::State& state) {
     cfg.base = {.pop_size = 16, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1};
     cfg.seeds = {0x2961, 0x061F, 0xB342, 0xAAAA};
     cfg.islands = 4;
-    cfg.backend = supervisor::BackendKind::kRtl;
+    cfg.backend = core::Substrate::kRtl;
     cfg.threads = static_cast<unsigned>(state.range(0));
     island::IslandSystem sys(cfg);
     for (auto _ : state) benchmark::DoNotOptimize(sys.run());

@@ -42,7 +42,7 @@ service::JobSpec job_spec() {
     spec.params = core::resolve_parameters(
         0, {.pop_size = 16, .n_gens = 12, .xover_threshold = 10, .mut_threshold = 1,
             .seed = bench::kPaperSeeds[0]});
-    spec.backend = service::JobBackend::kGates;
+    spec.backend = core::Substrate::kGates;
     return spec;
 }
 

@@ -21,7 +21,7 @@ int main() {
     cfg.base = {.pop_size = 32, .n_gens = 24, .xover_threshold = 10, .mut_threshold = 1};
     cfg.seeds = {0x2961, 0x061F, 0xB342, 0xAAAA};
     cfg.islands = 4;
-    cfg.backend = supervisor::BackendKind::kRtl;
+    cfg.backend = core::Substrate::kRtl;
     cfg.threads = 4;
     const island::IslandResult r = island::IslandSystem(cfg).run();
 

@@ -160,9 +160,8 @@ DualGaSystem::DualGaSystem(DualGaConfig cfg) : cfg_(std::move(cfg)) {
 DualRunResult DualGaSystem::run() {
     kernel_.reset();
 
-    const std::uint64_t evals =
-        static_cast<std::uint64_t>(cfg_.pop_size) * (static_cast<std::uint64_t>(cfg_.n_gens) + 1);
-    const std::uint64_t max_app_edges = (evals * (64ull + 8ull * cfg_.pop_size) + 100'000) * 4;
+    const std::uint64_t max_app_edges =
+        cycle_bound(GaParameters{.pop_size = cfg_.pop_size, .n_gens = cfg_.n_gens}) * 4;
 
     std::uint64_t start_edge = 0;
     bool start_seen = false;

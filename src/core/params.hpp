@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/bits.hpp"
+
 namespace gaip::core {
 
 enum class ParamIndex : std::uint8_t {
@@ -78,6 +80,18 @@ constexpr GaParameters resolve_parameters(std::uint8_t preset, const GaParameter
         return p;
     }
     return preset_parameters(preset);
+}
+
+/// GA-cycle bound of one fault-free run with resolved parameters `eff`:
+/// evaluations x (handshake + selection scan + `extra_per_eval`) plus a
+/// fixed 100 000-cycle margin, saturating at UINT64_MAX. Every watchdog and
+/// run bound derives from it, each with its own factor.
+constexpr std::uint64_t cycle_bound(const GaParameters& eff,
+                                    std::uint64_t extra_per_eval = 0) noexcept {
+    const std::uint64_t evals = util::sat_mul_u64(eff.pop_size, std::uint64_t{eff.n_gens} + 1);
+    const std::uint64_t per_eval =
+        util::sat_add_u64(64 + 8 * std::uint64_t{eff.pop_size}, extra_per_eval);
+    return util::sat_add_u64(util::sat_mul_u64(evals, per_eval), 100'000);
 }
 
 /// One init-handshake write: {parameter index, value}.

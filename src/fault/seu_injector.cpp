@@ -18,9 +18,6 @@ system::GaSystemConfig system_config(const InjectorConfig& cfg) {
     return scfg;
 }
 
-/// One 50 MHz cycle (the 200 MHz domain advances 4 edges inside).
-void ga_cycle(system::GaSystem& sys) { sys.kernel().run_cycles(sys.ga_clock(), 1); }
-
 /// Golden-trajectory entry: the per-cycle observation the divergence
 /// detector compares (controller state + best fitness so far).
 std::uint32_t traj_entry(const GaCore& core) {
@@ -39,19 +36,16 @@ SeuInjector::SeuInjector(InjectorConfig cfg) : cfg_(cfg) {
     // Golden run: the manual cycle loop (not GaSystem::run) so the cycle
     // numbering is identical to every faulted run.
     system::GaSystem sys(system_config(cfg_));
-    if (!run_to_start(sys)) throw std::runtime_error("SeuInjector: optimizer never started");
+    if (!sys.start()) throw std::runtime_error("SeuInjector: optimizer never started");
     for (const rtl::RegBase* r : sys.core().scan_chain().registers())
         layout_.emplace_back(r->name(), r->width());
     chain_length_ = sys.core().scan_chain().length();
 
-    const std::uint64_t bound =
-        static_cast<std::uint64_t>(core::resolve_parameters(0, cfg_.params).pop_size) *
-            (cfg_.params.n_gens + 1ull) * 512ull +
-        100'000ull;
+    const std::uint64_t bound = sys.cycle_bound();
     std::uint64_t c = 0;
     while (sys.core().state() != GaCore::State::kDone) {
         if (++c > bound) throw std::runtime_error("SeuInjector: golden run exceeded bound");
-        ga_cycle(sys);
+        sys.ga_cycle();
         golden_traj_.push_back(traj_entry(sys.core()));
     }
     golden_.best_fitness = sys.best_fitness();
@@ -62,18 +56,6 @@ SeuInjector::SeuInjector(InjectorConfig cfg) : cfg_(cfg) {
     preset_baseline_ = fault::preset_baseline(cfg_.fn, cfg_.fallback_preset);
 }
 
-bool SeuInjector::run_to_start(system::GaSystem& sys) const {
-    sys.kernel().reset();
-    sys.wires().preset.drive(0);
-    sys.wires().fitfunc_select.drive(0);
-    // Init handshake: 6 parameters x a few 200 MHz cycles each, with slack.
-    for (unsigned i = 0; i < 4096; ++i) {
-        if (sys.core().state() == GaCore::State::kStart) return true;
-        ga_cycle(sys);
-    }
-    return false;
-}
-
 FaultRecord SeuInjector::run_rtl(const FaultSite& site, InjectBackend backend) const {
     if (backend == InjectBackend::kLaneMask)
         throw std::invalid_argument("SeuInjector::run_rtl: kLaneMask runs via FaultCampaign");
@@ -81,7 +63,7 @@ FaultRecord SeuInjector::run_rtl(const FaultSite& site, InjectBackend backend) c
     system::GaSystemConfig scfg = system_config(cfg_);
     scfg.trace_sink = sink_;  // faulted runs stream full telemetry when set
     system::GaSystem sys(scfg);
-    if (!run_to_start(sys)) throw std::runtime_error("SeuInjector: optimizer never started");
+    if (!sys.start()) throw std::runtime_error("SeuInjector: optimizer never started");
     GaCore& core = sys.core();
     rtl::ScanChain& chain = core.scan_chain();
     const unsigned pos = chain.position_of(site.reg, site.bit);
@@ -94,7 +76,7 @@ FaultRecord SeuInjector::run_rtl(const FaultSite& site, InjectBackend backend) c
     while (c < site.cycle || !scan_safe_state(core.state())) {
         if (c >= golden_.ga_cycles)
             throw std::runtime_error("SeuInjector: no scan-safe cycle at/after site.cycle");
-        ga_cycle(sys);
+        sys.ga_cycle();
         ++c;
     }
     rec.inject_cycle = c;
@@ -113,7 +95,7 @@ FaultRecord SeuInjector::run_rtl(const FaultSite& site, InjectBackend backend) c
         for (unsigned i = 0; i < len; ++i) {
             const bool out = chain.tail();
             sys.wires().scanin.drive(out != (i == len - 1 - pos));
-            ga_cycle(sys);
+            sys.ga_cycle();
         }
         sys.wires().test.drive(false);
         sys.wires().scanin.drive(false);
@@ -135,7 +117,7 @@ FaultRecord SeuInjector::run_rtl(const FaultSite& site, InjectBackend backend) c
     const std::uint64_t watchdog = watchdog_cycles();
     bool diverged = false;
     while (core.state() != GaCore::State::kDone && c < watchdog) {
-        ga_cycle(sys);
+        sys.ga_cycle();
         ++c;
         if (sink_ != nullptr && !diverged) {
             const std::uint32_t got = traj_entry(core);
@@ -172,23 +154,19 @@ bool SeuInjector::validate_preset_fallback(const FaultSite& site, FaultRecord* o
     system::GaSystemConfig scfg = system_config(cfg_);
     scfg.trace_sink = sink_;  // the tap's `preset` event marks the fallback
     system::GaSystem sys(scfg);
-    if (!run_to_start(sys)) throw std::runtime_error("SeuInjector: optimizer never started");
+    if (!sys.start()) throw std::runtime_error("SeuInjector: optimizer never started");
     GaCore& core = sys.core();
 
     std::uint64_t c = 0;
     while (c < site.cycle || !scan_safe_state(core.state())) {
         if (c >= golden_.ga_cycles) return false;
-        ga_cycle(sys);
+        sys.ga_cycle();
         ++c;
     }
     core.scan_chain().flip(core.scan_chain().position_of(site.reg, site.bit));
     core.input_changed();
 
-    const std::uint64_t watchdog = watchdog_cycles();
-    while (core.state() != GaCore::State::kDone && c < watchdog) {
-        ga_cycle(sys);
-        ++c;
-    }
+    sys.run_to(system::GaSystem::kEnd, watchdog_cycles() - c);
     // The fallback only applies to watchdog trips that parked the FSM in
     // kIdle (anywhere else start_GA is not sampled and only reset helps).
     if (core.state() != GaCore::State::kIdle) return false;
@@ -200,20 +178,15 @@ bool SeuInjector::validate_preset_fallback(const FaultSite& site, FaultRecord* o
     // (possibly corrupted) programmed state.
     sys.wires().preset.drive(cfg_.fallback_preset & 0x3);
     sys.app_module().request_restart();
-    ga_cycle(sys);
-    ga_cycle(sys);
-    ga_cycle(sys);
-    ga_cycle(sys);
+    sys.ga_cycle();
+    sys.ga_cycle();
+    sys.ga_cycle();
+    sys.ga_cycle();
 
-    const core::GaParameters pp = core::preset_parameters(cfg_.fallback_preset);
-    const std::uint64_t fb_bound = static_cast<std::uint64_t>(pp.pop_size) *
-                                       (pp.n_gens + 1ull) * (64ull + 8ull * pp.pop_size) +
-                                   100'000ull;
-    std::uint64_t fc = 0;
-    while (core.state() != GaCore::State::kDone && fc < fb_bound) {
-        ga_cycle(sys);
-        ++fc;
-    }
+    const std::uint64_t fc =
+        sys.run_to(system::GaSystem::kEnd,
+                   core::cycle_bound(core::preset_parameters(cfg_.fallback_preset)))
+            .cycles;
 
     FaultRecord rec;
     rec.site = site;

@@ -109,10 +109,6 @@ private:
         return watchdog_budget(golden_.ga_cycles, cfg_.watchdog_factor);
     }
 
-    /// Drive `sys` from reset to the kStart cycle; returns false if the
-    /// init handshake never started the optimizer.
-    bool run_to_start(system::GaSystem& sys) const;
-
     InjectorConfig cfg_;
     GoldenRun golden_;
     GoldenRun preset_baseline_;

@@ -131,10 +131,7 @@ std::uint64_t BatchGateRunner::default_cycle_bound() const {
 
 std::uint64_t BatchGateRunner::lane_cycle_bound(unsigned lane) const {
     check_lane(lane);
-    const core::GaParameters eff = core::resolve_parameters(presets_[lane], params_[lane]);
-    const std::uint64_t evals = util::sat_mul_u64(eff.pop_size, std::uint64_t{eff.n_gens} + 1);
-    const std::uint64_t per_eval = util::sat_add_u64(64, util::sat_mul_u64(8, eff.pop_size));
-    return util::sat_add_u64(util::sat_mul_u64(evals, per_eval), 100'000ull);
+    return core::cycle_bound(core::resolve_parameters(presets_[lane], params_[lane]));
 }
 
 void BatchGateRunner::load_lane(unsigned lane, fitness::FitnessId fn,

@@ -3,33 +3,35 @@
 // migration interconnect parks every island at a generation-synchronous
 // barrier each `interval` generations, exchanges the best members along a
 // ring or star network, and releases the cores. The same system runs on
-// three bit-exact substrates, selected by supervisor::BackendKind:
+// three bit-exact substrates, selected by core::Substrate:
 //
 //   kRtl         N complete system::GaSystem instances (RT-level core, RNG,
 //                memory, init/app modules), each with a MigrationRegisterBus
-//                snooping its init handshake; islands advance cycle by cycle
-//                and park at the kGenCheck boundary (the single-cycle
-//                monitor-pulse window) while the interconnect pokes the
-//                current population bank through the simulator backdoor;
+//                snooping its init handshake; GaSystem::run_to() parks each
+//                island one edge past the barrier generation's monitor
+//                pulse while the interconnect pokes the current population
+//                bank through the simulator backdoor;
 //   kBehavioral  N core::BehavioralEngine instances stepped generation by
 //                generation — the executable spec of the same exchange;
-//   kGateLane    one gates::BatchGateRunner lane block (the compiled
+//   kGates       one gates::BatchGateRunner lane block (the compiled
 //                gate-level netlist, interpreter or JIT backend): island i
 //                is SIMD lane i, the barrier is per-lane clock gating
 //                (CompiledNetlist::clock_gated), and migration pokes the
 //                lane's software GA memory.
 //
-// Because all three substrates extract populations at the same observation
-// point (the post-E2 monitor-capture edge, current bank), feed them through
-// the one pure plan_migration() spec, and poke memory with the identical
-// semantics (stale fit_sum, untouched best registers), the per-island
-// trajectories AND the migration payloads are byte-identical everywhere —
-// the property tests/island/test_island_differential.cpp pins.
+// One run loop drives all three through a small per-substrate ensemble
+// (advance to a boundary, read populations, poke migrants). Because all
+// three extract populations at the same observation point (the post-E2
+// monitor-capture edge, current bank), feed them through the one pure
+// plan_migration() spec, and poke memory with the identical semantics
+// (stale fit_sum, untouched best registers), the per-island trajectories
+// AND the migration payloads are byte-identical everywhere — the property
+// tests/island/test_island_differential.cpp pins.
 //
 // Barrier-to-barrier segments are data-independent across islands, so the
-// RT-level and behavioral drivers parallelize them over `threads` workers
+// RT-level and behavioral ensembles parallelize them over `threads` workers
 // (util::parallel_for_n) without changing a single bit of the result; the
-// gate-lane driver is SIMD-parallel by construction and models the stall
+// gate-lane ensemble is SIMD-parallel by construction and models the stall
 // cycles a real N-core fabric would spend waiting at the barrier.
 #pragma once
 
@@ -38,13 +40,14 @@
 #include <vector>
 
 #include "core/params.hpp"
+#include "core/substrate.hpp"
 #include "fitness/functions.hpp"
 #include "gates/compiled.hpp"
 #include "island/migration.hpp"
 #include "prng/rng_module.hpp"
 #include "rtl/module.hpp"
 #include "rtl/signal.hpp"
-#include "supervisor/supervisor.hpp"
+#include "system/ga_system.hpp"
 #include "trace/event.hpp"
 
 namespace gaip::island {
@@ -93,6 +96,19 @@ private:
     rtl::Reg<std::uint16_t> count_policy_{"mig_count_policy", 0};
 };
 
+struct IslandConfig;
+
+/// One RT-level island: a GaSystem whose init program appends the
+/// interconnect's index-6/7 writes (the RAW requested values — the
+/// interconnect clamps on use, like the hardware), plus the register bus
+/// snooping its handshake. Shared by IslandSystem and SupervisedIslandSystem.
+struct RtlIsland {
+    RtlIsland(const IslandConfig& cfg, const core::GaParameters& eff, std::uint16_t seed);
+
+    std::unique_ptr<system::GaSystem> sys;
+    std::unique_ptr<MigrationRegisterBus> bus;
+};
+
 struct IslandConfig {
     fitness::FitnessId fn = fitness::FitnessId::kMBf6_2;
     /// Per-island GA parameters: pop_size is the SUBpopulation each island
@@ -107,7 +123,7 @@ struct IslandConfig {
     /// Requested migration registers — the RAW values the init handshake
     /// programs; every substrate applies the same decode + clamp.
     MigrationConfig migration{};
-    supervisor::BackendKind backend = supervisor::BackendKind::kBehavioral;
+    core::Substrate backend = core::Substrate::kBehavioral;
     /// Gate-lane substrate knobs (ignored elsewhere).
     gates::Backend gate_backend = gates::Backend::kAuto;
     unsigned words = 0;  ///< lane-block width in 64-lane words (0 = smallest fit)
@@ -184,9 +200,6 @@ public:
     IslandResult run();
 
 private:
-    IslandResult run_behavioral();
-    IslandResult run_rtl();
-    IslandResult run_gate();
     void emit(trace::TraceEvent e) const;
     void emit_boundary(std::uint32_t gen, const MigrationPlan& plan,
                        std::uint64_t makespan_so_far) const;

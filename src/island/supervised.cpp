@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 
-#include "island/rtl_driver.hpp"
 #include "util/worker_pool.hpp"
 
 namespace gaip::island {
 
 namespace {
 
-using detail::RtlIsland;
+using system::GaSystem;
 using supervisor::AttemptInfo;
 using supervisor::Checkpoint;
 using supervisor::Rung;
@@ -19,18 +19,31 @@ using supervisor::Rung;
 /// One supervised island: the live system plus its rollback anchor and the
 /// trajectory stitched across system replacements.
 struct SupIsland {
-    RtlIsland isl;
+    std::optional<RtlIsland> isl;
     Checkpoint cp;                      ///< last good barrier snapshot
     std::int64_t last_traj_gen = -1;    ///< highest generation appended
     std::vector<std::uint16_t> traj;
     std::uint64_t cycle_base = 0;       ///< cumulative run cycles (hook numbering)
+    std::uint64_t run_cycles = 0;
+    std::uint64_t stall_cycles = 0;
 };
+
+/// A fresh island system through its init handshake with the start pulse
+/// drained, ready for the gen-0 anchor or a checkpoint restore. Returns
+/// false on a handshake timeout.
+bool start_island(SupIsland& m, const IslandConfig& cfg, const core::GaParameters& eff,
+                  std::uint16_t seed) {
+    m.isl.emplace(cfg, eff, seed);
+    if (!m.isl->sys->start()) return false;
+    m.isl->sys->drain_start_pulse();
+    return true;
+}
 
 /// Append the monitor history entries the current system produced since the
 /// last stitch. Survives system replacement on rollback: a restored run's
 /// fresh monitor only ever sees generations past the checkpoint.
 void stitch_trajectory(SupIsland& m) {
-    for (const core::GenerationStats& gs : m.isl.sys->monitor().history()) {
+    for (const core::GenerationStats& gs : m.isl->sys->monitor().history()) {
         if (static_cast<std::int64_t>(gs.gen) > m.last_traj_gen) {
             m.traj.push_back(gs.best_fit);
             m.last_traj_gen = gs.gen;
@@ -42,7 +55,7 @@ void stitch_trajectory(SupIsland& m) {
 
 SupervisedIslandSystem::SupervisedIslandSystem(SupervisedIslandConfig cfg)
     : cfg_(std::move(cfg)) {
-    if (cfg_.islands.backend != supervisor::BackendKind::kRtl)
+    if (cfg_.islands.backend != core::Substrate::kRtl)
         throw std::invalid_argument(
             "SupervisedIslandSystem: checkpoint rollback requires the RT-level substrate");
     // Reuse IslandSystem's structural validation and derived schedule.
@@ -62,23 +75,24 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
     const unsigned n = cfg_.islands.islands;
     // A fault-injection hook must never run concurrently.
     const unsigned threads = cfg_.hook ? 1 : cfg_.islands.threads;
-    const std::uint64_t per_gen = detail::per_generation_cycles(eff_params_);
+    // GA cycles one generation costs (evaluation handshakes + selection scan).
+    const std::uint64_t per_gen =
+        std::uint64_t{eff_params_.pop_size} * (64ull + 8ull * eff_params_.pop_size);
 
     ReplicaOutcome out;
     std::vector<SupIsland> isls(n);
     std::atomic<bool> init_ok{true};
     util::parallel_for_n(threads, n, [&](std::size_t i) {
-        detail::build_rtl_island(isls[i].isl, cfg_.islands, eff_params_, seeds_[i]);
         // Drain the start pulse before the gen-0 anchor: restores must not
         // re-trigger the RNG's seed-reload edge.
-        if (!detail::init_rtl_island(isls[i].isl, /*drain_start_pulse=*/true)) init_ok = false;
+        if (!start_island(isls[i], cfg_.islands, eff_params_, seeds_[i])) init_ok = false;
     });
     if (!init_ok.load()) {
         out.abort_reason = "island init handshake timed out";
         return out;
     }
     for (unsigned i = 0; i < n; ++i) {
-        isls[i].cp = supervisor::capture_checkpoint(*isls[i].isl.sys, 0);
+        isls[i].cp = supervisor::capture_checkpoint(*isls[i].isl->sys, 0);
         ++rep.checkpoints;
     }
 
@@ -103,9 +117,11 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
             info.resumed = attempt > 0;
             info.resumed_gen = attempt > 0 ? isls[i].cp.generation : 0;
             const std::uint64_t budget = budget0 << attempt;
-            const detail::AdvanceResult a =
-                detail::advance_rtl(isls[i].isl, target, budget, cfg_.hook ? &cfg_.hook : nullptr,
-                                    &info, isls[i].cycle_base);
+            GaSystem& sys = *isls[i].isl->sys;
+            GaSystem::CycleFn on_cycle;
+            if (cfg_.hook)
+                on_cycle = [&](std::uint64_t c) { cfg_.hook(sys, info, isls[i].cycle_base + c); };
+            const GaSystem::Advance a = sys.run_to(target, budget, on_cycle);
             if (a.ok) {
                 seg[i] = a.cycles;
                 isls[i].cycle_base += a.cycles;
@@ -116,15 +132,14 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
                      .add("replica", std::uint64_t{replica})
                      .add("island", std::uint64_t{i})
                      .add("budget", budget)
-                     .add("state", std::uint64_t{a.final_state}));
+                     .add("state", static_cast<std::uint64_t>(sys.state())));
             if (attempt == cfg_.max_retries) break;
             // Roll back ONLY this island: fresh system, restored snapshot.
-            detail::build_rtl_island(isls[i].isl, cfg_.islands, eff_params_, seeds_[i]);
-            if (!detail::init_rtl_island(isls[i].isl, /*drain_start_pulse=*/true)) {
+            if (!start_island(isls[i], cfg_.islands, eff_params_, seeds_[i])) {
                 fail[i] = "rollback init handshake timed out";
                 return;
             }
-            supervisor::restore_checkpoint(*isls[i].isl.sys, isls[i].cp);
+            supervisor::restore_checkpoint(*isls[i].isl->sys, isls[i].cp);
             ++rep.rollbacks;
             emit(trace::TraceEvent(trace::kind::kIslandRollback, 0, isls[i].cycle_base)
                      .add("replica", std::uint64_t{replica})
@@ -147,8 +162,8 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
         std::uint64_t seg_max = 0;
         for (unsigned i = 0; i < n; ++i) seg_max = std::max(seg_max, seg[i]);
         for (unsigned i = 0; i < n; ++i) {
-            isls[i].isl.run_cycles += seg[i];
-            if (barrier) isls[i].isl.stall_cycles += seg_max - seg[i];
+            isls[i].run_cycles += seg[i];
+            if (barrier) isls[i].stall_cycles += seg_max - seg[i];
             stitch_trajectory(isls[i]);
         }
         return true;
@@ -159,18 +174,11 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
         prev_gen = g;
 
         std::vector<std::vector<core::Member>> pops(n);
-        std::vector<bool> banks(n);
-        for (unsigned i = 0; i < n; ++i) {
-            banks[i] = isls[i].isl.sys->core().current_bank();
-            pops[i] = detail::members_from_memory(isls[i].isl.sys->memory(), banks[i],
-                                                  eff_params_.pop_size);
-        }
+        for (unsigned i = 0; i < n; ++i) pops[i] = isls[i].isl->sys->population();
         const MigrationPlan plan = plan_migration(pops, cfg_.islands.topology, eff_mig_,
                                                   mig_rng, g);
         for (const MigrationRecord& rec : plan.records)
-            isls[rec.to].isl.sys->memory().poke(
-                mem::bank_address(banks[rec.to], rec.dst_slot),
-                mem::pack_member(rec.member.candidate, rec.member.fitness));
+            isls[rec.to].isl->sys->poke_member(rec.dst_slot, rec.member);
         migrations.insert(migrations.end(), plan.records.begin(), plan.records.end());
         emit(trace::TraceEvent(trace::kind::kIslandBarrier, 0, g)
                  .add("replica", std::uint64_t{replica})
@@ -180,7 +188,7 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
         // New rollback anchors: the post-migration park point, so a retry
         // re-runs the segment with its imports already in place.
         for (unsigned i = 0; i < n; ++i) {
-            isls[i].cp = supervisor::capture_checkpoint(*isls[i].isl.sys, isls[i].cycle_base);
+            isls[i].cp = supervisor::capture_checkpoint(*isls[i].isl->sys, isls[i].cycle_base);
             ++rep.checkpoints;
             emit(trace::TraceEvent(trace::kind::kSupCheckpoint, 0, isls[i].cycle_base)
                      .add("replica", std::uint64_t{replica})
@@ -188,7 +196,7 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
                      .add("gen", std::uint64_t{g}));
         }
     }
-    if (!run_all(UINT32_MAX, eff_params_.n_gens - prev_gen, /*barrier=*/false)) return out;
+    if (!run_all(GaSystem::kEnd, eff_params_.n_gens - prev_gen, /*barrier=*/false)) return out;
 
     IslandResult& r = out.result;
     r.effective = eff_mig_;
@@ -198,12 +206,13 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
     for (unsigned i = 0; i < n; ++i) {
         IslandStats& s = r.islands[i];
         s.seed = seeds_[i];
-        s.best_fitness = isls[i].isl.sys->best_fitness();
-        s.best_candidate = isls[i].isl.sys->best_candidate();
-        s.generations = isls[i].isl.sys->core().generation();
-        s.evaluations = isls[i].isl.sys->fitness_evaluations();
-        s.run_cycles = isls[i].isl.run_cycles;
-        s.stall_cycles = isls[i].isl.stall_cycles;
+        const GaSystem& sys = *isls[i].isl->sys;
+        s.best_fitness = sys.best_fitness();
+        s.best_candidate = sys.best_candidate();
+        s.generations = sys.generation();
+        s.evaluations = sys.fitness_evaluations();
+        s.run_cycles = isls[i].run_cycles;
+        s.stall_cycles = isls[i].stall_cycles;
         s.best_trajectory = std::move(isls[i].traj);
         if (s.best_fitness > r.best_fitness) {
             r.best_fitness = s.best_fitness;
@@ -212,8 +221,8 @@ SupervisedIslandSystem::ReplicaOutcome SupervisedIslandSystem::run_replica(
         }
         r.makespan_cycles = std::max(r.makespan_cycles, s.run_cycles + s.stall_cycles);
     }
-    r.bus_interval_reg = isls[0].isl.bus->interval_reg();
-    r.bus_count_reg = isls[0].isl.bus->count_policy_reg();
+    r.bus_interval_reg = isls[0].isl->bus->interval_reg();
+    r.bus_count_reg = isls[0].isl->bus->count_policy_reg();
     out.ok = true;
     return out;
 }

@@ -202,7 +202,7 @@ Frame Client::rpc(const Frame& req) {
 Frame submit_frame(const JobSpec& spec) {
     Frame f(verb::kSubmit);
     f.add("fitness", fitness::fitness_name(spec.fn));
-    f.add("backend", job_backend_name(spec.backend));
+    f.add("backend", core::substrate_name(spec.backend));
     f.add("pop", std::uint64_t{spec.params.pop_size});
     f.add("gens", std::uint64_t{spec.params.n_gens});
     f.add("xover", std::uint64_t{spec.params.xover_threshold});

@@ -1,5 +1,6 @@
 #include "service/job.hpp"
 
+#include <optional>
 #include <set>
 
 namespace gaip::service {
@@ -19,10 +20,8 @@ fitness::FitnessId fitness_by_name(const std::string& name) {
 
 namespace {
 
-JobBackend backend_by_name(const std::string& name) {
-    if (name == "rtl") return JobBackend::kRtl;
-    if (name == "behavioral") return JobBackend::kBehavioral;
-    if (name == "gates") return JobBackend::kGates;
+core::Substrate backend_by_name(const std::string& name) {
+    if (const std::optional<core::Substrate> s = core::parse_substrate(name)) return *s;
     throw ProtocolError(err::kBadField,
                         "unknown backend '" + name + "' (rtl|behavioral|gates)");
 }
@@ -101,7 +100,7 @@ JobSpec parse_job_spec(const Frame& f) {
 
     // The supervised ensemble's checkpoint/rollback machinery is the
     // RT-level scan-chain path (island/supervised.hpp).
-    if (s.supervise && s.islands > 0 && s.backend != JobBackend::kRtl)
+    if (s.supervise && s.islands > 0 && s.backend != core::Substrate::kRtl)
         throw ProtocolError(err::kBadField,
                             "supervised island jobs require backend 'rtl'");
     return s;
@@ -109,7 +108,7 @@ JobSpec parse_job_spec(const Frame& f) {
 
 void add_spec_fields(Frame& f, const JobSpec& spec) {
     f.add("fitness", fitness::fitness_name(spec.fn));
-    f.add("backend", job_backend_name(spec.backend));
+    f.add("backend", core::substrate_name(spec.backend));
     f.add("pop", std::uint64_t{spec.params.pop_size});
     f.add("gens", std::uint64_t{spec.params.n_gens});
     f.add("xover", std::uint64_t{spec.params.xover_threshold});

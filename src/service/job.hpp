@@ -24,23 +24,16 @@
 #include <string>
 
 #include "core/params.hpp"
+#include "core/substrate.hpp"
 #include "fitness/functions.hpp"
 #include "island/migration.hpp"
 #include "service/protocol.hpp"
 
 namespace gaip::service {
 
-/// Simulation substrate names of the job API (the `backend` field).
-enum class JobBackend : std::uint8_t { kRtl = 0, kBehavioral, kGates };
-
-inline const char* job_backend_name(JobBackend b) noexcept {
-    switch (b) {
-        case JobBackend::kRtl: return "rtl";
-        case JobBackend::kBehavioral: return "behavioral";
-        case JobBackend::kGates: return "gates";
-    }
-    return "?";
-}
+/// Old name of core::Substrate (the `backend` field), kept while perfbench/
+/// still spells it; the benchmark change of ROADMAP item 7 deletes it.
+using JobBackend = core::Substrate;
 
 enum class JobState : std::uint8_t {
     kQueued = 0,
@@ -69,7 +62,7 @@ inline const char* job_state_name(JobState s) noexcept {
 struct JobSpec {
     fitness::FitnessId fn = fitness::FitnessId::kMBf6_2;
     core::GaParameters params{};
-    JobBackend backend = JobBackend::kGates;
+    core::Substrate backend = core::Substrate::kGates;
     unsigned words = 0;    ///< gate lane-block width hint (0/1/2/4/8; 0 = auto)
     unsigned islands = 0;  ///< 0 = single-engine job, >= 1 = island ensemble
     island::Topology topology = island::Topology::kRing;

@@ -132,7 +132,7 @@ std::uint32_t crc32(const void* data, std::size_t n) noexcept {
 
 void add_journal_spec_fields(Frame& f, const JobSpec& spec) {
     f.add("fitness", fitness::fitness_name(spec.fn));
-    f.add("backend", job_backend_name(spec.backend));
+    f.add("backend", core::substrate_name(spec.backend));
     f.add("pop", std::uint64_t{spec.params.pop_size});
     f.add("gens", std::uint64_t{spec.params.n_gens});
     f.add("xover", std::uint64_t{spec.params.xover_threshold});

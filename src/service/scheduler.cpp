@@ -16,19 +16,10 @@ namespace gaip::service {
 
 namespace {
 
-supervisor::BackendKind to_supervisor_backend(JobBackend b) noexcept {
-    switch (b) {
-        case JobBackend::kRtl: return supervisor::BackendKind::kRtl;
-        case JobBackend::kBehavioral: return supervisor::BackendKind::kBehavioral;
-        case JobBackend::kGates: return supervisor::BackendKind::kGateLane;
-    }
-    return supervisor::BackendKind::kBehavioral;
-}
-
 /// Gate jobs are packable when nothing job-specific escapes the lane:
 /// plain single-engine, unsupervised runs.
 bool batchable(const JobSpec& s) noexcept {
-    return s.backend == JobBackend::kGates && s.islands == 0 && !s.supervise;
+    return s.backend == core::Substrate::kGates && s.islands == 0 && !s.supervise;
 }
 
 }  // namespace
@@ -96,7 +87,7 @@ void Scheduler::mark_running(const JobPtr& j, Clock::time_point now) {
 void Scheduler::emit_start(const JobPtr& j) {
     trace::TraceEvent e("job_start", 0, 0);
     e.add("id", j->rec.id);
-    e.add("backend", job_backend_name(j->rec.spec.backend));
+    e.add("backend", core::substrate_name(j->rec.spec.backend));
     emit_metric(std::move(e));
 }
 
@@ -164,7 +155,7 @@ std::uint64_t Scheduler::submit(const JobSpec& spec) {
     trace::TraceEvent e("job_submit", 0, 0);
     e.add("id", j->rec.id);
     e.add("fitness", fitness::fitness_name(spec.fn));
-    e.add("backend", job_backend_name(spec.backend));
+    e.add("backend", core::substrate_name(spec.backend));
     if (spec.islands != 0) e.add("islands", std::uint64_t{spec.islands});
     if (spec.supervise) e.add("supervise", std::uint64_t{1});
     emit_metric(std::move(e));
@@ -301,7 +292,7 @@ void Scheduler::readmit(const JobRecord& rec) {
     cv_.notify_one();
     trace::TraceEvent e("job_readmit", 0, 0);
     e.add("id", rec.id);
-    e.add("backend", job_backend_name(rec.spec.backend));
+    e.add("backend", core::substrate_name(rec.spec.backend));
     emit_metric(std::move(e));
 }
 
@@ -492,9 +483,9 @@ void Scheduler::commit(const JobPtr& j, JobState state, const JobOutcome& outcom
                 counters_.evals_total += outcome.evaluations;
                 counters_.rollbacks_total += outcome.rollbacks;
                 switch (rec.spec.backend) {
-                    case JobBackend::kRtl: ++counters_.done_rtl; break;
-                    case JobBackend::kBehavioral: ++counters_.done_behavioral; break;
-                    case JobBackend::kGates: ++counters_.done_gates; break;
+                    case core::Substrate::kRtl: ++counters_.done_rtl; break;
+                    case core::Substrate::kBehavioral: ++counters_.done_behavioral; break;
+                    case core::Substrate::kGates: ++counters_.done_gates; break;
                 }
                 if (rec.spec.islands != 0) ++counters_.done_islands;
                 if (rec.spec.supervise) ++counters_.done_supervised;
@@ -517,7 +508,7 @@ void Scheduler::commit(const JobPtr& j, JobState state, const JobOutcome& outcom
     if (state == JobState::kExpired) metric_kind = "job_expire";
     trace::TraceEvent e(metric_kind, 0, 0);
     e.add("id", rec.id);
-    e.add("backend", job_backend_name(rec.spec.backend));
+    e.add("backend", core::substrate_name(rec.spec.backend));
     if (state == JobState::kDone) {
         e.add("best_fitness", std::uint64_t{outcome.best_fitness});
         e.add("generations", std::uint64_t{outcome.generations});
@@ -593,73 +584,80 @@ void Scheduler::run_single(const JobPtr& j) {
             run_island_job(j);
         } else if (j->rec.spec.supervise) {
             run_supervised_job(j);
-        } else if (j->rec.spec.backend == JobBackend::kBehavioral) {
-            run_behavioral_job(j);
-        } else if (j->rec.spec.backend == JobBackend::kRtl) {
-            run_rtl_job(j);
-        } else {
+        } else if (j->rec.spec.backend == core::Substrate::kGates) {
             throw std::logic_error("plain gates jobs run as lanes of a gate block");
+        } else {
+            run_engine_job(j);
         }
     } catch (const std::exception& ex) {
         finish(j, JobState::kFailed, {}, ex.what());
     }
 }
 
-void Scheduler::run_behavioral_job(const JobPtr& j) {
+void Scheduler::run_engine_job(const JobPtr& j) {
     const JobSpec& spec = j->rec.spec;
-    core::BehavioralEngine eng(spec.params, core::rom_fitness(spec.fn),
-                               prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
-    while (!eng.done()) {
-        if (j->cancel.load(std::memory_order_relaxed)) {
-            finish(j, JobState::kCancelled, {});
-            return;
+    // The one loop of both resumable engines: check cancel and deadline,
+    // then advance one generation. False when the job ended early.
+    const auto drive = [&](const auto& engine, const auto& advance) {
+        while (!engine.done()) {
+            if (j->cancel.load(std::memory_order_relaxed)) {
+                finish(j, JobState::kCancelled, {});
+                return false;
+            }
+            if (past_deadline(j)) {
+                finish(j, JobState::kExpired, {});
+                return false;
+            }
+            advance();
         }
-        if (past_deadline(j)) {
-            finish(j, JobState::kExpired, {});
-            return;
-        }
-        eng.step_generation();
+        return true;
+    };
+    JobOutcome out;
+    if (spec.backend == core::Substrate::kRtl) {
+        system::GaSystemConfig cfg;
+        cfg.params = spec.params;
+        cfg.internal_fems = {spec.fn};
+        cfg.keep_populations = false;
+        cfg.trace_sink = j.get();  // the RT-level tap streams its own events
+        system::GaSystem sys(cfg);
+        if (!sys.start()) throw std::runtime_error("GaSystem: init handshake timed out");
+        const std::uint64_t bound = sys.cycle_bound();
+        const bool ran = drive(sys, [&] {
+            const std::uint32_t next = std::min(sys.generation() + 1, spec.params.n_gens);
+            if (!sys.run_to(next, bound).ok)
+                throw std::runtime_error("GaSystem: generation missed its cycle bound");
+        });
+        if (!ran) return;
+        out.evaluations = sys.finish().evaluations;
+        out.best_fitness = sys.best_fitness();
+        out.best_candidate = sys.best_candidate();
+        out.generations = sys.generation();
+    } else {
+        core::BehavioralEngine eng(spec.params, core::rom_fitness(spec.fn),
+                                   prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
+        const bool ran = drive(eng, [&] {
+            eng.step_generation();
+            if (j->streaming()) {
+                trace::TraceEvent e(trace::kind::kGeneration, 0, 0);
+                e.add("gen", std::uint64_t{eng.generation()});
+                e.add("best_fit", std::uint64_t{eng.best_fitness()});
+                e.add("best_ind", std::uint64_t{eng.best_candidate()});
+                j->on_event(e);
+            }
+        });
+        if (!ran) return;
+        out.evaluations = eng.evaluations();
+        out.best_fitness = eng.best_fitness();
+        out.best_candidate = eng.best_candidate();
+        out.generations = eng.generation();
         if (j->streaming()) {
-            trace::TraceEvent e(trace::kind::kGeneration, 0, 0);
-            e.add("gen", std::uint64_t{eng.generation()});
-            e.add("best_fit", std::uint64_t{eng.best_fitness()});
-            e.add("best_ind", std::uint64_t{eng.best_candidate()});
+            trace::TraceEvent e(trace::kind::kDone, 0, 0);
+            e.add("best_fit", std::uint64_t{out.best_fitness});
+            e.add("best_ind", std::uint64_t{out.best_candidate});
             j->on_event(e);
         }
     }
-    JobOutcome out;
-    out.best_fitness = eng.best_fitness();
-    out.best_candidate = eng.best_candidate();
-    out.generations = eng.generation();
-    out.evaluations = eng.evaluations();
-    if (j->streaming()) {
-        trace::TraceEvent e(trace::kind::kDone, 0, 0);
-        e.add("best_fit", std::uint64_t{out.best_fitness});
-        e.add("best_ind", std::uint64_t{out.best_candidate});
-        j->on_event(e);
-    }
     finish(j, past_deadline(j) ? JobState::kExpired : JobState::kDone, out);
-}
-
-void Scheduler::run_rtl_job(const JobPtr& j) {
-    const JobSpec& spec = j->rec.spec;
-    system::GaSystemConfig cfg;
-    cfg.params = spec.params;
-    cfg.internal_fems = {spec.fn};
-    cfg.fitfunc_select = 0;
-    cfg.keep_populations = false;
-    cfg.trace_sink = j.get();
-    const core::RunResult r = system::run_ga_system(cfg);
-    JobOutcome out;
-    out.best_fitness = r.best_fitness;
-    out.best_candidate = r.best_candidate;
-    out.generations = spec.params.n_gens;
-    out.evaluations = r.evaluations;
-    if (j->cancel.load(std::memory_order_relaxed)) {
-        finish(j, JobState::kCancelled, {});  // arrived mid-run; result discarded
-    } else {
-        finish(j, past_deadline(j) ? JobState::kExpired : JobState::kDone, out);
-    }
 }
 
 void Scheduler::run_island_job(const JobPtr& j) {
@@ -670,7 +668,7 @@ void Scheduler::run_island_job(const JobPtr& j) {
     ic.islands = spec.islands;
     ic.topology = spec.topology;
     ic.migration = spec.migration;
-    ic.backend = to_supervisor_backend(spec.backend);
+    ic.backend = spec.backend;
     ic.gate_backend = cfg_.gate_backend;
     ic.words = spec.words;
     ic.sink = j.get();
@@ -710,7 +708,7 @@ void Scheduler::run_supervised_job(const JobPtr& j) {
     supervisor::SupervisorConfig sc;
     sc.fn = spec.fn;
     sc.params = spec.params;
-    sc.backend = to_supervisor_backend(spec.backend);
+    sc.backend = spec.backend;
     sc.sink = j.get();
     supervisor::MissionSupervisor sup(sc);
     const supervisor::SupervisorReport rep = sup.run();

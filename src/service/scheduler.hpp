@@ -18,9 +18,9 @@
 //     returns to the queue, so nothing starves behind a stream of gates
 //     jobs. A per-worker cached runner (BatchGateRunner::reconfigure)
 //     pays for the two compiled netlists once per worker and width;
-//   * behavioral jobs run the resumable BehavioralEngine one generation at
-//     a time — the cancel/deadline check points;
-//   * rtl jobs run a complete system::GaSystem;
+//   * behavioral and rtl jobs share one loop over a resumable engine
+//     (core::BehavioralEngine, system::GaSystem::run_to) that advances one
+//     generation at a time — the cancel/deadline check points;
 //   * island jobs map to island::IslandSystem ensembles (supervised island
 //     jobs to SupervisedIslandSystem), supervised jobs to the
 //     MissionSupervisor ladder.
@@ -31,11 +31,11 @@
 // one-lane direct run, wherever and whenever it entered its block
 // (asserted by tests/service/test_service_differential.cpp).
 //
-// Cancellation is cooperative: behavioral jobs stop at the next generation
-// boundary, gate lanes at the next check window (~2k cycles) while the
-// rest of their block runs on; monolithic rtl/island/supervised runs are
-// cancelled between runs, or their finished result is discarded when the
-// flag arrives mid-run. Deadlines follow the same checkpoints; a job
+// Cancellation is cooperative: behavioral and rtl jobs stop at the next
+// generation boundary, gate lanes at the next check window (~2k cycles)
+// while the rest of their block runs on; monolithic island/supervised runs
+// are cancelled between runs, or their finished result is discarded when
+// the flag arrives mid-run. Deadlines follow the same checkpoints; a job
 // finishing past its deadline is `expired` and counts as a deadline miss.
 //
 // Journal writes never run under the scheduler mutex: submit allocates the
@@ -211,8 +211,9 @@ private:
     /// has stopped for this block.
     bool refill_lanes(gates::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
                       std::size_t& live);
-    void run_behavioral_job(const JobPtr& j);
-    void run_rtl_job(const JobPtr& j);
+    /// A plain behavioral or RT-level job: generation by generation, so
+    /// cancel, deadline and stop() end it at the next generation boundary.
+    void run_engine_job(const JobPtr& j);
     void run_island_job(const JobPtr& j);
     void run_supervised_job(const JobPtr& j);
 

@@ -20,12 +20,8 @@ namespace {
 
 using core::GaCore;
 
-/// Init-handshake cycle bound: 6 parameters x a few 200 MHz cycles each,
-/// with wide slack (same bound the SEU injector uses).
-constexpr std::uint64_t kInitBound = 4096;
-
-/// One 50 MHz GA cycle (the 200 MHz peripheral domain advances inside).
-void ga_cycle(system::GaSystem& sys) { sys.kernel().run_cycles(sys.ga_clock(), 1); }
+using core::Substrate;
+using system::kInitBound;
 
 system::GaSystemConfig system_config(const SupervisorConfig& cfg, std::uint16_t seed) {
     system::GaSystemConfig scfg;
@@ -54,12 +50,43 @@ bool effective_params_intact(system::GaSystem& sys, const core::GaParameters& re
     return sys.core().effective_parameters() == want;
 }
 
-/// Formula cycle bound used across the repo for a fault-free run.
-std::uint64_t formula_cycles(const core::GaParameters& params) {
-    const core::GaParameters eff = core::resolve_parameters(0, params);
-    const std::uint64_t evals = static_cast<std::uint64_t>(eff.pop_size) *
-                                (static_cast<std::uint64_t>(eff.n_gens) + 1);
-    return evals * (64ull + 8ull * eff.pop_size) + 100'000ull;
+/// The supervisor hook as a GaSystem cycle callback numbering cycles from
+/// `base` (empty when no hook is set).
+system::GaSystem::CycleFn hook_fn(const CycleHook& hook, system::GaSystem& sys,
+                                  const AttemptInfo& info, std::uint64_t base) {
+    if (!hook) return {};
+    return [&hook, &sys, info, base](std::uint64_t c) { hook(sys, info, base + c); };
+}
+
+/// A fresh record of the attempt `info` describes.
+AttemptRecord attempt_record(const AttemptInfo& info, Substrate backend, std::uint16_t seed,
+                             std::uint64_t budget) {
+    AttemptRecord rec;
+    rec.replica = info.replica;
+    rec.attempt = info.attempt;
+    rec.rung = info.rung;
+    rec.backend = backend;
+    rec.resumed = info.resumed;
+    rec.resumed_gen = info.resumed_gen;
+    rec.seed = seed;
+    rec.budget = budget;
+    return rec;
+}
+
+/// Fill `rec` from where a bounded RT-level run stopped: finished at
+/// GA_done, or a watchdog trip that left the FSM in kIdle or wedged it.
+void record_stop(AttemptRecord& rec, system::GaSystem& sys) {
+    const GaCore::State st = sys.state();
+    rec.final_state = static_cast<std::uint8_t>(st);
+    if (st == GaCore::State::kDone) {
+        rec.outcome = AttemptOutcome::kFinished;
+        rec.best_fitness = sys.best_fitness();
+        rec.best_candidate = sys.best_candidate();
+        rec.generations = sys.generation();
+    } else {
+        rec.outcome = st == GaCore::State::kIdle ? AttemptOutcome::kWatchdogIdle
+                                                 : AttemptOutcome::kWatchdogWedged;
+    }
 }
 
 }  // namespace
@@ -106,7 +133,8 @@ MissionSupervisor::MissionSupervisor(SupervisorConfig cfg) : cfg_(std::move(cfg)
         throw std::invalid_argument("MissionSupervisor: replica_backends must have nmr entries");
 
     expected_cycles_ = cfg_.expected_cycles != 0 ? cfg_.expected_cycles
-                                                 : formula_cycles(cfg_.params);
+                                                 : core::cycle_bound(core::resolve_parameters(
+                                                       0, cfg_.params));
     budget0_ = fault::watchdog_budget(expected_cycles_, cfg_.watchdog_factor);
 
     // Exact post-fallback result, known without a long simulation, so the
@@ -115,7 +143,7 @@ MissionSupervisor::MissionSupervisor(SupervisorConfig cfg) : cfg_(std::move(cfg)
         preset_baseline_ = fault::preset_baseline(cfg_.fn, cfg_.ladder.fallback_preset);
 }
 
-BackendKind MissionSupervisor::replica_backend(unsigned r) const {
+Substrate MissionSupervisor::replica_backend(unsigned r) const {
     return cfg_.replica_backends.empty() ? cfg_.backend : cfg_.replica_backends[r];
 }
 
@@ -127,18 +155,18 @@ void MissionSupervisor::emit(trace::TraceEvent e) const {
     if (cfg_.sink != nullptr) cfg_.sink->on_event(e);
 }
 
-AttemptRecord MissionSupervisor::run_attempt(BackendKind backend, const AttemptInfo& info,
+AttemptRecord MissionSupervisor::run_attempt(Substrate backend, const AttemptInfo& info,
                                              std::uint16_t seed, std::uint64_t budget,
                                              const Checkpoint* resume,
                                              std::vector<Checkpoint>* checkpoints,
                                              SupervisorReport& rep,
                                              std::unique_ptr<system::GaSystem>* keep_idle_sys) {
     switch (backend) {
-        case BackendKind::kRtl:
+        case Substrate::kRtl:
             return run_rtl_attempt(info, seed, budget, resume, checkpoints, rep, keep_idle_sys);
-        case BackendKind::kBehavioral:
+        case Substrate::kBehavioral:
             return run_behavioral_attempt(info, seed);
-        case BackendKind::kGateLane:
+        case Substrate::kGates:
             return run_gate_attempt(info, seed, budget, /*preset=*/0);
     }
     throw std::logic_error("MissionSupervisor: unknown backend");
@@ -149,35 +177,15 @@ AttemptRecord MissionSupervisor::run_rtl_attempt(const AttemptInfo& info, std::u
                                                  std::vector<Checkpoint>* checkpoints,
                                                  SupervisorReport& rep,
                                                  std::unique_ptr<system::GaSystem>* keep_idle_sys) {
-    AttemptRecord rec;
-    rec.replica = info.replica;
-    rec.attempt = info.attempt;
-    rec.rung = info.rung;
-    rec.backend = BackendKind::kRtl;
-    rec.seed = seed;
-    rec.budget = budget;
-    rec.resumed = resume != nullptr;
-    rec.resumed_gen = resume != nullptr ? resume->generation : 0;
+    AttemptRecord rec = attempt_record(info, Substrate::kRtl, seed, budget);
 
     auto sys = std::make_unique<system::GaSystem>(system_config(cfg_, seed));
-    sys->kernel().reset();
-    sys->wires().preset.drive(0);
-    sys->wires().fitfunc_select.drive(0);
 
     // Init handshake (hook sees it with in_init = true; a hook that freezes
     // the handshake produces the kInitTimeout outcome the retries cover).
     AttemptInfo init_info = info;
     init_info.in_init = true;
-    bool started = false;
-    for (std::uint64_t i = 0; i < kInitBound; ++i) {
-        if (sys->core().state() == GaCore::State::kStart) {
-            started = true;
-            break;
-        }
-        ga_cycle(*sys);
-        if (cfg_.hook) cfg_.hook(*sys, init_info, i + 1);
-    }
-    if (!started) {
+    if (!sys->start(hook_fn(cfg_.hook, *sys, init_info, 0))) {
         rec.outcome = AttemptOutcome::kInitTimeout;
         rec.cycles = kInitBound;
         rec.final_state = static_cast<std::uint8_t>(sys->core().state());
@@ -188,7 +196,7 @@ AttemptRecord MissionSupervisor::run_rtl_attempt(const AttemptInfo& info, std::u
         // Let the start pulse fall before overwriting state: a still-high
         // start_GA would hit the RNG's seed-reload edge detector after the
         // restore and clobber the checkpointed CA state.
-        for (unsigned g = 0; g < 32 && sys->wires().start_ga.read(); ++g) ga_cycle(*sys);
+        sys->drain_start_pulse();
         restore_checkpoint(*sys, *resume);
     }
 
@@ -201,7 +209,7 @@ AttemptRecord MissionSupervisor::run_rtl_attempt(const AttemptInfo& info, std::u
     // resumed retry would re-run the corrupted job and finish "cleanly".
     const std::uint32_t gen_limit = core::resolve_parameters(0, cfg_.params).n_gens;
     while (sys->core().state() != GaCore::State::kDone && c < budget) {
-        ga_cycle(*sys);
+        sys->ga_cycle();
         ++c;
         const GaCore::State st = sys->core().state();
         // Checkpoint at the kGenCheck entry edge (generation boundary; no
@@ -226,40 +234,26 @@ AttemptRecord MissionSupervisor::run_rtl_attempt(const AttemptInfo& info, std::u
     }
 
     rec.cycles = c;
-    const GaCore::State final_state = sys->core().state();
-    rec.final_state = static_cast<std::uint8_t>(final_state);
-    if (final_state == GaCore::State::kDone) {
-        if (!effective_params_intact(*sys, cfg_.params)) {
-            // Finished, but not the requested job: an upset effective
-            // parameter register (possibly restored from a snapshot taken
-            // before the capture-time guard existed in the ladder walk) ran
-            // a different GA to completion. Discard instead of delivering.
-            rec.outcome = AttemptOutcome::kCorrupted;
-        } else {
-            rec.outcome = AttemptOutcome::kFinished;
-            rec.best_fitness = sys->best_fitness();
-            rec.best_candidate = sys->best_candidate();
-            rec.generations = sys->core().generation();
-        }
-    } else if (final_state == GaCore::State::kIdle) {
-        rec.outcome = AttemptOutcome::kWatchdogIdle;
+    record_stop(rec, *sys);
+    if (rec.outcome == AttemptOutcome::kFinished && !effective_params_intact(*sys, cfg_.params)) {
+        // Finished, but not the requested job: an upset effective
+        // parameter register (possibly restored from a snapshot taken
+        // before the capture-time guard existed in the ladder walk) ran
+        // a different GA to completion. Discard instead of delivering.
+        rec.outcome = AttemptOutcome::kCorrupted;
+        rec.best_fitness = rec.best_candidate = 0;
+        rec.generations = 0;
+    } else if (rec.outcome == AttemptOutcome::kWatchdogIdle && keep_idle_sys != nullptr) {
         // Keep the tripped system alive: the restart and fallback rungs can
         // recover it in place (start_GA is sampled in kIdle — no reset).
-        if (keep_idle_sys != nullptr) *keep_idle_sys = std::move(sys);
-    } else {
-        rec.outcome = AttemptOutcome::kWatchdogWedged;
+        *keep_idle_sys = std::move(sys);
     }
     return rec;
 }
 
 AttemptRecord MissionSupervisor::run_behavioral_attempt(const AttemptInfo& info,
                                                         std::uint16_t seed) {
-    AttemptRecord rec;
-    rec.replica = info.replica;
-    rec.attempt = info.attempt;
-    rec.rung = info.rung;
-    rec.backend = BackendKind::kBehavioral;
-    rec.seed = seed;
+    AttemptRecord rec = attempt_record(info, Substrate::kBehavioral, seed, 0);
     core::GaParameters p = cfg_.params;
     p.seed = seed;
     const core::RunResult r = core::run_behavioral_ga(
@@ -274,13 +268,7 @@ AttemptRecord MissionSupervisor::run_behavioral_attempt(const AttemptInfo& info,
 
 AttemptRecord MissionSupervisor::run_gate_attempt(const AttemptInfo& info, std::uint16_t seed,
                                                   std::uint64_t budget, std::uint8_t preset) {
-    AttemptRecord rec;
-    rec.replica = info.replica;
-    rec.attempt = info.attempt;
-    rec.rung = info.rung;
-    rec.backend = BackendKind::kGateLane;
-    rec.seed = seed;
-    rec.budget = budget;
+    AttemptRecord rec = attempt_record(info, Substrate::kGates, seed, budget);
     core::GaParameters p = cfg_.params;
     p.seed = seed;
     gates::BatchGateRunner runner(cfg_.fn, {p});
@@ -305,7 +293,7 @@ AttemptRecord MissionSupervisor::run_gate_attempt(const AttemptInfo& info, std::
 }
 
 MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
-                                                               BackendKind backend,
+                                                               Substrate backend,
                                                                std::uint16_t seed,
                                                                unsigned& attempt_no,
                                                                SupervisorReport& rep) {
@@ -386,7 +374,7 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
     }
 
     // --- in-place restart (hung-run recovery, no reset) -------------------
-    if (cfg_.ladder.restart_recovery && backend == BackendKind::kRtl && idle_sys != nullptr) {
+    if (cfg_.ladder.restart_recovery && backend == Substrate::kRtl && idle_sys != nullptr) {
         // Only provably useful when the programmed parameter registers and
         // the RNG seed register survived: kStart re-resolves the effective
         // parameters from them, so intact registers make the restarted run
@@ -401,37 +389,14 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
             emit(trace::TraceEvent(trace::kind::kSupRestart, 0, rep.total_cycles)
                      .add("replica", std::uint64_t{replica})
                      .add("attempt", std::uint64_t{attempt_no}));
-            AttemptRecord rec;
-            rec.replica = replica;
-            rec.attempt = attempt_no;
-            rec.rung = Rung::kRestart;
-            rec.backend = BackendKind::kRtl;
-            rec.seed = idle_seed;
-            rec.budget = budget0_;
-            AttemptInfo info;
-            info.replica = replica;
-            info.attempt = attempt_no;
-            info.rung = Rung::kRestart;
+            const AttemptInfo info{.replica = replica, .attempt = attempt_no, .rung = Rung::kRestart};
+            AttemptRecord rec = attempt_record(info, Substrate::kRtl, idle_seed, budget0_);
             idle_sys->app_module().request_restart();
-            std::uint64_t c = 0;
-            for (; c < 8; ++c) ga_cycle(*idle_sys);  // start pulse crosses domains
-            while (idle_sys->core().state() != GaCore::State::kDone && c < budget0_) {
-                ga_cycle(*idle_sys);
-                ++c;
-                if (cfg_.hook) cfg_.hook(*idle_sys, info, c);
-            }
-            rec.cycles = c;
-            rec.final_state = static_cast<std::uint8_t>(idle_sys->core().state());
-            if (idle_sys->core().state() == GaCore::State::kDone) {
-                rec.outcome = AttemptOutcome::kFinished;
-                rec.best_fitness = idle_sys->best_fitness();
-                rec.best_candidate = idle_sys->best_candidate();
-                rec.generations = idle_sys->core().generation();
-            } else {
-                rec.outcome = idle_sys->core().state() == GaCore::State::kIdle
-                                  ? AttemptOutcome::kWatchdogIdle
-                                  : AttemptOutcome::kWatchdogWedged;
-            }
+            for (unsigned k = 0; k < 8; ++k) idle_sys->ga_cycle();  // start pulse crosses domains
+            rec.cycles = 8 + idle_sys->run_to(system::GaSystem::kEnd, budget0_ - 8,
+                                              hook_fn(cfg_.hook, *idle_sys, info, 8))
+                                 .cycles;
+            record_stop(rec, *idle_sys);
             rep.attempts.push_back(rec);
             ++attempt_no;
             rep.total_cycles += rec.cycles;
@@ -458,11 +423,8 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
     if (cfg_.ladder.fallback_preset != 0) {
         const std::uint8_t pm = cfg_.ladder.fallback_preset;
         const core::GaParameters pp = core::preset_parameters(pm);
-        const std::uint64_t fb_bound = static_cast<std::uint64_t>(pp.pop_size) *
-                                           (static_cast<std::uint64_t>(pp.n_gens) + 1) *
-                                           (64ull + 8ull * pp.pop_size) +
-                                       100'000ull;
-        const bool in_place = backend == BackendKind::kRtl && idle_sys != nullptr;
+        const std::uint64_t fb_bound = core::cycle_bound(pp);
+        const bool in_place = backend == Substrate::kRtl && idle_sys != nullptr;
         ++rep.fallbacks;
         emit(trace::TraceEvent(trace::kind::kSupFallback, 0, rep.total_cycles)
                  .add("replica", std::uint64_t{replica})
@@ -470,23 +432,16 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
                  .add("preset", std::uint64_t{pm})
                  .add("in_place", std::uint64_t{in_place ? 1u : 0u}));
 
-        AttemptRecord rec;
-        rec.replica = replica;
-        rec.attempt = attempt_no;
-        rec.rung = Rung::kPresetFallback;
-        rec.backend = backend;
-        rec.budget = fb_bound;
-        AttemptInfo info;
-        info.replica = replica;
-        info.attempt = attempt_no;
-        info.rung = Rung::kPresetFallback;
+        const AttemptInfo info{
+            .replica = replica, .attempt = attempt_no, .rung = Rung::kPresetFallback};
+        AttemptRecord rec = attempt_record(info, backend, 0, fb_bound);
 
-        if (backend == BackendKind::kBehavioral) {
+        if (backend == Substrate::kBehavioral) {
             rec.outcome = AttemptOutcome::kFinished;
             rec.best_fitness = preset_baseline_.best_fitness;
             rec.best_candidate = preset_baseline_.best_candidate;
             rec.generations = preset_baseline_.generations;
-        } else if (backend == BackendKind::kGateLane) {
+        } else if (backend == Substrate::kGates) {
             rec = run_gate_attempt(info, cfg_.params.seed, fb_bound, pm);
             rec.rung = Rung::kPresetFallback;
         } else {
@@ -498,7 +453,7 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
                 // reset — the preset path depends on no programmed state.
                 sys->wires().preset.drive(pm);
                 idle_sys->app_module().request_restart();
-                for (; c < 8; ++c) ga_cycle(*sys);
+                for (; c < 8; ++c) sys->ga_cycle();
             } else {
                 // No live kIdle system (e.g. every trip wedged the FSM):
                 // fresh system in preset mode with the init handshake
@@ -512,23 +467,10 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
                 sys->wires().preset.drive(pm);
                 sys->wires().fitfunc_select.drive(0);
             }
-            while (sys->core().state() != GaCore::State::kDone && c < fb_bound + kInitBound) {
-                ga_cycle(*sys);
-                ++c;
-                if (cfg_.hook) cfg_.hook(*sys, info, c);
-            }
-            rec.cycles = c;
-            rec.final_state = static_cast<std::uint8_t>(sys->core().state());
-            if (sys->core().state() == GaCore::State::kDone) {
-                rec.outcome = AttemptOutcome::kFinished;
-                rec.best_fitness = sys->best_fitness();
-                rec.best_candidate = sys->best_candidate();
-                rec.generations = sys->core().generation();
-            } else {
-                rec.outcome = sys->core().state() == GaCore::State::kIdle
-                                  ? AttemptOutcome::kWatchdogIdle
-                                  : AttemptOutcome::kWatchdogWedged;
-            }
+            rec.cycles = c + sys->run_to(system::GaSystem::kEnd, fb_bound + kInitBound - c,
+                                         hook_fn(cfg_.hook, *sys, info, c))
+                                 .cycles;
+            record_stop(rec, *sys);
         }
         rep.attempts.push_back(rec);
         ++attempt_no;

@@ -47,6 +47,7 @@
 
 #include "core/behavioral.hpp"
 #include "core/params.hpp"
+#include "core/substrate.hpp"
 #include "fault/fault_model.hpp"
 #include "fitness/functions.hpp"
 #include "trace/event.hpp"
@@ -57,19 +58,9 @@ class GaSystem;
 
 namespace gaip::supervisor {
 
-/// Simulation substrate an attempt runs on. All three deliver bit-identical
-/// results for the same parameters/seed (the repo's central cross-check),
-/// which is what makes mixed-backend NMR replicas comparable.
-enum class BackendKind : std::uint8_t { kRtl = 0, kBehavioral, kGateLane };
-
-inline const char* backend_kind_name(BackendKind b) noexcept {
-    switch (b) {
-        case BackendKind::kRtl: return "rtl";
-        case BackendKind::kBehavioral: return "behavioral";
-        case BackendKind::kGateLane: return "gate-lane";
-    }
-    return "?";
-}
+/// Old name of core::Substrate, kept while perfbench/ still spells it; the
+/// benchmark change of ROADMAP item 7 deletes it.
+using BackendKind = core::Substrate;
 
 /// Rungs of the recovery ladder, in escalation order.
 enum class Rung : std::uint8_t { kPrimary = 0, kRetry, kRestart, kPresetFallback, kAbort };
@@ -192,7 +183,7 @@ struct AttemptRecord {
     unsigned replica = 0;
     unsigned attempt = 0;
     Rung rung = Rung::kPrimary;
-    BackendKind backend = BackendKind::kRtl;
+    core::Substrate backend = core::Substrate::kRtl;
     AttemptOutcome outcome = AttemptOutcome::kFinished;
     bool resumed = false;
     std::uint32_t resumed_gen = 0;
@@ -208,7 +199,7 @@ struct AttemptRecord {
 /// Per-replica verdict of an NMR vote.
 struct ReplicaVerdict {
     unsigned replica = 0;
-    BackendKind backend = BackendKind::kRtl;
+    core::Substrate backend = core::Substrate::kRtl;
     Status status = Status::kAborted;
     std::uint16_t best_fitness = 0;
     std::uint16_t best_candidate = 0;
@@ -246,13 +237,13 @@ struct SupervisorReport {
 struct SupervisorConfig {
     fitness::FitnessId fn = fitness::FitnessId::kMBf6_2;
     core::GaParameters params{};
-    BackendKind backend = BackendKind::kRtl;
+    core::Substrate backend = core::Substrate::kRtl;
 
     /// Watchdog = factor x expected cycles (same convention as the SEU
     /// injector; fault::watchdog_budget adds the slack and overflow-checks).
     unsigned watchdog_factor = 4;
-    /// Expected fault-free GA cycle count. 0 selects the formula estimate
-    /// evals x (64 + 8 x pop) + 100000 used across the repo's cycle bounds.
+    /// Expected fault-free GA cycle count. 0 selects core::cycle_bound(),
+    /// the formula estimate every cycle bound of the repo derives from.
     std::uint64_t expected_cycles = 0;
 
     LadderConfig ladder{};
@@ -264,7 +255,7 @@ struct SupervisorConfig {
     /// runs params.seed, so agreement is bit-exact by construction.
     std::vector<std::uint16_t> replica_seeds;
     /// Optional per-replica substrate (size nmr). Empty = `backend` for all.
-    std::vector<BackendKind> replica_backends;
+    std::vector<core::Substrate> replica_backends;
 
     /// Telemetry sink for the sup_* decision events (borrowed; may be null).
     trace::TraceSink* sink = nullptr;
@@ -299,12 +290,12 @@ private:
         std::uint32_t generations = 0;
     };
 
-    BackendKind replica_backend(unsigned r) const;
+    core::Substrate replica_backend(unsigned r) const;
     std::uint16_t replica_seed(unsigned r) const;
 
     void emit(trace::TraceEvent e) const;
 
-    AttemptRecord run_attempt(BackendKind backend, const AttemptInfo& info, std::uint16_t seed,
+    AttemptRecord run_attempt(core::Substrate backend, const AttemptInfo& info, std::uint16_t seed,
                               std::uint64_t budget, const Checkpoint* resume,
                               std::vector<Checkpoint>* checkpoints, SupervisorReport& rep,
                               std::unique_ptr<system::GaSystem>* keep_idle_sys);
@@ -317,7 +308,7 @@ private:
                                    std::uint64_t budget, std::uint8_t preset);
 
     /// Walk the full ladder for one replica; appends attempts to `rep`.
-    ReplicaResult run_ladder(unsigned replica, BackendKind backend, std::uint16_t seed,
+    ReplicaResult run_ladder(unsigned replica, core::Substrate backend, std::uint16_t seed,
                              unsigned& attempt_no, SupervisorReport& rep);
 
     SupervisorConfig cfg_;

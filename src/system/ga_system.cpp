@@ -159,45 +159,70 @@ std::vector<const fitness::RomFitnessModule*> GaSystem::fems() const {
 }
 
 core::RunResult GaSystem::run() {
-    kernel_.reset();
+    if (!start() || !run_to(kEnd, cycle_bound()).ok)
+        throw std::runtime_error("GaSystem::run: did not complete within cycle bound");
+    return finish();
+}
 
+bool GaSystem::start(const CycleFn& on_cycle) {
+    kernel_.reset();
     // Static pins must be re-driven after reset (reset clears nothing, but
     // keep them authoritative in case a test poked them).
     wires_.preset.drive(cfg_.preset & 0x3);
     wires_.fitfunc_select.drive(cfg_.fitfunc_select & 0x7);
-
-    // Cycle bound: evaluations x (handshake + selection scan) with a wide
-    // safety margin, plus the external FEM latency if configured.
-    const core::GaParameters eff = core::resolve_parameters(cfg_.preset, cfg_.params);
-    const std::uint64_t evals =
-        static_cast<std::uint64_t>(eff.pop_size) * (static_cast<std::uint64_t>(eff.n_gens) + 1);
-    const std::uint64_t per_eval =
-        64ull + 8ull * eff.pop_size + 4ull * cfg_.external_latency_cycles;
-    const std::uint64_t max_ga_cycles = evals * per_eval + 100'000;
-
-    std::uint64_t start_edge = 0;
-    bool start_seen = false;
-    std::uint64_t done_edge = 0;
-    bool done_seen = false;
-
-    const bool finished = kernel_.run_until(
-        *app_clk_,
-        [&] {
-            if (!start_seen && wires_.start_ga.read()) {
-                start_seen = true;
-                start_edge = ga_clk_->edges();
+    prev_pulse_ = false;
+    bool pulse_seen = false;
+    for (std::uint64_t c = 0; c < kInitBound;) {
+        if (state() == core::GaCore::State::kStart) return true;
+        // One GA cycle, time point by time point: the GA counter starts at
+        // the GA edge count the start pulse rose at, which may fall between
+        // two GA edges.
+        const std::uint64_t edge = ga_clk_->edges() + 1;
+        while (ga_clk_->edges() < edge) {
+            kernel_.step();
+            if (!pulse_seen && wires_.start_ga.read()) {
+                pulse_seen = true;
+                start_edge_ = ga_clk_->edges();
             }
-            if (start_seen && !done_seen && wires_.ga_done.read()) {
-                done_seen = true;
-                done_edge = ga_clk_->edges();
-            }
-            return app_done_.read();
-        },
-        max_ga_cycles * 4 + 10'000);  // in 200 MHz edges
-    if (!finished) throw std::runtime_error("GaSystem::run: did not complete within cycle bound");
+        }
+        ++c;
+        if (on_cycle) on_cycle(c);
+    }
+    return false;
+}
 
-    ga_cycles_ = done_seen ? (done_edge - start_edge) : 0;
+GaSystem::Advance GaSystem::run_to(std::uint32_t g, std::uint64_t bound,
+                                   const CycleFn& on_cycle) {
+    Advance a;
+    while (true) {
+        if (g == kEnd && done()) {
+            a.ok = true;
+            return a;
+        }
+        if (a.cycles >= bound) return a;
+        ga_cycle();
+        ++a.cycles;
+        if (on_cycle) on_cycle(a.cycles);
+        const bool pulse = wires_.mon_gen_pulse.read();
+        const bool boundary = pulse && !prev_pulse_ && wires_.mon_gen_id.read() == g;
+        prev_pulse_ = pulse;
+        if (boundary) {
+            // The pulse edge committed; one more edge commits the monitor
+            // capture and leaves the memory quiescent for a poke.
+            ga_cycle();
+            ++a.cycles;
+            if (on_cycle) on_cycle(a.cycles);
+            prev_pulse_ = wires_.mon_gen_pulse.read();
+            a.ok = true;
+            return a;
+        }
+    }
+}
 
+core::RunResult GaSystem::finish() {
+    ga_cycles_ = ga_clk_->edges() - start_edge_;
+    if (!kernel_.run_until(*app_clk_, [&] { return app_done_.read(); }, 10'000))
+        throw std::runtime_error("GaSystem::finish: the application never took the result");
     trace_tee_.flush();
 
     core::RunResult result;
@@ -206,6 +231,40 @@ core::RunResult GaSystem::run() {
     result.evaluations = fitness_evaluations();
     result.history = monitor_->history();
     return result;
+}
+
+void GaSystem::drain_start_pulse() {
+    for (unsigned k = 0; k < 32 && wires_.start_ga.read(); ++k) ga_cycle();
+}
+
+std::uint32_t GaSystem::generation() const {
+    return gate_core_ ? gate_core_->generation() : core_->generation();
+}
+
+core::GaCore::State GaSystem::state() const {
+    return gate_core_ ? gate_core_->state() : core_->state();
+}
+
+std::vector<core::Member> GaSystem::population() const {
+    const bool bank = wires_.mon_bank.read();
+    std::vector<core::Member> out(wires_.mon_pop_size.read());
+    for (std::size_t j = 0; j < out.size(); ++j) {
+        const auto slot = static_cast<std::uint8_t>(j);
+        out[j] = core::Member{memory_->candidate_at(bank, slot), memory_->fitness_at(bank, slot)};
+    }
+    return out;
+}
+
+void GaSystem::poke_member(std::size_t slot, core::Member m) {
+    if (slot >= wires_.mon_pop_size.read())
+        throw std::invalid_argument("GaSystem::poke_member: slot out of range");
+    memory_->poke(mem::bank_address(wires_.mon_bank.read(), static_cast<std::uint8_t>(slot)),
+                  mem::pack_member(m.candidate, m.fitness));
+}
+
+std::uint64_t GaSystem::cycle_bound() const {
+    return core::cycle_bound(core::resolve_parameters(cfg_.preset, cfg_.params),
+                             4ull * cfg_.external_latency_cycles);
 }
 
 core::RunResult run_ga_system(const GaSystemConfig& cfg) {

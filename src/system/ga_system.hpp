@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -102,14 +103,68 @@ struct GaSystemConfig {
     bool use_gate_level_core = false;
 };
 
+/// Init-handshake bound of GaSystem::start(), in GA cycles: six parameter
+/// writes of a few 200 MHz cycles each, with wide slack.
+inline constexpr std::uint64_t kInitBound = 4096;
+
 class GaSystem {
 public:
+    /// run_to() target meaning "until GA_done".
+    static constexpr std::uint32_t kEnd = UINT32_MAX;
+
+    /// Per-GA-cycle callback of start() and run_to(), called with the number
+    /// of cycles that call has clocked so far (the supervised ensemble's
+    /// fault-injection surface).
+    using CycleFn = std::function<void(std::uint64_t)>;
+
+    /// How far one run_to() got.
+    struct Advance {
+        bool ok = false;           ///< reached the target within the bound
+        std::uint64_t cycles = 0;  ///< GA cycles clocked (== bound on a miss)
+    };
+
     explicit GaSystem(GaSystemConfig cfg);
 
     /// Reset and run the whole flow (initialization handshake, start pulse,
-    /// optimization, GA_done) to completion. Throws std::runtime_error if
-    /// the system does not finish within the internal cycle bound.
+    /// optimization, GA_done) to completion: start() + run_to(kEnd) +
+    /// finish(). Throws std::runtime_error if the system does not finish
+    /// within cycle_bound().
     core::RunResult run();
+
+    // --- resumable run: the shape of core::BehavioralEngine ---
+    /// Reset, drive the static pins and run the init handshake until the
+    /// core enters kStart. Returns false if that takes kInitBound cycles.
+    bool start(const CycleFn& on_cycle = {});
+    /// Clock until generation `g`'s boundary has passed: one edge past the
+    /// cycle the monitor pulse rises with gen id `g` — the edge where the
+    /// monitor has captured the boundary and the current bank is poke-safe
+    /// (for g == n_gens that edge enters kDone). kEnd clocks until GA_done.
+    /// Stops after `bound` cycles without reaching the target.
+    Advance run_to(std::uint32_t g, std::uint64_t bound, const CycleFn& on_cycle = {});
+    /// After GA_done: clock until the application module has taken the
+    /// result, then return it. Throws std::runtime_error if it never does.
+    core::RunResult finish();
+    /// Clock until the start pulse has fallen (at most 32 cycles). Needed
+    /// before a checkpoint restore: a still-high start_GA would re-trigger
+    /// the RNG's seed-reload edge detector.
+    void drain_start_pulse();
+    /// One 50 MHz GA cycle (the 200 MHz peripheral domain advances inside).
+    void ga_cycle() { kernel_.run_cycles(*ga_clk_, 1); }
+
+    /// Completed generations: the core's generation counter.
+    std::uint32_t generation() const;
+    /// The core is in kDone (it raises GA_done there).
+    bool done() const { return state() == core::GaCore::State::kDone; }
+    core::GaCore::State state() const;
+    /// The current population bank (valid where run_to() parks).
+    std::vector<core::Member> population() const;
+    /// Overwrite one slot of the current bank through the memory backdoor.
+    /// Like core::BehavioralEngine::poke_member, the fit_sum register stays
+    /// stale and the best-ever registers are untouched.
+    void poke_member(std::size_t slot, core::Member m);
+    /// Whole-run GA-cycle bound: core::cycle_bound() of the resolved
+    /// parameters plus four times the external FEM latency per evaluation.
+    std::uint64_t cycle_bound() const;
 
     // --- post-run metrics ---
     /// 50 MHz cycles from the start_GA pulse to GA_done (the GA execution
@@ -181,6 +236,8 @@ private:
     std::unique_ptr<trace::SystemTap> tap_;
 
     std::uint64_t ga_cycles_ = 0;
+    std::uint64_t start_edge_ = 0;  ///< GA edge count the start pulse rose at
+    bool prev_pulse_ = false;       ///< monitor pulse after the previous cycle
 };
 
 /// Convenience: build, run, and return the result in one call.

@@ -30,7 +30,7 @@
 namespace gaip::island {
 namespace {
 
-using supervisor::BackendKind;
+using core::Substrate;
 
 IslandConfig base_cfg(unsigned islands, Topology topo, std::uint16_t interval) {
     IslandConfig cfg;
@@ -78,7 +78,7 @@ void expect_identical(const IslandResult& a, const IslandResult& b, const std::s
     }
 }
 
-IslandResult run_on(IslandConfig cfg, BackendKind backend) {
+IslandResult run_on(IslandConfig cfg, Substrate backend) {
     cfg.backend = backend;
     return IslandSystem(cfg).run();
 }
@@ -92,9 +92,9 @@ TEST(IslandDifferential, ThreeSubstratesBitIdenticalAcrossMatrix) {
                 if (interval == 0 && topo == Topology::kStar) continue;  // off == off
                 IslandConfig cfg = base_cfg(n, topo, interval);
                 cfg.gate_backend = gates::Backend::kInterp;
-                const IslandResult beh = run_on(cfg, BackendKind::kBehavioral);
-                const IslandResult rtl = run_on(cfg, BackendKind::kRtl);
-                const IslandResult gate = run_on(cfg, BackendKind::kGateLane);
+                const IslandResult beh = run_on(cfg, Substrate::kBehavioral);
+                const IslandResult rtl = run_on(cfg, Substrate::kRtl);
+                const IslandResult gate = run_on(cfg, Substrate::kGates);
                 expect_identical(beh, rtl, label(cfg) + " [behavioral vs RTL]");
                 expect_identical(beh, gate, label(cfg) + " [behavioral vs gate]");
                 // Migration actually happened where it should: interval 8
@@ -118,9 +118,9 @@ TEST(IslandDifferential, RandomReplacementPolicyBitIdentical) {
         IslandConfig cfg = base_cfg(4, topo, 8);
         cfg.migration.policy = ReplacePolicy::kRandom;
         cfg.gate_backend = gates::Backend::kInterp;
-        const IslandResult beh = run_on(cfg, BackendKind::kBehavioral);
-        const IslandResult rtl = run_on(cfg, BackendKind::kRtl);
-        const IslandResult gate = run_on(cfg, BackendKind::kGateLane);
+        const IslandResult beh = run_on(cfg, Substrate::kBehavioral);
+        const IslandResult rtl = run_on(cfg, Substrate::kRtl);
+        const IslandResult gate = run_on(cfg, Substrate::kGates);
         expect_identical(beh, rtl, label(cfg) + " [behavioral vs RTL]");
         expect_identical(beh, gate, label(cfg) + " [behavioral vs gate]");
         EXPECT_FALSE(beh.migrations.empty()) << label(cfg);
@@ -133,11 +133,11 @@ TEST(IslandDifferential, RandomReplacementPolicyBitIdentical) {
 TEST(IslandDifferential, GateLaneWidthsBitIdentical) {
     IslandConfig cfg = base_cfg(8, Topology::kRing, 8);
     cfg.gate_backend = gates::Backend::kInterp;
-    const IslandResult ref = run_on(cfg, BackendKind::kBehavioral);
+    const IslandResult ref = run_on(cfg, Substrate::kBehavioral);
     for (unsigned words : {1u, 2u, 4u, 8u}) {
         IslandConfig wcfg = cfg;
         wcfg.words = words;
-        const IslandResult gate = run_on(wcfg, BackendKind::kGateLane);
+        const IslandResult gate = run_on(wcfg, Substrate::kGates);
         expect_identical(ref, gate, label(cfg) + " [W=" + std::to_string(words) + "]");
     }
 }
@@ -148,9 +148,9 @@ TEST(IslandDifferential, GateLaneJitMatchesInterpreter) {
     for (Topology topo : {Topology::kRing, Topology::kStar}) {
         IslandConfig cfg = base_cfg(4, topo, 8);
         cfg.gate_backend = gates::Backend::kInterp;
-        const IslandResult interp = run_on(cfg, BackendKind::kGateLane);
+        const IslandResult interp = run_on(cfg, Substrate::kGates);
         cfg.gate_backend = gates::Backend::kJitForce;
-        const IslandResult jit = run_on(cfg, BackendKind::kGateLane);
+        const IslandResult jit = run_on(cfg, Substrate::kGates);
         expect_identical(interp, jit, label(cfg) + " [interp vs JIT]");
         // The JIT runs the same netlist clock-for-clock, so even the
         // cycle accounting must agree between the two engines.
@@ -166,7 +166,7 @@ TEST(IslandDifferential, GateLaneJitMatchesInterpreter) {
 // Barrier-to-barrier segments are data-independent across islands, so the
 // worker count must never change a bit — including the cycle accounting.
 TEST(IslandDifferential, ThreadCountInvariant) {
-    for (BackendKind backend : {BackendKind::kBehavioral, BackendKind::kRtl}) {
+    for (Substrate backend : {Substrate::kBehavioral, Substrate::kRtl}) {
         IslandConfig cfg = base_cfg(4, Topology::kRing, 8);
         cfg.threads = 1;
         const IslandResult ref = run_on(cfg, backend);
@@ -189,8 +189,8 @@ TEST(IslandDifferential, ThreadCountInvariant) {
 // fields matching the result's canonical migration list), one island_done
 // per island — identical event payloads on every substrate.
 TEST(IslandDifferential, TraceEventsMirrorMigrationRecords) {
-    for (BackendKind backend :
-         {BackendKind::kBehavioral, BackendKind::kRtl, BackendKind::kGateLane}) {
+    for (Substrate backend :
+         {Substrate::kBehavioral, Substrate::kRtl, Substrate::kGates}) {
         trace::MemorySink sink;
         IslandConfig cfg = base_cfg(4, Topology::kRing, 8);
         cfg.gate_backend = gates::Backend::kInterp;
@@ -228,7 +228,7 @@ TEST(IslandDifferential, TraceEventsMirrorMigrationRecords) {
 // simulator pace the FEM handshake differently), so the invariants — not
 // cross-substrate equality — are what this test pins.
 TEST(IslandDifferential, CycleAccountingIsInternallyConsistent) {
-    for (BackendKind backend : {BackendKind::kRtl, BackendKind::kGateLane}) {
+    for (Substrate backend : {Substrate::kRtl, Substrate::kGates}) {
         IslandConfig cfg = base_cfg(4, Topology::kRing, 8);
         cfg.gate_backend = gates::Backend::kInterp;
         const IslandResult r = run_on(cfg, backend);
@@ -245,7 +245,7 @@ TEST(IslandDifferential, CycleAccountingIsInternallyConsistent) {
         // least one of them must have waited.
         EXPECT_TRUE(any_stall);
         // The behavioral substrate is untimed by contract.
-        const IslandResult beh = run_on(cfg, BackendKind::kBehavioral);
+        const IslandResult beh = run_on(cfg, Substrate::kBehavioral);
         EXPECT_EQ(beh.makespan_cycles, 0u);
     }
 }

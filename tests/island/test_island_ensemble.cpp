@@ -19,7 +19,7 @@ namespace gaip::island {
 namespace {
 
 using fitness::FitnessId;
-using supervisor::BackendKind;
+using core::Substrate;
 
 const core::GaParameters kSmall{.pop_size = 16, .n_gens = 8, .xover_threshold = 10,
                                 .mut_threshold = 1, .seed = 0};
@@ -32,7 +32,7 @@ IslandConfig seed_parallel(FitnessId fn, std::vector<std::uint16_t> seeds) {
     cfg.islands = static_cast<unsigned>(seeds.size());
     cfg.seeds = std::move(seeds);
     cfg.migration.interval = 0;
-    cfg.backend = BackendKind::kRtl;
+    cfg.backend = Substrate::kRtl;
     return cfg;
 }
 

@@ -24,7 +24,7 @@ namespace gaip::island {
 namespace {
 
 using core::Member;
-using supervisor::BackendKind;
+using core::Substrate;
 
 /// splitmix64 — deterministic fuzz stimulus.
 struct Rand {
@@ -106,7 +106,7 @@ TEST(MigrationRegisters, StructuralErrorsThrow) {
     cfg.seeds = {1, 2, 3};  // size != islands
     EXPECT_THROW(IslandSystem{cfg}, std::invalid_argument);
     cfg.seeds.clear();
-    cfg.backend = BackendKind::kGateLane;
+    cfg.backend = Substrate::kGates;
     cfg.rng_kind = prng::RngKind::kXorShift;  // gate netlist is CA-only
     EXPECT_THROW(IslandSystem{cfg}, std::invalid_argument);
 }
@@ -147,14 +147,14 @@ TEST(MigrationRegisters, FuzzedRegistersNeverHangAndStayBitIdentical) {
         cfg.migration.policy =
             (rnd.next() & 1) != 0 ? ReplacePolicy::kRandom : ReplacePolicy::kWorst;
 
-        cfg.backend = BackendKind::kBehavioral;
+        cfg.backend = Substrate::kBehavioral;
         IslandSystem beh(cfg);
         const unsigned cap =
             std::min(kMaxEmigrants, static_cast<unsigned>(cfg.base.pop_size / 2));
         EXPECT_LE(beh.effective_migration().count, cap) << "iter " << iter;
         const IslandResult b = beh.run();
 
-        cfg.backend = BackendKind::kRtl;
+        cfg.backend = Substrate::kRtl;
         const IslandResult r = IslandSystem(cfg).run();  // throws on a missed bound
 
         ASSERT_EQ(b.islands.size(), r.islands.size()) << "iter " << iter;
@@ -182,7 +182,7 @@ TEST(MigrationRegisters, ZeroEmigrantEnsembleEqualsIndependentRuns) {
         cfg.islands = 4;
         cfg.migration.interval = via_count ? 4 : 0;
         cfg.migration.count = via_count ? 0 : 2;
-        cfg.backend = BackendKind::kRtl;
+        cfg.backend = Substrate::kRtl;
         IslandSystem sys(cfg);
         EXPECT_TRUE(sys.boundaries().empty());
         const IslandResult ens = sys.run();
@@ -220,7 +220,7 @@ TEST(MigrationRegisters, ZeroEmigrantEnsembleEqualsIndependentRuns) {
     twins.base.n_gens = 16;
     twins.islands = 3;
     twins.seeds = {0xB342, 0xB342, 0xB342};
-    twins.backend = BackendKind::kRtl;
+    twins.backend = Substrate::kRtl;
     EXPECT_EQ(IslandSystem(twins).run().best_island, 0u);
 }
 
@@ -237,7 +237,7 @@ TEST(MigrationRegisters, BusLatchesRawHandshakeValues) {
     cfg.migration.interval = 4;
     cfg.migration.count = 9;  // raw 9, clamps to 8 (= pop/2) at use
     cfg.migration.policy = ReplacePolicy::kRandom;
-    cfg.backend = BackendKind::kRtl;
+    cfg.backend = Substrate::kRtl;
     IslandSystem sys(cfg);
     const IslandResult r = sys.run();
     EXPECT_EQ(r.bus_interval_reg, 4u);

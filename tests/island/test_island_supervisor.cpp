@@ -24,7 +24,7 @@ namespace gaip::island {
 namespace {
 
 using supervisor::AttemptInfo;
-using supervisor::BackendKind;
+using core::Substrate;
 using supervisor::Rung;
 using supervisor::Status;
 
@@ -36,7 +36,7 @@ IslandConfig base_islands() {
     cfg.islands = 4;
     cfg.migration.interval = 8;  // boundaries at gens 8 and 16
     cfg.migration.count = 2;
-    cfg.backend = BackendKind::kRtl;
+    cfg.backend = Substrate::kRtl;
     return cfg;
 }
 
@@ -178,9 +178,9 @@ TEST(SupervisedIslands, ExhaustedRollbackBudgetAborts) {
 TEST(SupervisedIslands, NonRtlBackendThrows) {
     SupervisedIslandConfig cfg;
     cfg.islands = base_islands();
-    cfg.islands.backend = BackendKind::kBehavioral;
+    cfg.islands.backend = Substrate::kBehavioral;
     EXPECT_THROW(SupervisedIslandSystem{cfg}, std::invalid_argument);
-    cfg.islands.backend = BackendKind::kGateLane;
+    cfg.islands.backend = Substrate::kGates;
     EXPECT_THROW(SupervisedIslandSystem{cfg}, std::invalid_argument);
 }
 

@@ -49,7 +49,7 @@ IslandResult run_scaling(unsigned n) {
     cfg.islands = n;
     cfg.migration.interval = 4;
     cfg.migration.count = 2;
-    cfg.backend = supervisor::BackendKind::kGateLane;
+    cfg.backend = core::Substrate::kGates;
     cfg.gate_backend = gates::Backend::kInterp;
     return run_island_system(cfg);
 }
@@ -107,7 +107,7 @@ IslandResult run_topology(std::uint16_t seed, std::uint16_t interval, Topology t
     cfg.migration.interval = interval;
     cfg.migration.count = 2;
     cfg.topology = topo;
-    cfg.backend = supervisor::BackendKind::kBehavioral;
+    cfg.backend = core::Substrate::kBehavioral;
     return run_island_system(cfg);
 }
 

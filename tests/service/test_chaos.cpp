@@ -35,7 +35,7 @@ std::string fresh_dir(const std::string& name) {
     return name;
 }
 
-JobSpec make_spec(service::JobBackend backend, std::uint16_t seed, std::uint16_t gens,
+JobSpec make_spec(core::Substrate backend, std::uint16_t seed, std::uint16_t gens,
                   std::uint8_t pop = 32) {
     JobSpec spec;
     spec.fn = fitness::FitnessId::kOneMax;
@@ -51,17 +51,17 @@ JobSpec make_spec(service::JobBackend backend, std::uint16_t seed, std::uint16_t
 /// some jobs done, some running, some still queued.
 std::vector<JobSpec> mixed_load() {
     std::vector<JobSpec> specs;
-    const service::JobBackend backends[] = {service::JobBackend::kBehavioral,
-                                            service::JobBackend::kGates,
-                                            service::JobBackend::kRtl};
+    const core::Substrate backends[] = {core::Substrate::kBehavioral,
+                                            core::Substrate::kGates,
+                                            core::Substrate::kRtl};
     for (unsigned i = 0; i < 16; ++i) {
         const auto b = backends[i % 3];
         // RTL is cycle-accurate (slow): keep its runs short. Behavioral
         // carries the long tails that a kill interrupts mid-generation.
         const std::uint16_t gens =
-            b == service::JobBackend::kRtl
+            b == core::Substrate::kRtl
                 ? static_cast<std::uint16_t>(8 + 4 * i)
-                : static_cast<std::uint16_t>(b == service::JobBackend::kBehavioral
+                : static_cast<std::uint16_t>(b == core::Substrate::kBehavioral
                                                  ? 500 + 250 * i
                                                  : 60 + 30 * i);
         specs.push_back(make_spec(b, static_cast<std::uint16_t>(0x1000 + 17 * i), gens));
@@ -172,7 +172,7 @@ TEST(Chaos, BootsOverTornAndCorruptJournal) {
         service::Journal j(dir);
         service::JobRecord rec;
         rec.id = 1;
-        rec.spec = make_spec(service::JobBackend::kBehavioral, 0x77, 8);
+        rec.spec = make_spec(core::Substrate::kBehavioral, 0x77, 8);
         j.record_submit(rec);
         rec.state = service::JobState::kDone;
         rec.outcome.best_fitness = 16;
@@ -180,7 +180,7 @@ TEST(Chaos, BootsOverTornAndCorruptJournal) {
         j.record_terminal(rec);
         rec = {};
         rec.id = 2;
-        rec.spec = make_spec(service::JobBackend::kGates, 0x78, 8);
+        rec.spec = make_spec(core::Substrate::kGates, 0x78, 8);
         j.record_submit(rec);
     }
     {
@@ -222,7 +222,7 @@ TEST(Chaos, EnospcJournalDegradesButKeepsServing) {
     std::uint64_t id = 0;
     {
         service::Client c = chaos::dial(d.socket);
-        id = c.submit(make_spec(service::JobBackend::kGates, 0x99, 16));
+        id = c.submit(make_spec(core::Substrate::kGates, 0x99, 16));
     }
     const Frame end = wait_terminal(d.socket, id, 60.0);
     EXPECT_EQ(end.str("state"), "done");
@@ -246,7 +246,7 @@ TEST(Chaos, KillRecoverLoopLosesNothing) {
             service::Client c = chaos::dial(socket);
             for (int k = 0; k < 3; ++k) {
                 const std::uint64_t id = c.submit(make_spec(
-                    service::JobBackend::kBehavioral,
+                    core::Substrate::kBehavioral,
                     static_cast<std::uint16_t>(0x2000 + 16 * life + k),
                     static_cast<std::uint16_t>(400 + 100 * k)));
                 // Ids stay strictly monotonic across restarts: recovery
@@ -281,7 +281,7 @@ TEST(Chaos, StreamSurvivesDaemonRestartMidStream) {
     // Long enough to outlive the kill/restart in BOTH lives (the re-run
     // starts from scratch); ended by cancel once the resumed stream is
     // confirmed live again.
-    JobSpec marathon = make_spec(service::JobBackend::kBehavioral, 0x3131, 50000, 128);
+    JobSpec marathon = make_spec(core::Substrate::kBehavioral, 0x3131, 50000, 128);
     marathon.params.n_gens = 50'000'000;
     std::uint64_t id = 0;
     {
@@ -336,11 +336,11 @@ TEST(Chaos, DrainShutdownHandsQueueToNextBoot) {
         service::Client c = chaos::dial(socket);
         // Long enough to still be running when the drain lands a few
         // rpcs later, short enough that the drain exit stays prompt.
-        JobSpec running = make_spec(service::JobBackend::kBehavioral, 0x41, 1000, 128);
+        JobSpec running = make_spec(core::Substrate::kBehavioral, 0x41, 1000, 128);
         running.params.n_gens = 50'000;  // ~2 s: outlives the drain rpc by far
         c.submit(running);
         for (std::uint16_t seed : {0x42, 0x43, 0x44})
-            queued.push_back(c.submit(make_spec(service::JobBackend::kGates, seed, 16)));
+            queued.push_back(c.submit(make_spec(core::Substrate::kGates, seed, 16)));
         Frame req(service::verb::kShutdown);
         req.add("drain", std::uint64_t{1});
         const Frame ack = c.rpc(req);

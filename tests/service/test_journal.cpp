@@ -50,7 +50,7 @@ JobSpec sample_spec(std::uint16_t seed = 0x2961) {
     spec.params = core::resolve_parameters(
         0, {.pop_size = 16, .n_gens = 8, .xover_threshold = 12, .mut_threshold = 1,
             .seed = seed});
-    spec.backend = service::JobBackend::kBehavioral;
+    spec.backend = core::Substrate::kBehavioral;
     return spec;
 }
 
@@ -88,7 +88,7 @@ TEST(Journal, Crc32GoldenValues) {
 
 TEST(Journal, SpecFieldsRoundTripThroughParse) {
     JobSpec spec = sample_spec();
-    spec.backend = service::JobBackend::kRtl;
+    spec.backend = core::Substrate::kRtl;
     spec.words = 4;
     spec.islands = 4;
     spec.topology = island::Topology::kStar;
@@ -505,7 +505,7 @@ struct AsyncSubmit {
 
 JobSpec gates_spec(std::uint16_t seed) {
     JobSpec spec = sample_spec(seed);
-    spec.backend = service::JobBackend::kGates;
+    spec.backend = core::Substrate::kGates;
     return spec;
 }
 

@@ -114,7 +114,7 @@ TEST(JobSpec, DefaultsAndEcho) {
     EXPECT_EQ(spec.fn, fitness::FitnessId::kOneMax);
     EXPECT_EQ(spec.params.pop_size, 16);
     EXPECT_EQ(spec.params.n_gens, 8u);
-    EXPECT_EQ(spec.backend, service::JobBackend::kGates);  // service default
+    EXPECT_EQ(spec.backend, core::Substrate::kGates);  // service default
     EXPECT_EQ(spec.islands, 0u);
     Frame echo("x");
     service::add_spec_fields(echo, spec);

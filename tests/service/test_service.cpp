@@ -10,9 +10,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +44,7 @@ service::ServerConfig daemon_config(const std::string& socket, unsigned workers 
     return cfg;
 }
 
-JobSpec small_job(service::JobBackend backend, std::uint16_t seed = 0x2961) {
+JobSpec small_job(core::Substrate backend, std::uint16_t seed = 0x2961) {
     JobSpec spec;
     spec.fn = fitness::FitnessId::kOneMax;
     spec.params = core::resolve_parameters(
@@ -56,7 +58,7 @@ JobSpec small_job(service::JobBackend backend, std::uint16_t seed = 0x2961) {
 /// to cancelling it (cancel checks happen at generation boundaries, so it
 /// stops promptly regardless).
 JobSpec long_job() {
-    JobSpec spec = small_job(service::JobBackend::kBehavioral);
+    JobSpec spec = small_job(core::Substrate::kBehavioral);
     spec.params.n_gens = 50'000'000;
     spec.params.pop_size = 128;
     return spec;
@@ -65,10 +67,50 @@ JobSpec long_job() {
 /// A gates job of about 15k GA cycles: long enough to still be running
 /// while a test cancels, expires or drains around it.
 JobSpec long_gates_job(std::uint16_t seed) {
-    JobSpec spec = small_job(service::JobBackend::kGates, seed);
+    JobSpec spec = small_job(core::Substrate::kGates, seed);
     spec.params.pop_size = 24;
     spec.params.n_gens = 16;
     return spec;
+}
+
+/// How long an RT-level job may take to stop once cancelled, expired or
+/// told to stop. Generations of long_rtl_job() take a few ms (~0.1 s under
+/// ThreadSanitizer), so this leaves wide slack for one in flight.
+constexpr std::chrono::milliseconds kRtlStopBound{3000};
+
+/// An RT-level job a run-to-completion scheduler spends well over 20 x
+/// kRtlStopBound on (12k generations of ~7 ms each on one 4-core x86
+/// container): it only ends within the bound when the scheduler stops it at
+/// a generation boundary.
+JobSpec long_rtl_job() {
+    JobSpec spec = small_job(core::Substrate::kRtl);
+    spec.params.pop_size = 128;
+    spec.params.n_gens = 12'000;
+    return spec;
+}
+
+/// Thread-safe count of the generation events a job streams.
+class GenerationCounter final : public trace::TraceSink {
+public:
+    void on_event(const trace::TraceEvent& e) override {
+        if (e.kind == trace::kind::kGeneration) n_.fetch_add(1);
+    }
+    unsigned count() const { return n_.load(); }
+
+private:
+    std::atomic<unsigned> n_{0};
+};
+
+/// Poll until the job is terminal or `bound` has passed; its last status.
+Frame status_after(Client& c, std::uint64_t id, std::chrono::milliseconds bound) {
+    const auto until = std::chrono::steady_clock::now() + bound;
+    Frame f = c.status(id);
+    while (std::chrono::steady_clock::now() < until &&
+           (f.str("state") == "queued" || f.str("state") == "running")) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        f = c.status(id);
+    }
+    return f;
 }
 
 /// Poll until the job has left the queue.
@@ -143,23 +185,23 @@ TEST(Service, EveryBackendRunsToDone) {
     Client c(d.socket_path());
 
     for (const auto backend :
-         {service::JobBackend::kBehavioral, service::JobBackend::kGates,
-          service::JobBackend::kRtl}) {
+         {core::Substrate::kBehavioral, core::Substrate::kGates,
+          core::Substrate::kRtl}) {
         const Frame end = c.run_job(small_job(backend));
         EXPECT_EQ(end.str("state"), "done") << service::to_line(end);
-        EXPECT_EQ(end.str("backend"), service::job_backend_name(backend));
+        EXPECT_EQ(end.str("backend"), core::substrate_name(backend));
         EXPECT_TRUE(end.has("best_fitness"));
         EXPECT_EQ(end.u64("generations"), 8u);
     }
 
     // Island ensemble and a supervised single-engine job ride the same path.
-    JobSpec island = small_job(service::JobBackend::kRtl);
+    JobSpec island = small_job(core::Substrate::kRtl);
     island.islands = 4;
     island.migration.interval = 4;
     island.migration.count = 2;
     EXPECT_EQ(c.run_job(island).str("state"), "done");
 
-    JobSpec sup = small_job(service::JobBackend::kRtl);
+    JobSpec sup = small_job(core::Substrate::kRtl);
     sup.supervise = true;
     const Frame sup_end = c.run_job(sup);
     EXPECT_EQ(sup_end.str("state"), "done");
@@ -209,11 +251,52 @@ TEST(Service, CancelMidGeneration) {
     EXPECT_EQ(c.stats().u64("cancelled"), 1u);
 }
 
+TEST(Service, CancelStopsRunningRtlJobAtGenerationBoundary) {
+    service::Daemon d(daemon_config("t_svc_rtlcancel.sock"));
+    Client c(d.socket_path());
+    const std::uint64_t id = c.submit(long_rtl_job());
+    const auto gens = std::make_shared<GenerationCounter>();
+    ASSERT_TRUE(d.scheduler().attach_stream(id, gens, [](const service::JobRecord&) {}));
+    const auto until = std::chrono::steady_clock::now() + kRtlStopBound;
+    while (gens->count() < 2 && std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(c.status(id).str("state"), "running");
+    ASSERT_GE(gens->count(), 2u);
+
+    EXPECT_EQ(c.cancel(id), service::CancelOutcome::kCancelled);
+    const unsigned at_ack = gens->count();
+    const Frame f = status_after(c, id, kRtlStopBound);
+    EXPECT_EQ(f.str("state"), "cancelled");
+    EXPECT_LE(gens->count(), at_ack + 1) << "only the generation in flight may follow the ack";
+}
+
+TEST(Service, DeadlineExpiresRunningRtlJob) {
+    service::Daemon d(daemon_config("t_svc_rtldeadline.sock"));
+    Client c(d.socket_path());
+    JobSpec spec = long_rtl_job();
+    spec.deadline_ms = 300;
+    const std::uint64_t id = c.submit(spec);
+    const Frame f = status_after(c, id, std::chrono::milliseconds(spec.deadline_ms) + kRtlStopBound);
+    EXPECT_EQ(f.str("state"), "expired");
+}
+
+TEST(Service, DaemonStopEndsRunningRtlJob) {
+    auto d = std::make_unique<service::Daemon>(daemon_config("t_svc_rtlstop.sock"));
+    {
+        Client c(d->socket_path());
+        wait_running(c, c.submit(long_rtl_job()));
+    }
+    // Stops the poll loop, then the scheduler, which joins its workers.
+    const auto t0 = std::chrono::steady_clock::now();
+    d.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, kRtlStopBound);
+}
+
 TEST(Service, CancelQueuedJob) {
     service::Daemon d(daemon_config("t_svc_cancelq.sock", /*workers=*/1));
     Client c(d.socket_path());
     const std::uint64_t blocker = c.submit(long_job());
-    const std::uint64_t victim = c.submit(small_job(service::JobBackend::kBehavioral));
+    const std::uint64_t victim = c.submit(small_job(core::Substrate::kBehavioral));
 
     EXPECT_EQ(c.cancel(victim), service::CancelOutcome::kCancelled);
     EXPECT_EQ(c.status(victim).str("state"), "cancelled");  // immediate, never ran
@@ -310,8 +393,8 @@ TEST(Service, DrainDuringLiveGateBlockAdmitsNoLanes) {
     const std::uint64_t b = c.submit(running_b);
     wait_running(c, a);
     wait_running(c, b);
-    const std::uint64_t q1 = c.submit(small_job(service::JobBackend::kGates, 0x3303));
-    const std::uint64_t q2 = c.submit(small_job(service::JobBackend::kGates, 0x3304));
+    const std::uint64_t q1 = c.submit(small_job(core::Substrate::kGates, 0x3303));
+    const std::uint64_t q2 = c.submit(small_job(core::Substrate::kGates, 0x3304));
     EXPECT_EQ(c.status(q1).str("state"), "queued");
     EXPECT_EQ(c.status(q2).str("state"), "queued");
 
@@ -358,10 +441,10 @@ TEST(Service, QueueFullRejection) {
     const std::uint64_t blocker = c.submit(long_job());
     for (int i = 0; i < 2000 && c.status(blocker).str("state") == "queued"; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const std::uint64_t queued = c.submit(small_job(service::JobBackend::kBehavioral));
+    const std::uint64_t queued = c.submit(small_job(core::Substrate::kBehavioral));
 
     try {
-        c.submit(small_job(service::JobBackend::kBehavioral));
+        c.submit(small_job(core::Substrate::kBehavioral));
         FAIL() << "submit beyond max_queue accepted";
     } catch (const service::RemoteError& e) {
         EXPECT_EQ(e.code(), service::err::kQueueFull);
@@ -382,7 +465,7 @@ TEST(Service, StreamLiveJobCarriesEvents) {
     const std::uint64_t blocker = c.submit(long_job());
     for (int i = 0; i < 2000 && c.status(blocker).str("state") == "queued"; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    JobSpec spec = small_job(service::JobBackend::kBehavioral);
+    JobSpec spec = small_job(core::Substrate::kBehavioral);
     spec.params.n_gens = 32;
     const std::uint64_t victim = c.submit(spec);
 
@@ -403,7 +486,7 @@ TEST(Service, StreamLiveJobCarriesEvents) {
 TEST(Service, StreamOnTerminalJobEndsImmediately) {
     service::Daemon d(daemon_config("t_svc_stream2.sock"));
     Client c(d.socket_path());
-    const Frame done = c.run_job(small_job(service::JobBackend::kGates));
+    const Frame done = c.run_job(small_job(core::Substrate::kGates));
     const std::uint64_t id = done.u64("id");
 
     // The job is long finished; stream must answer ack + stream_end without
@@ -418,7 +501,7 @@ TEST(Service, ListShowsEveryJob) {
     service::Daemon d(daemon_config("t_svc_list.sock"));
     Client c(d.socket_path());
     std::vector<std::uint64_t> ids;
-    for (int i = 0; i < 3; ++i) ids.push_back(c.submit(small_job(service::JobBackend::kGates)));
+    for (int i = 0; i < 3; ++i) ids.push_back(c.submit(small_job(core::Substrate::kGates)));
     for (const auto id : ids) wait_terminal(c, id);
 
     c.send(Frame(service::verb::kList));
@@ -476,17 +559,17 @@ TEST(Service, TerminalRowsServeLiveAndRestoredJobs) {
     {
         service::Daemon d(cfg);
         Client c(d.socket_path());
-        JobSpec supervised = small_job(service::JobBackend::kRtl, 0x91);
+        JobSpec supervised = small_job(core::Substrate::kRtl, 0x91);
         supervised.supervise = true;
-        for (const JobSpec& spec : {small_job(service::JobBackend::kBehavioral, 0x92), supervised,
-                                    small_job(service::JobBackend::kGates, 0x93)}) {
+        for (const JobSpec& spec : {small_job(core::Substrate::kBehavioral, 0x92), supervised,
+                                    small_job(core::Substrate::kGates, 0x93)}) {
             const Frame end = c.run_job(spec);
             want.emplace_back(end.u64("id"), c.status(end.u64("id")));
         }
         EXPECT_EQ(want[1].second.str("status"), "ok");
         // A cancelled queued job: behind a blocker on the only worker.
         const std::uint64_t blocker = c.submit(long_job());
-        const std::uint64_t victim = c.submit(small_job(service::JobBackend::kBehavioral, 0x94));
+        const std::uint64_t victim = c.submit(small_job(core::Substrate::kBehavioral, 0x94));
         EXPECT_EQ(c.cancel(victim), service::CancelOutcome::kCancelled);
         EXPECT_EQ(c.cancel(blocker), service::CancelOutcome::kCancelled);
         wait_terminal(c, blocker);
@@ -499,7 +582,7 @@ TEST(Service, TerminalRowsServeLiveAndRestoredJobs) {
         service::Journal j(dir);
         service::JobRecord failed;
         failed.id = 40;
-        failed.spec = small_job(service::JobBackend::kRtl, 0x95);
+        failed.spec = small_job(core::Substrate::kRtl, 0x95);
         j.record_submit(failed);
         failed.state = service::JobState::kFailed;
         failed.error = "supervisor abort: out of retries";
@@ -538,7 +621,7 @@ TEST(Service, SlowStreamConsumerIsEvictedNeverBlocksScheduler) {
 
     // Scheduler is unobstructed: a fresh job runs to done while the
     // flooded job is still spinning.
-    EXPECT_EQ(c.run_job(small_job(service::JobBackend::kGates)).str("state"), "done");
+    EXPECT_EQ(c.run_job(small_job(core::Substrate::kGates)).str("state"), "done");
 
     // The evicted consumer's connection is really gone: draining the
     // kernel-buffered backlog ends in EOF, not another control frame.
@@ -585,7 +668,7 @@ TEST(Service, QueueFullShedsStreamsAndHintsRetry) {
     const std::uint64_t blocker = c.submit(long_job());
     for (int i = 0; i < 2000 && c.status(blocker).str("state") == "queued"; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const std::uint64_t queued = c.submit(small_job(service::JobBackend::kBehavioral));
+    const std::uint64_t queued = c.submit(small_job(core::Substrate::kBehavioral));
 
     // A subscriber watching the queued job while the queue is still below
     // the 75% stream-admission threshold (tier 1), to be shed on tier 2.
@@ -597,7 +680,7 @@ TEST(Service, QueueFullShedsStreamsAndHintsRetry) {
     // Fill the queue to the brim (depth 4 of 4)...
     std::vector<std::uint64_t> filler;
     for (int i = 0; i < 3; ++i)
-        filler.push_back(c.submit(small_job(service::JobBackend::kBehavioral)));
+        filler.push_back(c.submit(small_job(core::Substrate::kBehavioral)));
 
     // ... tier 1: new stream subscriptions are now refused ...
     Client late(d.socket_path());
@@ -610,7 +693,7 @@ TEST(Service, QueueFullShedsStreamsAndHintsRetry) {
 
     // ... tier 2: the over-capacity submit is rejected with a bounded
     // retry_after_ms hint and existing subscribers are shed.
-    c.send(service::submit_frame(small_job(service::JobBackend::kBehavioral)));
+    c.send(service::submit_frame(small_job(core::Substrate::kBehavioral)));
     const Frame rej = c.read_frame();
     EXPECT_FALSE(rej.ok());
     EXPECT_EQ(rej.str("code"), service::err::kQueueFull);
@@ -662,7 +745,7 @@ TEST(Service, QueueFullShedsOnlyStreamsStillAttached) {
 
     const std::uint64_t blocker_a = c.submit(long_job());
     wait_running(c, blocker_a);
-    const std::uint64_t a = c.submit(small_job(service::JobBackend::kBehavioral));
+    const std::uint64_t a = c.submit(small_job(core::Substrate::kBehavioral));
     subscribe(watcher, a);
     c.cancel(blocker_a);
     Frame end_a = watcher.read_frame();
@@ -672,13 +755,13 @@ TEST(Service, QueueFullShedsOnlyStreamsStillAttached) {
 
     const std::uint64_t blocker_b = c.submit(long_job());
     wait_running(c, blocker_b);
-    const std::uint64_t b = c.submit(small_job(service::JobBackend::kBehavioral));
+    const std::uint64_t b = c.submit(small_job(core::Substrate::kBehavioral));
     subscribe(watcher, b);
     const std::uint64_t shed_before = c.stats().u64("streams_shed");
     std::vector<std::uint64_t> filler;
     for (int i = 0; i < 3; ++i)
-        filler.push_back(c.submit(small_job(service::JobBackend::kBehavioral)));
-    EXPECT_THROW(c.submit(small_job(service::JobBackend::kBehavioral)), service::RemoteError);
+        filler.push_back(c.submit(small_job(core::Substrate::kBehavioral)));
+    EXPECT_THROW(c.submit(small_job(core::Substrate::kBehavioral)), service::RemoteError);
 
     const std::vector<Frame> ends = stream_ends_before_ping(watcher);
     ASSERT_EQ(ends.size(), 1u);
@@ -700,7 +783,7 @@ TEST(Service, StreamCountersCountBatchedEventLines) {
     Client c(d.socket_path());
     const std::uint64_t blocker = c.submit(long_job());
     wait_running(c, blocker);
-    const JobSpec spec = small_job(service::JobBackend::kRtl);
+    const JobSpec spec = small_job(core::Substrate::kRtl);
     const std::uint64_t id = c.submit(spec);
     Client watcher(d.socket_path());
     subscribe(watcher, id);

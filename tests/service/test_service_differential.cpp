@@ -42,7 +42,7 @@ struct Expected {
 /// (see Scheduler::run_behavioral_job / run_rtl_job / run_gate_batch).
 Expected direct_run(const JobSpec& spec) {
     switch (spec.backend) {
-        case service::JobBackend::kBehavioral: {
+        case core::Substrate::kBehavioral: {
             const fitness::FitnessId fn = spec.fn;
             core::BehavioralEngine eng(
                 spec.params,
@@ -51,7 +51,7 @@ Expected direct_run(const JobSpec& spec) {
             while (!eng.done()) eng.step_generation();
             return {eng.best_fitness(), eng.best_candidate()};
         }
-        case service::JobBackend::kRtl: {
+        case core::Substrate::kRtl: {
             system::GaSystemConfig cfg;
             cfg.params = spec.params;
             cfg.internal_fems = {spec.fn};
@@ -60,7 +60,7 @@ Expected direct_run(const JobSpec& spec) {
             const core::RunResult r = system::run_ga_system(cfg);
             return {r.best_fitness, r.best_candidate};
         }
-        case service::JobBackend::kGates: {
+        case core::Substrate::kGates: {
             // A one-lane runner: lane packing must not change any lane's
             // result, so the single-lane run is the reference.
             gates::BatchGateRunner runner(spec.fn, {spec.params});
@@ -87,9 +87,9 @@ TEST(Differential, SixtyFourConcurrentJobsMatchDirectRuns) {
     constexpr fitness::FitnessId kFns[] = {
         fitness::FitnessId::kOneMax, fitness::FitnessId::kMBf6_2,
         fitness::FitnessId::kBf6, fitness::FitnessId::kRoyalRoad};
-    constexpr service::JobBackend kBackends[] = {
-        service::JobBackend::kGates, service::JobBackend::kBehavioral,
-        service::JobBackend::kGates, service::JobBackend::kRtl};
+    constexpr core::Substrate kBackends[] = {
+        core::Substrate::kGates, core::Substrate::kBehavioral,
+        core::Substrate::kGates, core::Substrate::kRtl};
 
     std::vector<JobSpec> specs;
     for (int i = 0; i < 64; ++i) {
@@ -118,7 +118,7 @@ TEST(Differential, SixtyFourConcurrentJobsMatchDirectRuns) {
             << "job " << ids[i] << ": " << service::to_line(end);
         const Expected want = direct_run(specs[i]);
         EXPECT_EQ(end.u64("best_fitness"), want.best_fitness)
-            << "job " << ids[i] << " (" << service::job_backend_name(specs[i].backend)
+            << "job " << ids[i] << " (" << core::substrate_name(specs[i].backend)
             << ", seed 0x" << std::hex << specs[i].params.seed << ")";
         EXPECT_EQ(end.u64("best_candidate"), want.best_candidate) << "job " << ids[i];
     }
@@ -146,7 +146,7 @@ TEST(Differential, GatePackingPreservesLaneResults) {
 
     JobSpec blocker;
     blocker.fn = fitness::FitnessId::kOneMax;
-    blocker.backend = service::JobBackend::kBehavioral;
+    blocker.backend = core::Substrate::kBehavioral;
     blocker.params = core::resolve_parameters(
         0, {.pop_size = 128, .n_gens = 50'000'000, .xover_threshold = 12,
             .mut_threshold = 1, .seed = 1});
@@ -159,7 +159,7 @@ TEST(Differential, GatePackingPreservesLaneResults) {
     for (int i = 0; i < 16; ++i) {
         JobSpec s;
         s.fn = fitness::FitnessId::kOneMax;
-        s.backend = service::JobBackend::kGates;
+        s.backend = core::Substrate::kGates;
         s.params = core::resolve_parameters(
             0, {.pop_size = 16, .n_gens = 8, .xover_threshold = 12, .mut_threshold = 1,
                 .seed = static_cast<std::uint16_t>(0x1000 + i)});
@@ -193,7 +193,7 @@ TEST(Differential, IslandJobMatchesDirectEnsemble) {
 
     JobSpec s;
     s.fn = fitness::FitnessId::kOneMax;
-    s.backend = service::JobBackend::kRtl;
+    s.backend = core::Substrate::kRtl;
     s.params = core::resolve_parameters(
         0, {.pop_size = 16, .n_gens = 12, .xover_threshold = 12, .mut_threshold = 1,
             .seed = 0x2961});
@@ -279,7 +279,7 @@ JobSpec gates_spec(fitness::FitnessId fn, std::uint8_t pop, std::uint32_t gens,
                    std::uint16_t seed) {
     JobSpec s;
     s.fn = fn;
-    s.backend = service::JobBackend::kGates;
+    s.backend = core::Substrate::kGates;
     s.params = core::resolve_parameters(
         0, {.pop_size = pop, .n_gens = gens, .xover_threshold = 12, .mut_threshold = 1,
             .seed = seed});
@@ -301,7 +301,7 @@ TEST(Differential, RefilledGateBlockMatchesOneLaneRuns) {
 
     JobSpec blocker;
     blocker.fn = fitness::FitnessId::kOneMax;
-    blocker.backend = service::JobBackend::kBehavioral;
+    blocker.backend = core::Substrate::kBehavioral;
     blocker.params = core::resolve_parameters(
         0, {.pop_size = 128, .n_gens = 50'000'000, .xover_threshold = 12,
             .mut_threshold = 1, .seed = 1});
@@ -361,7 +361,7 @@ TEST(Differential, RefilledGateBlockMatchesOneLaneRuns) {
 std::vector<std::string> direct_event_lines(const JobSpec& spec) {
     trace::MemorySink sink;
     switch (spec.backend) {
-        case service::JobBackend::kBehavioral: {
+        case core::Substrate::kBehavioral: {
             core::BehavioralEngine eng(spec.params, core::rom_fitness(spec.fn),
                                        prng::RngKind::kCellularAutomaton,
                                        /*keep_populations=*/false);
@@ -379,7 +379,7 @@ std::vector<std::string> direct_event_lines(const JobSpec& spec) {
             sink.on_event(e);
             return json_lines(sink.events());
         }
-        case service::JobBackend::kRtl: {
+        case core::Substrate::kRtl: {
             system::GaSystemConfig cfg;
             cfg.params = spec.params;
             cfg.internal_fems = {spec.fn};
@@ -389,7 +389,7 @@ std::vector<std::string> direct_event_lines(const JobSpec& spec) {
             system::run_ga_system(cfg);
             return json_lines(sink.events());
         }
-        case service::JobBackend::kGates: return direct_lane(spec).events;
+        case core::Substrate::kGates: return direct_lane(spec).events;
     }
     throw std::logic_error("unreachable");
 }
@@ -406,7 +406,7 @@ TEST(Differential, StreamedLinesAreTheDirectRunsBytes) {
     service::Client c(d.socket_path());
 
     JobSpec blocker = gates_spec(fitness::FitnessId::kOneMax, 128, 50'000'000, 1);
-    blocker.backend = service::JobBackend::kBehavioral;
+    blocker.backend = core::Substrate::kBehavioral;
     const std::uint64_t block_id = c.submit(blocker);
     while (c.status(block_id).str("state") == "queued")
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -416,8 +416,8 @@ TEST(Differential, StreamedLinesAreTheDirectRunsBytes) {
         gates_spec(fitness::FitnessId::kOneMax, 16, 8, 0x2961),
         gates_spec(fitness::FitnessId::kRoyalRoad, 16, 6, 0xB342),
     };
-    specs[0].backend = service::JobBackend::kBehavioral;
-    specs[1].backend = service::JobBackend::kRtl;
+    specs[0].backend = core::Substrate::kBehavioral;
+    specs[1].backend = core::Substrate::kRtl;
     std::vector<std::unique_ptr<service::Client>> subs;
     for (const JobSpec& s : specs) {
         const std::uint64_t id = c.submit(s);
@@ -431,7 +431,7 @@ TEST(Differential, StreamedLinesAreTheDirectRunsBytes) {
     c.cancel(block_id);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        SCOPED_TRACE(service::job_backend_name(specs[i].backend));
+        SCOPED_TRACE(core::substrate_name(specs[i].backend));
         std::vector<std::string> lines;
         Frame end;
         for (;;) {
@@ -484,7 +484,7 @@ TEST(Differential, BehavioralJobBehindGateStreamDoesNotStarve) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     JobSpec beh;
     beh.fn = fitness::FitnessId::kOneMax;
-    beh.backend = service::JobBackend::kBehavioral;
+    beh.backend = core::Substrate::kBehavioral;
     beh.params = core::resolve_parameters(
         0, {.pop_size = 16, .n_gens = 8, .xover_threshold = 12, .mut_threshold = 1,
             .seed = 0x2961});

@@ -21,6 +21,7 @@ namespace gaip::supervisor {
 namespace {
 
 using core::GaCore;
+using core::Substrate;
 using fault::FaultSite;
 
 core::GaParameters small_params() {
@@ -87,7 +88,7 @@ TEST(MissionSupervisor, ConfigValidation) {
     EXPECT_THROW(MissionSupervisor{cfg}, std::invalid_argument);
     cfg = base_config();
     cfg.nmr = 2;
-    cfg.replica_backends = {BackendKind::kRtl};  // wrong size
+    cfg.replica_backends = {Substrate::kRtl};  // wrong size
     EXPECT_THROW(MissionSupervisor{cfg}, std::invalid_argument);
 }
 
@@ -100,16 +101,16 @@ TEST(MissionSupervisor, PrimaryBudgetMatchesWatchdogConvention) {
 
 TEST(MissionSupervisor, CleanRunAllBackendsBitExact) {
     const fault::GoldenRun& golden = shared_injector().golden();
-    for (const BackendKind b :
-         {BackendKind::kRtl, BackendKind::kBehavioral, BackendKind::kGateLane}) {
+    for (const Substrate b :
+         {Substrate::kRtl, Substrate::kBehavioral, Substrate::kGates}) {
         SupervisorConfig cfg = base_config();
         cfg.backend = b;
         const SupervisorReport rep = MissionSupervisor(cfg).run();
-        ASSERT_EQ(rep.status, Status::kOk) << backend_kind_name(b);
-        EXPECT_EQ(rep.final_rung, Rung::kPrimary) << backend_kind_name(b);
-        EXPECT_EQ(rep.best_fitness, golden.best_fitness) << backend_kind_name(b);
-        EXPECT_EQ(rep.best_candidate, golden.best_candidate) << backend_kind_name(b);
-        EXPECT_EQ(rep.generations, golden.generations) << backend_kind_name(b);
+        ASSERT_EQ(rep.status, Status::kOk) << core::substrate_name(b);
+        EXPECT_EQ(rep.final_rung, Rung::kPrimary) << core::substrate_name(b);
+        EXPECT_EQ(rep.best_fitness, golden.best_fitness) << core::substrate_name(b);
+        EXPECT_EQ(rep.best_candidate, golden.best_candidate) << core::substrate_name(b);
+        EXPECT_EQ(rep.generations, golden.generations) << core::substrate_name(b);
         EXPECT_EQ(rep.watchdog_trips, 0u);
         EXPECT_TRUE(rep.abort_reason.empty());
         ASSERT_EQ(rep.attempts.size(), 1u);
@@ -314,8 +315,8 @@ TEST(MissionSupervisor, NmrMixedBackendsVoteUnanimously) {
     const fault::GoldenRun& golden = shared_injector().golden();
     SupervisorConfig cfg = base_config();
     cfg.nmr = 3;
-    cfg.replica_backends = {BackendKind::kRtl, BackendKind::kBehavioral,
-                            BackendKind::kGateLane};
+    cfg.replica_backends = {Substrate::kRtl, Substrate::kBehavioral,
+                            Substrate::kGates};
     const SupervisorReport rep = MissionSupervisor(cfg).run();
     ASSERT_EQ(rep.status, Status::kOk);
     EXPECT_TRUE(rep.voted);

@@ -242,9 +242,9 @@ int run_daemon(const Options& opt) {
         spec.fn = opt.fn;
         spec.params = core::resolve_parameters(opt.preset, opt.params);
         if (opt.preset != 0) spec.params.seed = prng::kPresetSeeds[opt.preset - 1];
-        spec.backend = opt.behavioral    ? service::JobBackend::kBehavioral
-                       : opt.gate_level ? service::JobBackend::kGates
-                                        : service::JobBackend::kRtl;
+        spec.backend = opt.behavioral    ? core::Substrate::kBehavioral
+                       : opt.gate_level ? core::Substrate::kGates
+                                        : core::Substrate::kRtl;
         service::RetryPolicy policy;
         policy.attempts = 3;  // backoff dial keeps a dead daemon fast to diagnose
         service::Client client = service::Client::dial(opt.daemon_socket, policy);
@@ -260,7 +260,7 @@ int run_daemon(const Options& opt) {
                     static_cast<unsigned long long>(res.u64("best_candidate")),
                     static_cast<unsigned long long>(res.u64("evaluations")),
                     static_cast<unsigned long long>(res.u64("id")),
-                    service::job_backend_name(spec.backend));
+                    core::substrate_name(spec.backend));
         return 0;
     } catch (const service::ConnectError& e) {
         std::fprintf(stderr, "gacli: %s\n", e.what());

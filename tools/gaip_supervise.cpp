@@ -126,15 +126,7 @@ int run_via_daemon(const supervisor::SupervisorConfig& cfg, const std::string& s
         spec.fn = cfg.fn;
         spec.params = core::resolve_parameters(0, cfg.params);
         spec.supervise = true;
-        switch (cfg.backend) {
-            case supervisor::BackendKind::kRtl: spec.backend = service::JobBackend::kRtl; break;
-            case supervisor::BackendKind::kBehavioral:
-                spec.backend = service::JobBackend::kBehavioral;
-                break;
-            case supervisor::BackendKind::kGateLane:
-                spec.backend = service::JobBackend::kGates;
-                break;
-        }
+        spec.backend = cfg.backend;
         std::unique_ptr<trace::JsonlSink> sink;
         if (!out_path.empty()) {
             if (!validate_writable(out_path, "output file")) return 2;
@@ -249,16 +241,13 @@ int main(int argc, char** argv) {
                 const char* s = need_value(i);
                 if (s == nullptr) return 2;
                 const std::string b = s;
-                if (b == "rtl") {
-                    cfg.backend = supervisor::BackendKind::kRtl;
-                } else if (b == "behavioral") {
-                    cfg.backend = supervisor::BackendKind::kBehavioral;
-                } else if (b == "lanes") {
-                    cfg.backend = supervisor::BackendKind::kGateLane;
-                } else {
+                const std::optional<core::Substrate> sub =
+                    b == "lanes" ? core::Substrate::kGates : core::parse_substrate(b);
+                if (!sub) {
                     std::fprintf(stderr, "gaip-supervise: unknown backend '%s'\n", s);
                     return 2;
                 }
+                cfg.backend = *sub;
             } else if (a == "--watchdog-factor") {
                 if (!need_u64(i, v)) return 2;
                 cfg.watchdog_factor = static_cast<unsigned>(v);
@@ -335,7 +324,7 @@ int main(int argc, char** argv) {
             }
         }
 
-        if (flip.has_value() && cfg.backend != supervisor::BackendKind::kRtl) {
+        if (flip.has_value() && cfg.backend != core::Substrate::kRtl) {
             std::fprintf(stderr, "gaip-supervise: --flip requires the rtl backend\n");
             return 2;
         }
@@ -390,7 +379,7 @@ int main(int argc, char** argv) {
         for (const supervisor::AttemptRecord& at : rep.attempts)
             std::printf("  attempt r%u#%u %s/%s: %s%s\n", at.replica, at.attempt,
                         supervisor::rung_name(at.rung),
-                        supervisor::backend_kind_name(at.backend),
+                        core::substrate_name(at.backend),
                         supervisor::attempt_outcome_name(at.outcome),
                         at.resumed ? (" (resumed gen " + std::to_string(at.resumed_gen) + ")")
                                          .c_str()

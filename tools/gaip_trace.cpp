@@ -146,8 +146,7 @@ int record_via_daemon(const RecordOptions& opt) {
         spec.fn = opt.fn;
         spec.params = core::resolve_parameters(opt.preset, opt.params);
         if (opt.preset != 0) spec.params.seed = prng::kPresetSeeds[opt.preset - 1];
-        spec.backend = opt.backend == "rtl" ? service::JobBackend::kRtl
-                                            : service::JobBackend::kGates;
+        spec.backend = opt.backend == "rtl" ? core::Substrate::kRtl : core::Substrate::kGates;
         trace::JsonlSink sink(opt.out_path);
         service::RetryPolicy policy;
         policy.attempts = 3;  // backoff dial keeps a dead daemon fast to diagnose
