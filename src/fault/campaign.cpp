@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "gates/batch_runner.hpp"
+#include "system/ga_system.hpp"
 #include "util/worker_pool.hpp"
 
 namespace gaip::fault {
@@ -57,7 +58,7 @@ public:
         // (SeuInjector's numbering); -1 until then. Bound on edges before
         // the optimizer starts (init handshake).
         std::int64_t opt_cycle = -1;
-        std::uint64_t prestart_guard = 4096;
+        std::uint64_t prestart_guard = system::kInitBound;
         runner_.begin_run();
         while (true) {
             const std::size_t unfinished = runner_.step_cycle();

@@ -201,24 +201,7 @@ Frame Client::rpc(const Frame& req) {
 
 Frame submit_frame(const JobSpec& spec) {
     Frame f(verb::kSubmit);
-    f.add("fitness", fitness::fitness_name(spec.fn));
-    f.add("backend", core::substrate_name(spec.backend));
-    f.add("pop", std::uint64_t{spec.params.pop_size});
-    f.add("gens", std::uint64_t{spec.params.n_gens});
-    f.add("xover", std::uint64_t{spec.params.xover_threshold});
-    f.add("mut", std::uint64_t{spec.params.mut_threshold});
-    f.add("seed", std::uint64_t{spec.params.seed});
-    if (spec.words != 0) f.add("words", std::uint64_t{spec.words});
-    if (spec.islands != 0) {
-        f.add("islands", std::uint64_t{spec.islands});
-        f.add("topology", island::topology_name(spec.topology));
-        f.add("interval", std::uint64_t{spec.migration.interval});
-        f.add("count", std::uint64_t{spec.migration.count});
-        f.add("policy", island::policy_name(spec.migration.policy));
-        f.add("mig_seed", std::uint64_t{spec.migration.mig_seed});
-    }
-    if (spec.supervise) f.add("supervise", std::uint64_t{1});
-    if (spec.deadline_ms != 0) f.add("deadline_ms", spec.deadline_ms);
+    add_raw_spec_fields(f, spec);
     return f;
 }
 

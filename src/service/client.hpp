@@ -140,7 +140,8 @@ private:
     std::uint64_t op_deadline_ms_ = 0;
 };
 
-/// Build a submit frame from a spec (field names of docs/GAIPD.md).
+/// Build a submit frame from a spec: every schema field, raw
+/// (service::add_raw_spec_fields).
 Frame submit_frame(const JobSpec& spec);
 
 /// Readiness probe: dial + ping with backoff until the daemon answers or

@@ -1,7 +1,8 @@
 #include "service/job.hpp"
 
+#include <algorithm>
+#include <cstdlib>
 #include <optional>
-#include <set>
 
 namespace gaip::service {
 
@@ -12,7 +13,7 @@ fitness::FitnessId fitness_by_name(const std::string& name) {
     }
     // Numeric ids are accepted too (the 3-bit fitfunc_select view).
     if (!name.empty() && name.find_first_not_of("0123456789") == std::string::npos) {
-        const unsigned long v = std::stoul(name);
+        const unsigned long v = std::strtoul(name.c_str(), nullptr, 10);  // saturates
         if (v < fitness::kNumFitnessIds) return static_cast<fitness::FitnessId>(v);
     }
     throw ProtocolError(err::kBadField, "unknown fitness function '" + name + "'");
@@ -38,22 +39,41 @@ island::ReplacePolicy policy_by_name(const std::string& name) {
     throw ProtocolError(err::kBadField, "unknown policy '" + name + "' (worst|random)");
 }
 
-/// The submit request schema. Strict: anything else is kUnknownField, so a
-/// typo can never silently run a default job.
-const std::set<std::string>& known_fields() {
-    static const std::set<std::string> k = {
-        "fitness", "pop",      "gens",     "xover",  "mut",      "seed",
-        "backend", "words",    "islands",  "topology", "interval", "count",
-        "policy",  "mig_seed", "supervise", "deadline_ms",
-    };
-    return k;
-}
-
 }  // namespace
 
+std::span<const SubmitField> submit_schema() {
+    using K = FieldKind;
+    static constexpr SubmitField kFields[] = {
+        {"fitness", K::kName, true},      {"backend", K::kName, false},
+        {"pop", K::kNumber, true},        {"gens", K::kNumber, true},
+        {"xover", K::kNumber, true},      {"mut", K::kNumber, true},
+        {"seed", K::kNumber, true},       {"words", K::kNumber, false},
+        {"islands", K::kNumber, false},   {"topology", K::kName, false},
+        {"interval", K::kNumber, false},  {"count", K::kNumber, false},
+        {"policy", K::kName, false},      {"mig_seed", K::kNumber, false},
+        {"supervise", K::kSwitch, false}, {"deadline_ms", K::kNumber, false},
+    };
+    return kFields;
+}
+
+core::GaParameters handshake_parameters(const Frame& f) {
+    const core::GaParameters def{};
+    core::GaParameters p;
+    p.pop_size = core::clamp_pop_size(static_cast<std::uint32_t>(f.u64("pop", def.pop_size)));
+    p.n_gens = static_cast<std::uint32_t>(f.u64("gens", def.n_gens) & 0xFFFFFFFFull);
+    p.xover_threshold = static_cast<std::uint8_t>(f.u64("xover", def.xover_threshold) & 0xF);
+    p.mut_threshold = static_cast<std::uint8_t>(f.u64("mut", def.mut_threshold) & 0xF);
+    p.seed = static_cast<std::uint16_t>(f.u64("seed", def.seed) & 0xFFFF);
+    return p;
+}
+
 JobSpec parse_job_spec(const Frame& f) {
+    // Strict: a key outside the schema is kUnknownField, so a typo can
+    // never silently run a default job.
+    const std::span<const SubmitField> schema = submit_schema();
     for (const trace::Field& fd : f.fields)
-        if (known_fields().count(fd.key) == 0)
+        if (std::none_of(schema.begin(), schema.end(),
+                         [&](const SubmitField& sf) { return fd.key == sf.key; }))
             throw ProtocolError(err::kUnknownField, "unknown field '" + fd.key + "'");
 
     JobSpec s;
@@ -62,17 +82,7 @@ JobSpec parse_job_spec(const Frame& f) {
 
     // Register-path values: identical clamps to the init handshake
     // (core::resolve_parameters, preset 0).
-    core::GaParameters user;
-    user.pop_size = core::clamp_pop_size(
-        static_cast<std::uint32_t>(f.u64("pop", core::GaParameters{}.pop_size)));
-    const std::uint64_t gens = f.u64("gens", core::GaParameters{}.n_gens);
-    user.n_gens = static_cast<std::uint32_t>(gens & 0xFFFFFFFFull);  // 2 x 16-bit registers
-    user.xover_threshold =
-        static_cast<std::uint8_t>(f.u64("xover", core::GaParameters{}.xover_threshold));
-    user.mut_threshold =
-        static_cast<std::uint8_t>(f.u64("mut", core::GaParameters{}.mut_threshold));
-    user.seed = static_cast<std::uint16_t>(f.u64("seed", core::GaParameters{}.seed) & 0xFFFF);
-    s.params = core::resolve_parameters(0, user);
+    s.params = core::resolve_parameters(0, handshake_parameters(f));
 
     // Structural values: no register analog, reject instead of clamping.
     const std::uint64_t words = f.u64("words", 0);
@@ -104,6 +114,25 @@ JobSpec parse_job_spec(const Frame& f) {
         throw ProtocolError(err::kBadField,
                             "supervised island jobs require backend 'rtl'");
     return s;
+}
+
+void add_raw_spec_fields(Frame& f, const JobSpec& spec) {
+    f.add("fitness", fitness::fitness_name(spec.fn));
+    f.add("backend", core::substrate_name(spec.backend));
+    f.add("pop", std::uint64_t{spec.params.pop_size});
+    f.add("gens", std::uint64_t{spec.params.n_gens});
+    f.add("xover", std::uint64_t{spec.params.xover_threshold});
+    f.add("mut", std::uint64_t{spec.params.mut_threshold});
+    f.add("seed", std::uint64_t{spec.params.seed});
+    f.add("words", std::uint64_t{spec.words});
+    f.add("islands", std::uint64_t{spec.islands});
+    f.add("topology", island::topology_name(spec.topology));
+    f.add("interval", std::uint64_t{spec.migration.interval});
+    f.add("count", std::uint64_t{spec.migration.count});
+    f.add("policy", island::policy_name(spec.migration.policy));
+    f.add("mig_seed", std::uint64_t{spec.migration.mig_seed});
+    f.add("supervise", std::uint64_t{spec.supervise});
+    f.add("deadline_ms", spec.deadline_ms);
 }
 
 void add_spec_fields(Frame& f, const JobSpec& spec) {

@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/params.hpp"
@@ -73,11 +74,39 @@ struct JobSpec {
     friend bool operator==(const JobSpec&, const JobSpec&) = default;
 };
 
+/// Value kind of one submit field.
+enum class FieldKind : std::uint8_t { kNumber, kName, kSwitch };
+
+/// One field of the submit schema. `core` marks the GA-core parameters
+/// (fitness select and the init-handshake registers) that every CLI takes;
+/// the others are service-level knobs.
+struct SubmitField {
+    const char* key;
+    FieldKind kind;
+    bool core;
+};
+
+/// The submit schema: every field a submit frame may carry, in the raw
+/// serializer's order. parse_job_spec rejects any other key; the CLIs
+/// derive one flag per key (mig_seed -> --mig-seed).
+std::span<const SubmitField> submit_schema();
+
 /// Parse + validate a submit frame. Throws ProtocolError(kBadField /
 /// kUnknownField); register-analog values clamp silently (see file
-/// comment). The accepted fields are exactly the ones echoed by
-/// add_spec_fields().
+/// comment).
 JobSpec parse_job_spec(const Frame& f);
+
+/// The GA-core parameters a submit frame programs, as the init handshake
+/// writes them: pop clamped, thresholds cut to their 4 register bits, gens
+/// and seed to their 32 and 16. Seed 0 stays 0 (the core remaps it);
+/// parse_job_spec's params are these through core::resolve_parameters.
+core::GaParameters handshake_parameters(const Frame& f);
+
+/// Raw serializer: every schema field of `spec`, always, in schema order,
+/// with the migration registers as given. It writes the journal's submit
+/// record and the client's submit frame; parse_job_spec reads it back to
+/// `spec` exactly.
+void add_raw_spec_fields(Frame& f, const JobSpec& spec);
 
 /// Echo a spec's effective values into a response frame (submit ack,
 /// status, list rows) — field names match the submit request schema.

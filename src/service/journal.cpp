@@ -64,7 +64,7 @@ std::string submit_body(const JobRecord& rec) {
     trace::TraceEvent e(jkind::kSubmit, 0, 0);
     e.add("id", rec.id);
     Frame spec;
-    add_journal_spec_fields(spec, rec.spec);
+    add_raw_spec_fields(spec, rec.spec);
     for (trace::Field& fd : spec.fields) e.fields.push_back(std::move(fd));
     return trace::to_json_line(e);
 }
@@ -128,25 +128,6 @@ std::uint32_t crc32(const void* data, std::size_t n) noexcept {
     std::uint32_t crc = 0xFFFFFFFFu;
     for (std::size_t i = 0; i < n; ++i) crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xFF];
     return crc ^ 0xFFFFFFFFu;
-}
-
-void add_journal_spec_fields(Frame& f, const JobSpec& spec) {
-    f.add("fitness", fitness::fitness_name(spec.fn));
-    f.add("backend", core::substrate_name(spec.backend));
-    f.add("pop", std::uint64_t{spec.params.pop_size});
-    f.add("gens", std::uint64_t{spec.params.n_gens});
-    f.add("xover", std::uint64_t{spec.params.xover_threshold});
-    f.add("mut", std::uint64_t{spec.params.mut_threshold});
-    f.add("seed", std::uint64_t{spec.params.seed});
-    f.add("words", std::uint64_t{spec.words});
-    f.add("islands", std::uint64_t{spec.islands});
-    f.add("topology", island::topology_name(spec.topology));
-    f.add("interval", std::uint64_t{spec.migration.interval});
-    f.add("count", std::uint64_t{spec.migration.count});
-    f.add("policy", island::policy_name(spec.migration.policy));
-    f.add("mig_seed", std::uint64_t{spec.migration.mig_seed});
-    f.add("supervise", spec.supervise ? std::uint64_t{1} : std::uint64_t{0});
-    f.add("deadline_ms", spec.deadline_ms);
 }
 
 Journal::Journal(std::string dir) : dir_(std::move(dir)), path_(dir_ + "/journal.jsonl") {

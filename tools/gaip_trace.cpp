@@ -17,9 +17,6 @@
 //
 // Exit status: 0 = success / streams match, 1 = streams differ, 2 = error.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,9 +24,8 @@
 #include "fault/seu_injector.hpp"
 #include "gates/batch_runner.hpp"
 #include "gates/jit.hpp"
-#include "fitness/functions.hpp"
-#include "service/client.hpp"
 #include "system/ga_system.hpp"
+#include "tools/cli.hpp"
 #include "trace/diff.hpp"
 #include "trace/event.hpp"
 #include "trace/jsonl.hpp"
@@ -38,20 +34,6 @@
 namespace {
 
 using namespace gaip;
-
-const std::map<std::string, fitness::FitnessId>& fitness_by_name() {
-    static const std::map<std::string, fitness::FitnessId> m = {
-        {"BF6", fitness::FitnessId::kBf6},
-        {"F2", fitness::FitnessId::kF2},
-        {"F3", fitness::FitnessId::kF3},
-        {"mBF6_2", fitness::FitnessId::kMBf6_2},
-        {"mBF7_2", fitness::FitnessId::kMBf7_2},
-        {"mShubert2D", fitness::FitnessId::kMShubert2D},
-        {"OneMax", fitness::FitnessId::kOneMax},
-        {"RoyalRoad", fitness::FitnessId::kRoyalRoad},
-    };
-    return m;
-}
 
 void usage() {
     std::printf(
@@ -85,110 +67,50 @@ void usage() {
         "exit status: 0 = ok / match, 1 = streams differ, 2 = error\n");
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::string item =
-            s.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        if (!item.empty()) out.push_back(item);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-    try {
-        std::size_t used = 0;
-        out = std::stoull(s, &used, 0);
-        return used == std::strlen(s) && used > 0;
-    } catch (...) {
-        return false;
-    }
-}
-
-/// Fail fast on an unwritable output path — BEFORE the (possibly long)
-/// simulation runs, not after. An append-mode probe creates the file if the
-/// directory allows it and touches nothing that already exists.
-bool validate_writable(const std::string& path, const char* what) {
-    std::ofstream probe(path, std::ios::app);
-    if (!probe) {
-        std::fprintf(stderr, "gaip-trace: cannot open %s '%s' for writing\n", what,
-                     path.c_str());
-        return false;
-    }
-    return true;
-}
-
 struct RecordOptions {
-    fitness::FitnessId fn = fitness::FitnessId::kMBf6_2;
-    core::GaParameters params{};
+    cli::JobFlags job = cli::JobFlags::local_defaults();
     std::uint8_t preset = 0;
     std::string backend = "rtl";
     std::optional<fault::FaultSite> flip;
     std::string out_path = "trace.jsonl";
     std::string vcd_path;
     std::string daemon_socket;
+    std::string local_only;  ///< last flag a daemon job cannot carry
 };
 
-/// Thin-client recording: the daemon runs the job and streams its trace
-/// events back; we append them to the JSONL file exactly as a local record
-/// would have.
-int record_via_daemon(const RecordOptions& opt) {
-    if (opt.flip.has_value() || !opt.vcd_path.empty()) {
-        std::fprintf(stderr, "gaip-trace: --daemon does not support --flip/--vcd\n");
-        return 2;
-    }
-    try {
-        service::JobSpec spec;
-        spec.fn = opt.fn;
-        spec.params = core::resolve_parameters(opt.preset, opt.params);
-        if (opt.preset != 0) spec.params.seed = prng::kPresetSeeds[opt.preset - 1];
-        spec.backend = opt.backend == "rtl" ? core::Substrate::kRtl : core::Substrate::kGates;
-        trace::JsonlSink sink(opt.out_path);
-        service::RetryPolicy policy;
-        policy.attempts = 3;  // backoff dial keeps a dead daemon fast to diagnose
-        service::Client client = service::Client::dial(opt.daemon_socket, policy);
-        const service::Frame res =
-            client.run_job(spec, [&](const trace::TraceEvent& e) { sink.on_event(e); });
-        sink.flush();
-        std::printf("daemon job %llu (%s): best=%llu cand=%llu, %llu events -> %s\n",
-                    static_cast<unsigned long long>(res.u64("id")), opt.backend.c_str(),
-                    static_cast<unsigned long long>(res.u64("best_fitness")),
-                    static_cast<unsigned long long>(res.u64("best_candidate")),
-                    static_cast<unsigned long long>(sink.events_written()),
-                    opt.out_path.c_str());
-        return 0;
-    } catch (const service::ConnectError& e) {
-        std::fprintf(stderr, "gaip-trace: %s\n", e.what());
-        return 4;
-    } catch (const service::MalformedResponse& e) {
-        std::fprintf(stderr, "gaip-trace: %s\n", e.what());
-        return 5;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "gaip-trace: %s\n", e.what());
-        return 2;
-    }
-}
-
 int cmd_record(const RecordOptions& opt) {
-    if (!validate_writable(opt.out_path, "output file")) return 2;
-    if (!opt.vcd_path.empty() && !validate_writable(opt.vcd_path, "VCD file")) return 2;
-    if (!opt.daemon_socket.empty()) return record_via_daemon(opt);
+    const service::JobSpec spec = opt.job.spec();
+    const core::GaParameters params = opt.job.handshake();
+    cli::require_writable(opt.out_path, "output file");
+    if (!opt.vcd_path.empty()) cli::require_writable(opt.vcd_path, "VCD file");
+    if (!opt.daemon_socket.empty()) {
+        // Thin client: the daemon runs the job and streams its trace events
+        // back into the JSONL file, as a local record would have.
+        if (!opt.local_only.empty())
+            throw cli::UsageError("--daemon cannot forward " + opt.local_only);
+        service::JobSpec remote = spec;
+        remote.params = cli::run_parameters(opt.preset, params);
+        remote.backend = opt.backend == "rtl" ? core::Substrate::kRtl : core::Substrate::kGates;
+        trace::JsonlSink sink(opt.out_path);
+        const auto render = [&](const service::Frame& res) {
+            sink.flush();
+            std::printf("daemon job %llu (%s): best=%llu cand=%llu, %llu events -> %s\n",
+                        static_cast<unsigned long long>(res.u64("id")), opt.backend.c_str(),
+                        static_cast<unsigned long long>(res.u64("best_fitness")),
+                        static_cast<unsigned long long>(res.u64("best_candidate")),
+                        static_cast<unsigned long long>(sink.events_written()),
+                        opt.out_path.c_str());
+            return 0;
+        };
+        return cli::run_on_daemon("gaip-trace", opt.daemon_socket, remote, render,
+                                  [&](const trace::TraceEvent& e) { sink.on_event(e); });
+    }
     if (opt.flip.has_value()) {
-        if (opt.backend != "rtl") {
-            std::fprintf(stderr, "gaip-trace: --flip requires the rtl backend\n");
-            return 2;
-        }
-        if (opt.preset != 0) {
-            std::fprintf(stderr, "gaip-trace: --flip does not support --preset\n");
-            return 2;
-        }
+        if (opt.backend != "rtl") throw cli::UsageError("--flip requires the rtl backend");
+        if (opt.preset != 0) throw cli::UsageError("--flip does not support --preset");
         fault::InjectorConfig icfg;
-        icfg.fn = opt.fn;
-        icfg.params = opt.params;
+        icfg.fn = spec.fn;
+        icfg.params = params;
         fault::SeuInjector injector(icfg);
         trace::JsonlSink sink(opt.out_path);
         injector.set_sink(&sink);
@@ -211,7 +133,7 @@ int cmd_record(const RecordOptions& opt) {
         // jit_fallback under GAIP_JIT=1) must be attached first; detached
         // before the sink dies.
         gates::jit::set_trace_sink(&sink);
-        gates::BatchGateRunner runner(opt.fn, {opt.params});
+        gates::BatchGateRunner runner(spec.fn, {params});
         gates::jit::set_trace_sink(nullptr);
         runner.set_lane_preset(0, opt.preset);
         runner.set_lane_sink(0, &sink);
@@ -230,12 +152,12 @@ int cmd_record(const RecordOptions& opt) {
     }
 
     system::GaSystemConfig cfg;
-    cfg.params = opt.params;
+    cfg.params = params;
     cfg.preset = opt.preset;
     // A preset run is the Table IV init-failure scenario: the pins alone
     // carry the run, no handshake (as gacli and the gate lanes run it).
     cfg.skip_initialization = opt.preset != 0;
-    cfg.internal_fems = {opt.fn};
+    cfg.internal_fems = {spec.fn};
     cfg.keep_populations = false;
     cfg.trace_path = opt.out_path;
     cfg.vcd_path = opt.vcd_path;
@@ -295,103 +217,30 @@ int main(int argc, char** argv) {
     }
 
     try {
-        auto need_value = [&](int& i) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "gaip-trace: %s needs a value\n", argv[i]);
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        auto need_u64 = [&](int& i, std::uint64_t& v) -> bool {
-            const char* flag = argv[i];
-            const char* s = need_value(i);
-            if (s == nullptr) return false;
-            if (!parse_u64(s, v)) {
-                std::fprintf(stderr, "gaip-trace: %s wants a number, got '%s'\n", flag, s);
-                return false;
-            }
-            return true;
-        };
-
+        cli::Args args(argc, argv, 2);
         if (cmd == "record") {
             RecordOptions opt;
-            opt.params = {.pop_size = 32, .n_gens = 32, .xover_threshold = 10,
-                          .mut_threshold = 1, .seed = 0x2961};
-            for (int i = 2; i < argc; ++i) {
-                const std::string a = argv[i];
-                std::uint64_t v = 0;
-                if (a == "--fitness") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    const auto it = fitness_by_name().find(s);
-                    if (it == fitness_by_name().end()) {
-                        std::fprintf(stderr, "gaip-trace: unknown fitness '%s'\n", s);
-                        return 2;
-                    }
-                    opt.fn = it->second;
-                } else if (a == "--pop") {
-                    if (!need_u64(i, v)) return 2;
-                    opt.params.pop_size = core::clamp_pop_size(static_cast<std::uint32_t>(v));
-                } else if (a == "--gens") {
-                    if (!need_u64(i, v)) return 2;
-                    opt.params.n_gens = static_cast<std::uint32_t>(v);
-                } else if (a == "--xover") {
-                    if (!need_u64(i, v)) return 2;
-                    opt.params.xover_threshold = static_cast<std::uint8_t>(v & 0xF);
-                } else if (a == "--mut") {
-                    if (!need_u64(i, v)) return 2;
-                    opt.params.mut_threshold = static_cast<std::uint8_t>(v & 0xF);
-                } else if (a == "--seed") {
-                    if (!need_u64(i, v)) return 2;
-                    opt.params.seed = static_cast<std::uint16_t>(v);
-                } else if (a == "--preset") {
-                    if (!need_u64(i, v)) return 2;
-                    if (v > 3) {
-                        std::fprintf(stderr,
-                                     "gaip-trace: --preset wants a mode 0..3, got %llu\n",
-                                     static_cast<unsigned long long>(v));
-                        return 2;
-                    }
-                    opt.preset = static_cast<std::uint8_t>(v);
+            while (args.more()) {
+                const std::string& a = args.next();
+                if (opt.job.take(args)) continue;
+                if (a == "--preset") {
+                    opt.preset = static_cast<std::uint8_t>(args.number(0, 3));
                 } else if (a == "--backend") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    opt.backend = s;
-                    if (opt.backend != "rtl" && opt.backend != "gates" &&
-                        opt.backend != "lanes") {
-                        std::fprintf(stderr, "gaip-trace: unknown backend '%s'\n", s);
-                        return 2;
-                    }
+                    opt.backend = args.value();
+                    if (opt.backend != "rtl" && opt.backend != "gates" && opt.backend != "lanes")
+                        throw cli::UsageError("unknown backend '" + opt.backend + "'");
                 } else if (a == "--flip") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    const std::string spec = s;
-                    const std::size_t c1 = spec.find(':');
-                    const std::size_t c2 = spec.find(':', c1 + 1);
-                    std::uint64_t bit = 0, cyc = 0;
-                    if (c1 == std::string::npos || c2 == std::string::npos ||
-                        !parse_u64(spec.substr(c1 + 1, c2 - c1 - 1).c_str(), bit) ||
-                        !parse_u64(spec.substr(c2 + 1).c_str(), cyc)) {
-                        std::fprintf(stderr, "gaip-trace: --flip wants REG:BIT:CYCLE\n");
-                        return 2;
-                    }
-                    opt.flip = fault::FaultSite{spec.substr(0, c1),
-                                                static_cast<unsigned>(bit), cyc};
+                    opt.flip = args.flip();
+                    opt.local_only = a;
                 } else if (a == "--daemon") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    opt.daemon_socket = s;
+                    opt.daemon_socket = args.value();
                 } else if (a == "-o" || a == "--out") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    opt.out_path = s;
+                    opt.out_path = args.value();
                 } else if (a == "--vcd") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    opt.vcd_path = s;
+                    opt.vcd_path = args.value();
+                    opt.local_only = a;
                 } else {
-                    std::fprintf(stderr, "gaip-trace: unknown option '%s'\n", a.c_str());
-                    return 2;
+                    args.unknown();
                 }
             }
             return cmd_record(opt);
@@ -401,55 +250,36 @@ int main(int argc, char** argv) {
             std::string path;
             std::vector<std::string> kinds;
             std::uint64_t limit = 0;
-            for (int i = 2; i < argc; ++i) {
-                const std::string a = argv[i];
-                if (a == "--kind") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    kinds = split_csv(s);
-                } else if (a == "--limit") {
-                    if (!need_u64(i, limit)) return 2;
-                } else if (!a.empty() && a[0] != '-' && path.empty()) {
-                    path = a;
-                } else {
-                    std::fprintf(stderr, "gaip-trace: unknown option '%s'\n", a.c_str());
-                    return 2;
-                }
+            while (args.more()) {
+                const std::string& a = args.next();
+                if (a == "--kind") kinds = cli::split_csv(args.value());
+                else if (a == "--limit") limit = args.number();
+                else if (!a.empty() && a[0] != '-' && path.empty()) path = a;
+                else args.unknown();
             }
-            if (path.empty()) {
-                std::fprintf(stderr, "gaip-trace: filter needs an input file\n");
-                return 2;
-            }
+            if (path.empty()) throw cli::UsageError("filter needs an input file");
             return cmd_filter(path, kinds, limit);
         }
 
         if (cmd == "diff") {
             std::vector<std::string> paths;
             trace::DiffOptions opt;
-            for (int i = 2; i < argc; ++i) {
-                const std::string a = argv[i];
+            while (args.more()) {
+                const std::string& a = args.next();
                 if (a == "--kind") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    opt.kinds = split_csv(s);
+                    opt.kinds = cli::split_csv(args.value());
                 } else if (a == "--ignore") {
-                    const char* s = need_value(i);
-                    if (s == nullptr) return 2;
-                    opt.ignore_keys = split_csv(s);
+                    opt.ignore_keys = cli::split_csv(args.value());
                 } else if (a == "--strict") {
                     opt.compare_time = true;
                     opt.compare_cycle = true;
                 } else if (!a.empty() && a[0] != '-') {
                     paths.push_back(a);
                 } else {
-                    std::fprintf(stderr, "gaip-trace: unknown option '%s'\n", a.c_str());
-                    return 2;
+                    args.unknown();
                 }
             }
-            if (paths.size() != 2) {
-                std::fprintf(stderr, "gaip-trace: diff needs exactly two files\n");
-                return 2;
-            }
+            if (paths.size() != 2) throw cli::UsageError("diff needs exactly two files");
             return cmd_diff(paths[0], paths[1], opt);
         }
 

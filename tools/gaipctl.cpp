@@ -23,11 +23,9 @@
 // `stream`/`submit --follow` survive a daemon restart mid-stream by
 // reconnecting and resuming the same job id.
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "service/client.hpp"
+#include "tools/cli.hpp"
 #include "trace/jsonl.hpp"
 
 namespace {
@@ -63,15 +61,6 @@ void usage() {
         "  --supervise --deadline-ms N\n");
 }
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-    try {
-        out = std::stoull(s, nullptr, 0);
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
 void print_frame(const Frame& f) { std::printf("%s\n", service::to_line(f).c_str()); }
 
 void print_event(const trace::TraceEvent& e) {
@@ -79,127 +68,33 @@ void print_event(const trace::TraceEvent& e) {
     std::fflush(stdout);
 }
 
-/// Field names the submit verb forwards verbatim (value parsed as number) or
-/// as a string. The daemon owns validation; gaipctl only shapes the frame.
-struct SubmitField {
-    const char* flag;
-    const char* key;
-    bool numeric;
-};
-constexpr SubmitField kSubmitFields[] = {
-    {"--fitness", "fitness", false}, {"--backend", "backend", false},
-    {"--pop", "pop", true},          {"--gens", "gens", true},
-    {"--xover", "xover", true},      {"--mut", "mut", true},
-    {"--seed", "seed", true},        {"--words", "words", true},
-    {"--islands", "islands", true},  {"--topology", "topology", false},
-    {"--interval", "interval", true},{"--count", "count", true},
-    {"--policy", "policy", false},   {"--mig-seed", "mig_seed", true},
-    {"--deadline-ms", "deadline_ms", true},
-};
-
-/// Shape the submit frame from CLI flags (daemon owns validation of the
-/// values; unknown flags and non-numbers are usage errors here, caught
-/// BEFORE connecting). Returns 0 and fills `req`/`follow`, or exit code 2.
-int build_submit_frame(const std::vector<std::string>& args, Frame& req, bool& follow) {
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        if (a == "--follow") {
-            follow = true;
-            continue;
-        }
-        if (a == "--supervise") {
-            req.add("supervise", std::uint64_t{1});
-            continue;
-        }
-        const SubmitField* field = nullptr;
-        for (const auto& f : kSubmitFields)
-            if (a == f.flag) field = &f;
-        if (field == nullptr) {
-            std::fprintf(stderr, "gaipctl: unknown option '%s'\n", a.c_str());
-            return 2;
-        }
-        if (i + 1 >= args.size()) {
-            std::fprintf(stderr, "gaipctl: %s needs a value\n", a.c_str());
-            return 2;
-        }
-        const std::string& val = args[++i];
-        if (field->numeric) {
-            std::uint64_t v = 0;
-            if (!parse_u64(val.c_str(), v)) {
-                std::fprintf(stderr, "gaipctl: %s wants a number, got '%s'\n", a.c_str(),
-                             val.c_str());
-                return 2;
-            }
-            req.add(field->key, v);
-        } else {
-            req.add(field->key, val);
-        }
-    }
-    return 0;
-}
-
 int run(int argc, char** argv) {
     std::string socket_path = "gaipd.sock";
     service::RetryPolicy policy;
     policy.attempts = 3;  // keep a dead-daemon diagnosis fast (~150 ms)
-    int i = 1;
-    for (; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto need_value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "gaipctl: %s needs a value\n", a.c_str());
-                return nullptr;
-            }
-            return argv[++i];
-        };
-        std::uint64_t v = 0;
+    cli::Args args(argc, argv, 1);
+    std::string verb;
+    while (verb.empty()) {
+        if (!args.more()) {
+            usage();
+            return 2;
+        }
+        const std::string& a = args.next();
         if (a == "--help" || a == "-h") {
             usage();
             return 0;
         } else if (a == "-s" || a == "--socket") {
-            const char* s = need_value();
-            if (s == nullptr) return 2;
-            socket_path = s;
+            socket_path = args.value();
         } else if (a == "--retries") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u64(s, v) || v == 0) {
-                std::fprintf(stderr, "gaipctl: --retries wants a number >= 1\n");
-                return 2;
-            }
-            policy.attempts = static_cast<unsigned>(v);
+            policy.attempts = static_cast<unsigned>(args.number(1, UINT32_MAX));
         } else if (a == "--backoff-ms") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u64(s, v)) {
-                std::fprintf(stderr, "gaipctl: --backoff-ms wants a number\n");
-                return 2;
-            }
-            policy.base_ms = static_cast<unsigned>(v);
+            policy.base_ms = static_cast<unsigned>(args.number(0, UINT32_MAX));
         } else if (a == "--timeout-ms") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u64(s, v)) {
-                std::fprintf(stderr, "gaipctl: --timeout-ms wants a number\n");
-                return 2;
-            }
-            policy.op_deadline_ms = v;
+            policy.op_deadline_ms = args.number();
         } else {
-            break;
+            verb = a;
         }
     }
-    if (i >= argc) {
-        usage();
-        return 2;
-    }
-    const std::string verb = argv[i++];
-    std::vector<std::string> args(argv + i, argv + argc);
-
-    auto need_id = [&](std::uint64_t& id) {
-        if (args.size() != 1 || !parse_u64(args[0].c_str(), id)) {
-            std::fprintf(stderr, "gaipctl: %s wants one job id\n", verb.c_str());
-            return false;
-        }
-        return true;
-    };
-
     // Validate everything local (verb, ids, submit flags) BEFORE touching
     // the socket, so usage errors exit 2 even when no daemon is running.
     const bool known = verb == "ping" || verb == "submit" || verb == "status" ||
@@ -210,32 +105,30 @@ int run(int argc, char** argv) {
         usage();
         return 2;
     }
-    Frame submit_req(service::verb::kSubmit);
+    cli::JobFlags job;
     bool follow = false;
     bool drain = false;
     double wait_s = -1;
     std::uint64_t id = 0;
     if (verb == "submit") {
-        const int rc = build_submit_frame(args, submit_req, follow);
-        if (rc != 0) return rc;
+        // The daemon supplies the defaults. The job is validated here too,
+        // so a bad value is a usage error even with no daemon up.
+        while (args.more()) {
+            if (args.next() == "--follow") follow = true;
+            else if (!job.take(args)) args.unknown();
+        }
+        job.spec();
     } else if (verb == "status" || verb == "cancel" || verb == "stream") {
-        if (!need_id(id)) return 2;
-    } else if (verb == "ping" && args.size() == 2 && args[0] == "--wait") {
-        try {
-            wait_s = std::stod(args[1]);
-        } catch (...) {
-            wait_s = -1;
-        }
-        if (wait_s < 0) {
-            std::fprintf(stderr, "gaipctl: ping --wait wants a number of seconds\n");
-            return 2;
-        }
-    } else if (verb == "shutdown" && args.size() == 1 && args[0] == "--drain") {
+        if (!args.more() || !cli::parse_unsigned(args.next(), id) || args.more())
+            throw cli::UsageError(verb + " wants one job id");
+    } else if (verb == "ping" && args.more()) {
+        if (args.next() != "--wait") args.unknown();
+        wait_s = args.real();
+    } else if (verb == "shutdown" && args.more()) {
+        if (args.next() != "--drain") args.unknown();
         drain = true;
-    } else if (!args.empty()) {
-        std::fprintf(stderr, "gaipctl: bad arguments for '%s'\n", verb.c_str());
-        return 2;
     }
+    if (args.more()) throw cli::UsageError("bad arguments for '" + verb + "'");
 
     // Readiness probe and resilient stream manage their own connections
     // (they may have to dial more than once).
@@ -259,7 +152,7 @@ int run(int argc, char** argv) {
         std::printf("pong\n");
         return 0;
     } else if (verb == "submit") {
-        const Frame ack = c.rpc(submit_req);
+        const Frame ack = c.rpc(job.frame);
         print_frame(ack);
         if (!follow) return 0;
         const Frame end =
@@ -304,6 +197,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
     try {
         return run(argc, argv);
+    } catch (const cli::UsageError& e) {
+        std::fprintf(stderr, "gaipctl: %s\n", e.what());
+        return 2;
     } catch (const service::TimeoutError& e) {
         std::fprintf(stderr, "gaipctl: %s\n", e.what());
         return 6;

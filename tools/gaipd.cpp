@@ -11,10 +11,10 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "service/server.hpp"
+#include "tools/cli.hpp"
 
 namespace {
 
@@ -50,105 +50,52 @@ void usage() {
         "  --quiet            do not announce the socket on stderr\n");
 }
 
-bool parse_u32(const char* s, std::uint32_t& out) {
-    try {
-        out = static_cast<std::uint32_t>(std::stoul(s, nullptr, 0));
-        return true;
-    } catch (...) {
-        return false;
-    }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     service::ServerConfig cfg;
     cfg.announce = true;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto need_value = [&]() -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "gaipd: %s needs a value\n", a.c_str());
-                return nullptr;
+    try {
+        cli::Args args(argc, argv, 1);
+        while (args.more()) {
+            const std::string& a = args.next();
+            if (a == "--help" || a == "-h") {
+                usage();
+                return 0;
+            } else if (a == "--socket") {
+                cfg.socket_path = args.value();
+            } else if (a == "--workers") {
+                cfg.scheduler.workers = static_cast<unsigned>(args.number(1, UINT32_MAX));
+            } else if (a == "--max-queue") {
+                cfg.scheduler.max_queue = args.number(1, UINT32_MAX);
+            } else if (a == "--max-batch") {
+                cfg.scheduler.max_batch_lanes = static_cast<unsigned>(args.number(1, UINT32_MAX));
+            } else if (a == "--gate-backend") {
+                const std::string s = args.value();
+                if (s == "auto") cfg.scheduler.gate_backend = gates::Backend::kAuto;
+                else if (s == "interp") cfg.scheduler.gate_backend = gates::Backend::kInterp;
+                else if (s == "jit") cfg.scheduler.gate_backend = gates::Backend::kJit;
+                else throw cli::UsageError("unknown gate backend '" + s + "'");
+            } else if (a == "--metrics") {
+                cfg.metrics_path = args.value();
+            } else if (a == "--journal") {
+                cfg.journal_dir = args.value();
+            } else if (a == "--max-conns") {
+                cfg.max_conns = args.number(0, UINT32_MAX);
+            } else if (a == "--max-conns-per-client") {
+                cfg.max_conns_per_client = args.number(0, UINT32_MAX);
+            } else if (a == "--max-outbox") {
+                cfg.max_outbox_bytes = args.number(1, UINT32_MAX);
+            } else if (a == "--quiet") {
+                cfg.announce = false;
+            } else {
+                usage();
+                args.unknown();
             }
-            return argv[++i];
-        };
-        std::uint32_t v = 0;
-        if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else if (a == "--socket") {
-            const char* s = need_value();
-            if (s == nullptr) return 2;
-            cfg.socket_path = s;
-        } else if (a == "--workers") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u32(s, v) || v == 0) {
-                std::fprintf(stderr, "gaipd: --workers wants a number >= 1\n");
-                return 2;
-            }
-            cfg.scheduler.workers = v;
-        } else if (a == "--max-queue") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u32(s, v) || v == 0) {
-                std::fprintf(stderr, "gaipd: --max-queue wants a number >= 1\n");
-                return 2;
-            }
-            cfg.scheduler.max_queue = v;
-        } else if (a == "--max-batch") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u32(s, v) || v == 0) {
-                std::fprintf(stderr, "gaipd: --max-batch wants a number >= 1\n");
-                return 2;
-            }
-            cfg.scheduler.max_batch_lanes = v;
-        } else if (a == "--gate-backend") {
-            const char* s = need_value();
-            if (s == nullptr) return 2;
-            if (std::strcmp(s, "auto") == 0) cfg.scheduler.gate_backend = gates::Backend::kAuto;
-            else if (std::strcmp(s, "interp") == 0)
-                cfg.scheduler.gate_backend = gates::Backend::kInterp;
-            else if (std::strcmp(s, "jit") == 0) cfg.scheduler.gate_backend = gates::Backend::kJit;
-            else {
-                std::fprintf(stderr, "gaipd: unknown gate backend '%s'\n", s);
-                return 2;
-            }
-        } else if (a == "--metrics") {
-            const char* s = need_value();
-            if (s == nullptr) return 2;
-            cfg.metrics_path = s;
-        } else if (a == "--journal") {
-            const char* s = need_value();
-            if (s == nullptr) return 2;
-            cfg.journal_dir = s;
-        } else if (a == "--max-conns") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u32(s, v)) {
-                std::fprintf(stderr, "gaipd: --max-conns wants a number\n");
-                return 2;
-            }
-            cfg.max_conns = v;
-        } else if (a == "--max-conns-per-client") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u32(s, v)) {
-                std::fprintf(stderr, "gaipd: --max-conns-per-client wants a number\n");
-                return 2;
-            }
-            cfg.max_conns_per_client = v;
-        } else if (a == "--max-outbox") {
-            const char* s = need_value();
-            if (s == nullptr || !parse_u32(s, v) || v == 0) {
-                std::fprintf(stderr, "gaipd: --max-outbox wants a number >= 1\n");
-                return 2;
-            }
-            cfg.max_outbox_bytes = v;
-        } else if (a == "--quiet") {
-            cfg.announce = false;
-        } else {
-            std::fprintf(stderr, "gaipd: unknown option '%s'\n", a.c_str());
-            usage();
-            return 2;
         }
+    } catch (const cli::UsageError& e) {
+        std::fprintf(stderr, "gaipd: %s\n", e.what());
+        return 2;
     }
 
     try {
