@@ -141,10 +141,8 @@ struct JournalReplay {
 /// records that fail it are skipped and counted, never fatal.
 JournalReplay replay_journal(const std::string& dir);
 
-/// The journal's spec serialization is the raw serializer: every
-/// submit-schema field, always present (unlike the response echo, which
-/// elides defaults), so parse_job_spec(journal record) reconstructs the
-/// spec exactly.
+/// The journal's spec serialization, add_raw_spec_fields: every schema
+/// field, always, so parse_job_spec(journal record) reconstructs the spec.
 inline void add_journal_spec_fields(Frame& f, const JobSpec& spec) {
     add_raw_spec_fields(f, spec);
 }

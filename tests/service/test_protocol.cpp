@@ -187,6 +187,13 @@ TEST(JobSpec, FitnessByNameAndNumber) {
     EXPECT_EQ(code_of([] { service::fitness_by_name("99"); }), service::err::kBadField);
 }
 
+TEST(JobSpec, OverflowingFitnessIdIsBadField) {
+    // Past 2^64 a numeric id must stay a bad_field, not an out_of_range
+    // escaping as bad_frame.
+    EXPECT_EQ(code_of([] { service::fitness_by_name("99999999999999999999"); }),
+              service::err::kBadField);
+}
+
 TEST(JobSpec, MigrationCountEchoesEffectiveClamp) {
     // count saturates at min(16, pop/2) on the register path; the echo must
     // carry the effective value like the init handshake does.
