@@ -10,7 +10,6 @@
 //
 // Exit status: 0 on success, 1 on bad arguments or a failed run.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -64,15 +63,16 @@ void usage() {
         "  --quiet          print only the result line\n");
 }
 
-/// Fills `opt`; throws cli::UsageError on a bad command line.
-void parse(int argc, char** argv, Options& opt) {
+/// Fills `opt`; false after printing --help. Throws cli::UsageError on a
+/// bad command line.
+bool parse(int argc, char** argv, Options& opt) {
     cli::Args args(argc, argv, 1);
     while (args.more()) {
         const std::string& a = args.next();
         if (opt.job.take(args)) continue;
         if (a == "--help" || a == "-h") {
             usage();
-            std::exit(0);
+            return false;
         } else if (a == "--preset") {
             opt.preset = static_cast<std::uint8_t>(args.number(0, 3));
         } else if (a == "--behavioral") {
@@ -110,6 +110,7 @@ void parse(int argc, char** argv, Options& opt) {
             }
         }
     }
+    return true;
 }
 
 void write_csv(const std::string& path, const core::RunResult& r) {
@@ -176,7 +177,7 @@ int run_daemon(const Options& opt, service::JobSpec spec, const core::GaParamete
 int main(int argc, char** argv) {
     try {
         Options opt;
-        parse(argc, argv, opt);
+        if (!parse(argc, argv, opt)) return 0;
         const service::JobSpec spec = opt.job.spec();
         const core::GaParameters params = opt.job.handshake();
         if (!opt.daemon_socket.empty()) return run_daemon(opt, spec, params);

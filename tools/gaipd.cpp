@@ -53,9 +53,9 @@ void usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    service::ServerConfig cfg;
-    cfg.announce = true;
     try {
+        service::ServerConfig cfg;
+        cfg.announce = true;
         cli::Args args(argc, argv, 1);
         while (args.more()) {
             const std::string& a = args.next();
@@ -93,12 +93,7 @@ int main(int argc, char** argv) {
                 args.unknown();
             }
         }
-    } catch (const cli::UsageError& e) {
-        std::fprintf(stderr, "gaipd: %s\n", e.what());
-        return 2;
-    }
 
-    try {
         service::Server server(std::move(cfg));
         g_server.store(&server, std::memory_order_release);
         struct sigaction sa{};
@@ -109,6 +104,9 @@ int main(int argc, char** argv) {
         server.run();
         g_server.store(nullptr, std::memory_order_release);
         return 0;
+    } catch (const cli::UsageError& e) {
+        std::fprintf(stderr, "gaipd: %s\n", e.what());
+        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "gaipd: %s\n", e.what());
         return 1;
