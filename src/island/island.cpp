@@ -1,6 +1,7 @@
 #include "island/island.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -10,23 +11,7 @@
 
 namespace gaip::island {
 
-namespace {
-
-using system::GaSystem;
-
-/// Deterministic per-island seed schedule when no explicit seeds are given.
-std::vector<std::uint16_t> derive_seeds(std::uint16_t base, unsigned islands) {
-    std::vector<std::uint16_t> seeds(islands);
-    for (unsigned i = 0; i < islands; ++i) {
-        std::uint16_t s =
-            static_cast<std::uint16_t>(base ^ static_cast<std::uint16_t>(0x9E37u * i));
-        if (s == 0) s = 1;
-        seeds[i] = s;
-    }
-    return seeds;
-}
-
-/// The per-substrate half of IslandSystem::run(): N islands that advance
+/// The per-substrate half of IslandSystem::step(): N islands that advance
 /// to a generation boundary together and expose their current populations
 /// between advances.
 class Ensemble {
@@ -46,6 +31,22 @@ public:
     /// Per-island outcome after completion (r.islands is sized already).
     virtual void collect(IslandResult& r) const = 0;
 };
+
+namespace {
+
+using system::GaSystem;
+
+/// Deterministic per-island seed schedule when no explicit seeds are given.
+std::vector<std::uint16_t> derive_seeds(std::uint16_t base, unsigned islands) {
+    std::vector<std::uint16_t> seeds(islands);
+    for (unsigned i = 0; i < islands; ++i) {
+        std::uint16_t s =
+            static_cast<std::uint16_t>(base ^ static_cast<std::uint16_t>(0x9E37u * i));
+        if (s == 0) s = 1;
+        seeds[i] = s;
+    }
+    return seeds;
+}
 
 class BehavioralEnsemble final : public Ensemble {
 public:
@@ -89,40 +90,60 @@ private:
     std::vector<std::unique_ptr<core::BehavioralEngine>> eng_;
 };
 
+/// N GaSystems, each with a MigrationRegisterBus snooping its init
+/// handshake. Supervised, every segment starts at a per-island checkpoint,
+/// and an island that misses its segment budget is rebuilt, restored and
+/// re-run alone; supervised islands step sequentially, so the hook and the
+/// rollback events never run concurrently.
 class RtlEnsemble final : public Ensemble {
 public:
     RtlEnsemble(const IslandConfig& cfg, const core::GaParameters& eff,
-                const std::vector<std::uint16_t>& seeds)
-        : threads_(cfg.threads),
+                const std::vector<std::uint16_t>& seeds, const IslandSupervision* sup,
+                unsigned replica, RollbackTally& tally)
+        : sink_(cfg.sink),
+          seeds_(seeds),
+          sup_(sup),
+          replica_(replica),
+          tally_(tally),
+          threads_(sup != nullptr ? 1 : cfg.threads),
           bound_(4 * core::cycle_bound(eff)),
-          run_(seeds.size(), 0),
-          stall_(seeds.size(), 0),
-          seg_(seeds.size(), 0) {
-        isl_.reserve(seeds.size());
-        for (const std::uint16_t seed : seeds) isl_.emplace_back(cfg, eff, seed);
+          isl_(seeds.size()) {
+        // Each init program appends the interconnect's index-6/7 writes:
+        // the RAW requested values (it clamps on use, like the hardware).
+        scfg_.params = eff;
+        scfg_.internal_fems = {cfg.fn};
+        scfg_.rng_kind = cfg.rng_kind;
+        scfg_.keep_populations = false;
+        scfg_.extra_init_writes = {{kMigIntervalIndex, cfg.migration.interval},
+                                   {kMigCountIndex, pack_count_policy(cfg.migration)}};
         // Init handshakes (uncounted, like the paper's on-fabric GA counter
-        // that starts at the start_GA pulse).
-        util::parallel_for_n(threads_, isl_.size(), [&](std::size_t i) {
-            if (!isl_[i].sys->start())
-                throw std::runtime_error("IslandSystem: island init handshake timed out");
-        });
+        // that starts at the start_GA pulse); the drained start pulse opens
+        // the first segment.
+        util::parallel_for_n(threads_, isl_.size(), [&](std::size_t i) { isl_[i].seg = boot(i); });
     }
 
     void advance(std::uint32_t g) override {
-        util::parallel_for_n(threads_, isl_.size(), [&](std::size_t i) {
-            const GaSystem::Advance a = isl_[i].sys->run_to(g, bound_);
-            if (!a.ok) throw std::runtime_error("IslandSystem: island missed its cycle bound (rtl)");
-            seg_[i] = a.cycles;
-        });
+        if (sup_ != nullptr) anchor();
+        const std::uint32_t gens = std::min(g, scfg_.params.n_gens) - from_gen_;
+        util::parallel_for_n(threads_, isl_.size(), [&](std::size_t i) { run_segment(i, g, gens); });
         // At a barrier every island idles (clock-gated in hardware) until
         // the slowest of the segment arrives; after the LAST barrier there
         // is no further sync, so the final segment accrues no stall cycles.
-        const std::uint64_t seg_max = *std::max_element(seg_.begin(), seg_.end());
-        for (std::size_t i = 0; i < isl_.size(); ++i) {
-            run_[i] += seg_[i];
-            if (g != GaSystem::kEnd) stall_[i] += seg_max - seg_[i];
+        std::uint64_t seg_max = 0;
+        for (const Island& m : isl_) seg_max = std::max(seg_max, m.seg);
+        for (Island& m : isl_) {
+            m.run += m.seg;
+            if (g != GaSystem::kEnd) m.stall += seg_max - m.seg;
+            m.seg = 0;
+            // The trajectory survives system replacement: a restored
+            // system's monitor only sees generations past its checkpoint.
+            const std::vector<core::GenerationStats>& h = m.sys->monitor().history();
+            std::size_t k = h.size();
+            while (k > 0 && h[k - 1].gen >= m.traj.size()) --k;
+            for (; k < h.size(); ++k) m.traj.push_back(h[k].best_fit);
         }
         makespan_ += seg_max;
+        from_gen_ = g;
     }
     std::vector<core::Member> population(unsigned i) const override {
         return isl_[i].sys->population();
@@ -133,26 +154,133 @@ public:
     std::uint64_t makespan() const override { return makespan_; }
     void collect(IslandResult& r) const override {
         for (std::size_t i = 0; i < isl_.size(); ++i) {
-            const GaSystem& sys = *isl_[i].sys;
+            const Island& m = isl_[i];
             IslandStats& s = r.islands[i];
-            s.best_fitness = sys.best_fitness();
-            s.best_candidate = sys.best_candidate();
-            s.generations = sys.generation();
-            s.evaluations = sys.fitness_evaluations();
-            s.run_cycles = run_[i];
-            s.stall_cycles = stall_[i];
-            for (const core::GenerationStats& gs : sys.monitor().history())
-                s.best_trajectory.push_back(gs.best_fit);
+            s.best_fitness = m.sys->best_fitness();
+            s.best_candidate = m.sys->best_candidate();
+            s.generations = m.sys->generation();
+            s.evaluations = m.sys->fitness_evaluations();
+            s.run_cycles = m.run;
+            s.stall_cycles = m.stall;
+            s.best_trajectory = m.traj;
         }
         r.bus_interval_reg = isl_[0].bus->interval_reg();
         r.bus_count_reg = isl_[0].bus->count_policy_reg();
     }
 
 private:
+    struct Island {
+        std::unique_ptr<GaSystem> sys;
+        std::unique_ptr<MigrationRegisterBus> bus;
+        supervisor::Checkpoint cp;  ///< supervised: the segment's rollback anchor
+        std::vector<std::uint16_t> traj;
+        std::uint64_t run = 0, stall = 0;
+        std::uint64_t seg = 0;  ///< cycles of the current segment
+    };
+
+    /// A fresh system for island `i` through its init handshake, with the
+    /// start pulse drained (a restore must not re-trigger the RNG's
+    /// seed-reload edge). Returns the drained cycles.
+    std::uint64_t boot(std::size_t i) {
+        Island& m = isl_[i];
+        system::GaSystemConfig scfg = scfg_;
+        scfg.params.seed = seeds_[i];
+        m.bus.reset();
+        m.sys = std::make_unique<GaSystem>(std::move(scfg));
+        auto& w = m.sys->wires();
+        m.bus = std::make_unique<MigrationRegisterBus>(
+            MigrationBusPorts{w.ga_load, w.index, w.value, w.data_valid});
+        // The bus snoops on the fast peripheral clock, like the system tap:
+        // every handshake transition is visible there.
+        m.sys->kernel().bind(*m.bus, m.sys->app_clock());
+        if (!m.sys->start())
+            throw std::runtime_error("IslandSystem: island init handshake timed out");
+        return m.sys->drain_start_pulse();
+    }
+
+    /// Rollback anchors at the start of a segment: the gen-0 park point
+    /// after the drained start pulse, then each post-migration park point,
+    /// so a retry re-runs the segment with its imports already in place.
+    void anchor() {
+        for (std::size_t i = 0; i < isl_.size(); ++i) {
+            Island& m = isl_[i];
+            m.cp = supervisor::capture_checkpoint(*m.sys, m.run + m.seg);
+            ++tally_.checkpoints;
+            if (from_gen_ != 0)
+                emit(trace::TraceEvent(trace::kind::kSupCheckpoint, 0, m.cp.cycle)
+                         .add("replica", std::uint64_t{replica_})
+                         .add("island", std::uint64_t{i})
+                         .add("gen", std::uint64_t{from_gen_}));
+        }
+    }
+
+    /// Island `i`'s part of the segment ending at `g` (`gens` generations).
+    /// Supervised, a missed budget rolls back only this island and re-runs
+    /// the segment with a doubled budget.
+    void run_segment(std::size_t i, std::uint32_t g, std::uint32_t gens) {
+        Island& m = isl_[i];
+        if (sup_ == nullptr) {
+            const GaSystem::Advance a = m.sys->run_to(g, bound_);
+            if (!a.ok) throw std::runtime_error("IslandSystem: island missed its cycle bound (rtl)");
+            m.seg += a.cycles;
+            return;
+        }
+        // GA cycles one generation costs (evaluation handshakes + selection scan).
+        const std::uint64_t pop = scfg_.params.pop_size;
+        const std::uint64_t budget0 =
+            sup_->watchdog_factor * ((std::uint64_t{gens} + 1) * pop * (64 + 8 * pop) + 10'000);
+        const std::uint64_t base = m.run + m.seg;
+        supervisor::AttemptInfo info;
+        info.replica = replica_;
+        info.attempt = static_cast<unsigned>(i);  // island index (IslandSupervision::hook)
+        for (unsigned attempt = 0;; ++attempt) {
+            info.rung = attempt == 0 ? supervisor::Rung::kPrimary : supervisor::Rung::kRetry;
+            info.resumed = attempt > 0;
+            info.resumed_gen = attempt > 0 ? m.cp.generation : 0;
+            const std::uint64_t budget = budget0 << attempt;
+            GaSystem& sys = *m.sys;
+            GaSystem::CycleFn on_cycle;
+            if (sup_->hook)
+                on_cycle = [&](std::uint64_t c) { sup_->hook(sys, info, base + c); };
+            const GaSystem::Advance a = sys.run_to(g, budget, on_cycle);
+            if (a.ok) {
+                m.seg += a.cycles;
+                return;
+            }
+            ++tally_.watchdog_trips;
+            emit(trace::TraceEvent(trace::kind::kWatchdogTrip, 0, base + a.cycles)
+                     .add("replica", std::uint64_t{replica_})
+                     .add("island", std::uint64_t{i})
+                     .add("budget", budget)
+                     .add("state", static_cast<std::uint64_t>(sys.state())));
+            if (attempt == sup_->max_retries)
+                throw std::runtime_error("island " + std::to_string(i) +
+                                         ": exhausted its rollback budget");
+            boot(i);
+            supervisor::restore_checkpoint(*m.sys, m.cp);
+            ++tally_.rollbacks;
+            emit(trace::TraceEvent(trace::kind::kIslandRollback, 0, base)
+                     .add("replica", std::uint64_t{replica_})
+                     .add("island", std::uint64_t{i})
+                     .add("gen", std::uint64_t{m.cp.generation})
+                     .add("attempt", std::uint64_t{attempt + 1}));
+        }
+    }
+
+    void emit(const trace::TraceEvent& e) const {
+        if (sink_ != nullptr) sink_->on_event(e);
+    }
+
+    trace::TraceSink* sink_;
+    const std::vector<std::uint16_t>& seeds_;
+    const IslandSupervision* sup_;
+    unsigned replica_;
+    RollbackTally& tally_;
     unsigned threads_;
     std::uint64_t bound_;
-    std::vector<RtlIsland> isl_;
-    std::vector<std::uint64_t> run_, stall_, seg_;
+    system::GaSystemConfig scfg_;  ///< every island's system but its seed
+    std::vector<Island> isl_;
+    std::uint32_t from_gen_ = 0;  ///< generation the current segment starts at
     std::uint64_t makespan_ = 0;
 };
 
@@ -236,39 +364,7 @@ private:
     bool parked_ = false;
 };
 
-std::unique_ptr<Ensemble> make_ensemble(const IslandConfig& cfg, const core::GaParameters& eff,
-                                        const std::vector<std::uint16_t>& seeds) {
-    switch (cfg.backend) {
-        case core::Substrate::kBehavioral:
-            return std::make_unique<BehavioralEnsemble>(cfg, eff, seeds);
-        case core::Substrate::kRtl: return std::make_unique<RtlEnsemble>(cfg, eff, seeds);
-        case core::Substrate::kGates: return std::make_unique<GateEnsemble>(cfg, eff, seeds);
-    }
-    throw std::logic_error("IslandSystem: unknown backend");
-}
-
 }  // namespace
-
-RtlIsland::RtlIsland(const IslandConfig& cfg, const core::GaParameters& eff,
-                     std::uint16_t seed) {
-    system::GaSystemConfig scfg;
-    scfg.params = eff;
-    scfg.params.seed = seed;
-    scfg.internal_fems = {cfg.fn};
-    scfg.rng_kind = cfg.rng_kind;
-    scfg.keep_populations = false;
-    scfg.extra_init_writes = {
-        {kMigIntervalIndex, cfg.migration.interval},
-        {kMigCountIndex, pack_count_policy(cfg.migration)},
-    };
-    sys = std::make_unique<system::GaSystem>(scfg);
-    auto& w = sys->wires();
-    bus = std::make_unique<MigrationRegisterBus>(
-        MigrationBusPorts{w.ga_load, w.index, w.value, w.data_valid});
-    // The bus snoops on the fast peripheral clock, like the system tap:
-    // every handshake transition is visible there.
-    sys->kernel().bind(*bus, sys->app_clock());
-}
 
 IslandSystem::IslandSystem(IslandConfig cfg) : cfg_(std::move(cfg)) {
     if (cfg_.islands == 0)
@@ -282,16 +378,23 @@ IslandSystem::IslandSystem(IslandConfig cfg) : cfg_(std::move(cfg)) {
         throw std::invalid_argument("IslandSystem: the gate-lane substrate requires the CA RNG");
 
     eff_params_ = core::resolve_parameters(0, cfg_.base);
-    // Every substrate runs the REGISTER view of the migration request:
-    // 16-bit interval, 8-bit count + policy bit, then the silent clamp —
-    // so an out-of-range request degrades identically everywhere.
-    eff_mig_ = clamp_migration(
-        decode_registers(cfg_.migration.interval, pack_count_policy(cfg_.migration)),
-        eff_params_.pop_size);
-    eff_mig_.mig_seed = cfg_.migration.mig_seed;
+    // Every substrate runs the REGISTER view of the migration request, so
+    // an out-of-range request degrades identically everywhere.
+    eff_mig_ = island::effective_migration(cfg_.migration, eff_params_.pop_size);
     seeds_ = cfg_.seeds.empty() ? derive_seeds(eff_params_.seed, cfg_.islands) : cfg_.seeds;
     boundaries_ = migration_boundaries(eff_mig_, cfg_.islands, eff_params_.n_gens);
 }
+
+IslandSystem::IslandSystem(IslandConfig cfg, const IslandSupervision& sup, unsigned replica)
+    : IslandSystem(std::move(cfg)) {
+    if (cfg_.backend != core::Substrate::kRtl)
+        throw std::invalid_argument(
+            "IslandSystem: checkpoint rollback requires the RT-level substrate");
+    sup_ = &sup;
+    replica_ = replica;
+}
+
+IslandSystem::~IslandSystem() = default;
 
 void IslandSystem::emit(trace::TraceEvent e) const {
     if (cfg_.sink != nullptr) cfg_.sink->on_event(e);
@@ -316,20 +419,58 @@ void IslandSystem::emit_boundary(std::uint32_t gen, const MigrationPlan& plan,
                  .add("fitness", std::uint64_t{rec.member.fitness}));
 }
 
-void IslandSystem::finalize(IslandResult& r) const {
+void IslandSystem::start() {
+    ens_.reset();
+    tally_ = {};
+    switch (cfg_.backend) {
+        case core::Substrate::kBehavioral:
+            ens_ = std::make_unique<BehavioralEnsemble>(cfg_, eff_params_, seeds_);
+            break;
+        case core::Substrate::kRtl:
+            ens_ = std::make_unique<RtlEnsemble>(cfg_, eff_params_, seeds_, sup_, replica_,
+                                                 tally_);
+            break;
+        case core::Substrate::kGates:
+            ens_ = std::make_unique<GateEnsemble>(cfg_, eff_params_, seeds_);
+            break;
+    }
+    mig_rng_ = core::RngState(eff_mig_.mig_seed);
+    next_ = 0;
+    migrations_.clear();
+}
+
+void IslandSystem::step() {
+    const std::size_t k = next_++;
+    if (k >= boundaries_.size()) {
+        ens_->advance(GaSystem::kEnd);
+        return;
+    }
+    const std::uint32_t g = boundaries_[k];
+    ens_->advance(g);
+    std::vector<std::vector<core::Member>> pops(cfg_.islands);
+    for (unsigned i = 0; i < cfg_.islands; ++i) pops[i] = ens_->population(i);
+    const MigrationPlan plan = plan_migration(pops, cfg_.topology, eff_mig_, mig_rng_, g);
+    for (const MigrationRecord& rec : plan.records) ens_->poke(rec.to, rec.dst_slot, rec.member);
+    emit_boundary(g, plan, ens_->makespan());
+    migrations_.insert(migrations_.end(), plan.records.begin(), plan.records.end());
+}
+
+IslandResult IslandSystem::finish() const {
+    IslandResult r;
     r.effective = eff_mig_;
     r.boundaries = boundaries_;
-    r.best_fitness = 0;
-    r.best_island = 0;
-    for (unsigned i = 0; i < r.islands.size(); ++i) {
-        const IslandStats& s = r.islands[i];
+    r.migrations = migrations_;
+    r.islands.resize(cfg_.islands);
+    ens_->collect(r);
+    for (unsigned i = 0; i < cfg_.islands; ++i) {
+        IslandStats& s = r.islands[i];
+        s.seed = seeds_[i];
         if (s.best_fitness > r.best_fitness) {
             r.best_fitness = s.best_fitness;
             r.best_candidate = s.best_candidate;
             r.best_island = i;
         }
-        r.makespan_cycles =
-            std::max(r.makespan_cycles, s.run_cycles + s.stall_cycles);
+        r.makespan_cycles = std::max(r.makespan_cycles, s.run_cycles + s.stall_cycles);
         emit(trace::TraceEvent(trace::kind::kIslandStall, 0, s.stall_cycles)
                  .add("island", std::uint64_t{i})
                  .add("stall_cycles", s.stall_cycles));
@@ -340,30 +481,13 @@ void IslandSystem::finalize(IslandResult& r) const {
                  .add("gens", std::uint64_t{s.generations})
                  .add("evals", s.evaluations));
     }
+    return r;
 }
 
 IslandResult IslandSystem::run() {
-    const unsigned n = cfg_.islands;
-    const std::unique_ptr<Ensemble> ens = make_ensemble(cfg_, eff_params_, seeds_);
-    IslandResult r;
-    core::RngState mig_rng(eff_mig_.mig_seed);
-    for (const std::uint32_t g : boundaries_) {
-        ens->advance(g);
-        std::vector<std::vector<core::Member>> pops(n);
-        for (unsigned i = 0; i < n; ++i) pops[i] = ens->population(i);
-        const MigrationPlan plan = plan_migration(pops, cfg_.topology, eff_mig_, mig_rng, g);
-        for (const MigrationRecord& rec : plan.records)
-            ens->poke(rec.to, rec.dst_slot, rec.member);
-        emit_boundary(g, plan, ens->makespan());
-        r.migrations.insert(r.migrations.end(), plan.records.begin(), plan.records.end());
-    }
-    ens->advance(GaSystem::kEnd);
-
-    r.islands.resize(n);
-    ens->collect(r);
-    for (unsigned i = 0; i < n; ++i) r.islands[i].seed = seeds_[i];
-    finalize(r);
-    return r;
+    start();
+    while (!done()) step();
+    return finish();
 }
 
 IslandResult run_island_system(const IslandConfig& cfg) {

@@ -19,8 +19,12 @@
 //                (CompiledNetlist::clock_gated), and migration pokes the
 //                lane's software GA memory.
 //
-// One run loop drives all three through a small per-substrate ensemble
-// (advance to a boundary, read populations, poke migrants). Because all
+// One resumable run loop (start(), step() per barrier-to-barrier segment,
+// done(), finish()) drives all three through a small per-substrate
+// ensemble (advance to a boundary, read populations, poke migrants); on
+// the RT level it optionally checkpoints every island at each segment
+// start and rolls a wedged island back alone (IslandSupervision — the
+// supervised ensemble of supervised.hpp). Because all
 // three extract populations at the same observation point (the post-E2
 // monitor-capture edge, current bank), feed them through the one pure
 // plan_migration() spec, and poke memory with the identical semantics
@@ -47,6 +51,7 @@
 #include "prng/rng_module.hpp"
 #include "rtl/module.hpp"
 #include "rtl/signal.hpp"
+#include "supervisor/supervisor.hpp"
 #include "system/ga_system.hpp"
 #include "trace/event.hpp"
 
@@ -94,19 +99,6 @@ private:
     MigrationBusPorts p_;
     rtl::Reg<std::uint16_t> interval_{"mig_interval", 0};
     rtl::Reg<std::uint16_t> count_policy_{"mig_count_policy", 0};
-};
-
-struct IslandConfig;
-
-/// One RT-level island: a GaSystem whose init program appends the
-/// interconnect's index-6/7 writes (the RAW requested values — the
-/// interconnect clamps on use, like the hardware), plus the register bus
-/// snooping its handshake. Shared by IslandSystem and SupervisedIslandSystem.
-struct RtlIsland {
-    RtlIsland(const IslandConfig& cfg, const core::GaParameters& eff, std::uint16_t seed);
-
-    std::unique_ptr<system::GaSystem> sys;
-    std::unique_ptr<MigrationRegisterBus> bus;
 };
 
 struct IslandConfig {
@@ -177,6 +169,31 @@ struct IslandResult {
     friend bool operator==(const IslandResult&, const IslandResult&) = default;
 };
 
+/// Per-island checkpoint/rollback of the RT-level ensemble (the settings a
+/// SupervisedIslandConfig inherits; see supervised.hpp). Supervised islands
+/// step sequentially, so the hook never runs concurrently.
+struct IslandSupervision {
+    /// Per-segment watchdog: budget = factor x the formula estimate of the
+    /// segment's cycles. Doubles per rollback attempt.
+    unsigned watchdog_factor = 4;
+    /// Rollback attempts per island per segment before the run aborts.
+    unsigned max_retries = 2;
+    /// Per-cycle fault-injection hook, invoked as hook(sys, info, cycle)
+    /// with info.replica = ensemble replica, info.attempt = ISLAND index,
+    /// info.rung = kPrimary or kRetry, info.resumed/resumed_gen describing
+    /// a rollback re-run, and `cycle` counting the island's run cycles.
+    supervisor::CycleHook hook;
+};
+
+/// What the rollback machinery of a supervised run did.
+struct RollbackTally {
+    unsigned checkpoints = 0;     ///< per-island snapshots captured
+    unsigned watchdog_trips = 0;  ///< per-island segment budgets missed
+    unsigned rollbacks = 0;       ///< single-island checkpoint restores
+};
+
+class Ensemble;
+
 class IslandSystem {
 public:
     /// Validates the structural config (C++-API path: throws
@@ -185,31 +202,55 @@ public:
     /// count). Migration register values are NOT structural — they clamp
     /// silently, like the hardware register path they model.
     explicit IslandSystem(IslandConfig cfg);
+    /// Replica `replica` of a supervised run: per-island checkpoint/rollback
+    /// as `sup` (borrowed) configures it. Throws std::invalid_argument off
+    /// the RT-level substrate, whose scan chain the checkpoints read.
+    IslandSystem(IslandConfig cfg, const IslandSupervision& sup, unsigned replica);
+    ~IslandSystem();
 
-    const IslandConfig& config() const noexcept { return cfg_; }
-    /// Resolved per-island parameters (preset-0 resolution of base).
-    const core::GaParameters& params() const noexcept { return eff_params_; }
     const MigrationConfig& effective_migration() const noexcept { return eff_mig_; }
     const std::vector<std::uint16_t>& seeds() const noexcept { return seeds_; }
     const std::vector<std::uint32_t>& boundaries() const noexcept { return boundaries_; }
 
-    /// Run the full island job on the configured substrate. Throws
-    /// std::runtime_error if an island misses a barrier or completion
-    /// within the cycle bound (the supervised wrapper turns that trip into
-    /// a rollback instead; see supervised.hpp).
+    // --- resumable run: the shape of system::GaSystem ---
+    /// Build the islands and run their init handshakes (restarts the run).
+    void start();
+    /// One segment: advance every island to the next migration barrier and
+    /// migrate there, or, after the last barrier, run every island to
+    /// completion. Throws std::runtime_error if an island misses a barrier
+    /// or completion within the cycle bound, or, supervised, exhausts its
+    /// rollback budget.
+    void step();
+    /// Every island has finished.
+    bool done() const noexcept { return next_ > boundaries_.size(); }
+    /// The result of a done run.
+    IslandResult finish() const;
+    /// The full island job: start(), step() until done(), finish().
     IslandResult run();
+
+    /// Checkpoints, watchdog trips and rollbacks of the run so far (all 0
+    /// unsupervised).
+    const RollbackTally& rollback_tally() const noexcept { return tally_; }
 
 private:
     void emit(trace::TraceEvent e) const;
     void emit_boundary(std::uint32_t gen, const MigrationPlan& plan,
                        std::uint64_t makespan_so_far) const;
-    void finalize(IslandResult& r) const;
 
     IslandConfig cfg_;
+    const IslandSupervision* sup_ = nullptr;
+    unsigned replica_ = 0;
     core::GaParameters eff_params_{};
     MigrationConfig eff_mig_{};
     std::vector<std::uint16_t> seeds_;
     std::vector<std::uint32_t> boundaries_;
+
+    // Run state (start() resets it).
+    std::unique_ptr<Ensemble> ens_;
+    core::RngState mig_rng_{0};
+    std::size_t next_ = 0;  ///< index of the next segment's barrier in boundaries_
+    std::vector<MigrationRecord> migrations_;
+    RollbackTally tally_;
 };
 
 /// Convenience wrapper mirroring run_ga_system().

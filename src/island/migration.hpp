@@ -128,6 +128,17 @@ constexpr MigrationConfig clamp_migration(const MigrationConfig& raw,
     return eff;
 }
 
+/// The migration config every substrate runs for a requested one: the
+/// register view (16-bit interval, 8-bit count + policy bit), then the
+/// silent clamp against the subpopulation size; mig_seed carried over.
+constexpr MigrationConfig effective_migration(const MigrationConfig& raw,
+                                              std::uint8_t pop_size) noexcept {
+    MigrationConfig eff =
+        clamp_migration(decode_registers(raw.interval, pack_count_policy(raw)), pop_size);
+    eff.mig_seed = raw.mig_seed;
+    return eff;
+}
+
 /// One member movement at one boundary — the migrated-individual payload
 /// the differential harness compares byte-for-byte across substrates.
 struct MigrationRecord {

@@ -1,28 +1,33 @@
 // Supervised island ensemble: the mission supervisor's fault-handling
 // story (src/supervisor/) applied to the N-core island system. Each island
 // is checkpointed with the supervisor's audited capture (scan chain + RNG
-// registers + both GA memory banks) at every migration barrier, a
-// per-segment cycle-budget watchdog guards every barrier-to-barrier
+// registers + both GA memory banks) at the start of every barrier-to-
+// barrier segment, a per-segment cycle-budget watchdog guards every
 // stretch, and a watchdog trip rolls back ONLY the affected island: a
 // fresh system is initialized, the island's last checkpoint is restored,
 // and the segment re-runs — deterministically reconverging on the exact
 // state the fault-free island would have reached, while the other islands
 // sit parked at the barrier with their emigrants already captured. The
 // ring keeps delivering; one upset core costs one island one segment
-// re-run, never the ensemble.
+// re-run, never the ensemble. That machinery is a behaviour of
+// IslandSystem's RT-level ensemble (IslandSupervision, island.hpp), so a
+// fault-free supervised run IS the island run: same IslandResult, same
+// island_* events.
 //
-// Optionally the whole ensemble runs as N-modular redundancy: `nmr`
-// replicas of the complete island job, majority-voted on the delivered
-// (best fitness, best candidate) pair — meaningful because the island
-// system is bit-exact per replica.
+// This layer adds N-modular redundancy: `nmr` replicas of the complete
+// island job, majority-voted on the delivered (best fitness, best
+// candidate) pair — meaningful because the island system is bit-exact per
+// replica.
 //
 // Decisions are emitted as trace events: the supervisor's sup_checkpoint /
-// watchdog_trip / sup_vote kinds plus the island_rollback kind, so
-// gaip-trace tooling records supervised ensemble runs like any other
-// telemetry stream.
+// watchdog_trip / sup_vote / sup_abort / sup_result kinds plus the
+// island_rollback kind, interleaved with the island stream, so gaip-trace
+// tooling records supervised ensemble runs like any other telemetry stream.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,35 +37,25 @@
 
 namespace gaip::island {
 
-struct SupervisedIslandConfig {
+/// The island job plus the rollback settings (IslandSupervision) and the
+/// replica count.
+struct SupervisedIslandConfig : IslandSupervision {
     /// The island job. backend must be kRtl — the checkpoint/rollback
     /// machinery is the RT-level scan-chain path (throws otherwise).
     IslandConfig islands{};
-    /// Per-segment watchdog: budget = factor x the formula estimate of the
-    /// segment's cycles. Doubles per rollback attempt.
-    unsigned watchdog_factor = 4;
-    /// Rollback attempts per island per segment before the run aborts.
-    unsigned max_retries = 2;
     /// Ensemble replicas majority-voted (1 = plain supervised run; use an
     /// odd count for a meaningful vote).
     unsigned nmr = 1;
+    /// The whole stream: island_* events of every replica plus the
+    /// supervision events (it replaces islands.sink).
     trace::TraceSink* sink = nullptr;
-    /// Per-cycle fault-injection hook, invoked as
-    /// hook(sys, info, cycle) with info.replica = ensemble replica,
-    /// info.attempt = ISLAND index, info.rung = kPrimary or kRetry, and
-    /// info.resumed/resumed_gen describing a rollback re-run. When a hook
-    /// is set, islands are stepped sequentially (threads forced to 1) so
-    /// the hook never runs concurrently.
-    supervisor::CycleHook hook;
 };
 
-struct SupervisedIslandReport {
+/// The vote's verdict plus the rollback tally summed over every replica.
+struct SupervisedIslandReport : RollbackTally {
     supervisor::Status status = supervisor::Status::kAborted;
     std::uint16_t best_fitness = 0;
     std::uint16_t best_candidate = 0;
-    unsigned checkpoints = 0;      ///< per-island snapshots captured
-    unsigned watchdog_trips = 0;   ///< per-island segment budgets missed
-    unsigned rollbacks = 0;        ///< single-island checkpoint restores
     bool voted = false;
     unsigned vote_agree = 0;       ///< replicas agreeing with the majority
     /// The delivered (majority) replica's full island result.
@@ -76,29 +71,26 @@ public:
     /// errors IslandSystem rejects.
     explicit SupervisedIslandSystem(SupervisedIslandConfig cfg);
 
-    const SupervisedIslandConfig& config() const noexcept { return cfg_; }
-    const core::GaParameters& params() const noexcept { return eff_params_; }
-    const std::vector<std::uint32_t>& boundaries() const noexcept { return boundaries_; }
-
-    /// Run all replicas, vote, and return the report. Faults the rollback
-    /// ladder covers never throw — they end as status kAborted.
+    // --- resumable run: the shape of IslandSystem ---
+    /// One segment of the current replica (started first when it has not
+    /// been); a replica ends when its islands finish or it aborts.
+    void step();
+    /// Every replica has ended.
+    bool done() const noexcept { return results_.size() >= std::max(1u, cfg_.nmr); }
+    /// Vote and report. Faults the rollback ladder covers never throw —
+    /// they end as status kAborted.
+    SupervisedIslandReport finish() const;
+    /// Run all replicas, vote, and return the report.
     SupervisedIslandReport run();
 
 private:
-    struct ReplicaOutcome {
-        bool ok = false;
-        IslandResult result;
-        std::string abort_reason;
-    };
-
-    ReplicaOutcome run_replica(unsigned replica, SupervisedIslandReport& rep);
     void emit(trace::TraceEvent e) const;
 
-    SupervisedIslandConfig cfg_;
-    core::GaParameters eff_params_{};
-    MigrationConfig eff_mig_{};
-    std::vector<std::uint16_t> seeds_;
-    std::vector<std::uint32_t> boundaries_;
+    SupervisedIslandConfig cfg_;  ///< islands.sink replaced by sink
+    std::optional<IslandSystem> replica_;  ///< the running replica
+    /// Each ended replica's result; nullopt when it aborted.
+    std::vector<std::optional<IslandResult>> results_;
+    SupervisedIslandReport rep_;  ///< the rollback tally and first abort reason so far
 };
 
 }  // namespace gaip::island

@@ -39,6 +39,17 @@ island::ReplacePolicy policy_by_name(const std::string& name) {
     throw ProtocolError(err::kBadField, "unknown policy '" + name + "' (worst|random)");
 }
 
+/// The seven fields both spec serializers start with.
+void add_job_fields(Frame& f, const JobSpec& spec) {
+    f.add("fitness", fitness::fitness_name(spec.fn));
+    f.add("backend", core::substrate_name(spec.backend));
+    f.add("pop", std::uint64_t{spec.params.pop_size});
+    f.add("gens", std::uint64_t{spec.params.n_gens});
+    f.add("xover", std::uint64_t{spec.params.xover_threshold});
+    f.add("mut", std::uint64_t{spec.params.mut_threshold});
+    f.add("seed", std::uint64_t{spec.params.seed});
+}
+
 }  // namespace
 
 std::span<const SubmitField> submit_schema() {
@@ -117,13 +128,7 @@ JobSpec parse_job_spec(const Frame& f) {
 }
 
 void add_raw_spec_fields(Frame& f, const JobSpec& spec) {
-    f.add("fitness", fitness::fitness_name(spec.fn));
-    f.add("backend", core::substrate_name(spec.backend));
-    f.add("pop", std::uint64_t{spec.params.pop_size});
-    f.add("gens", std::uint64_t{spec.params.n_gens});
-    f.add("xover", std::uint64_t{spec.params.xover_threshold});
-    f.add("mut", std::uint64_t{spec.params.mut_threshold});
-    f.add("seed", std::uint64_t{spec.params.seed});
+    add_job_fields(f, spec);
     f.add("words", std::uint64_t{spec.words});
     f.add("islands", std::uint64_t{spec.islands});
     f.add("topology", island::topology_name(spec.topology));
@@ -136,23 +141,14 @@ void add_raw_spec_fields(Frame& f, const JobSpec& spec) {
 }
 
 void add_spec_fields(Frame& f, const JobSpec& spec) {
-    f.add("fitness", fitness::fitness_name(spec.fn));
-    f.add("backend", core::substrate_name(spec.backend));
-    f.add("pop", std::uint64_t{spec.params.pop_size});
-    f.add("gens", std::uint64_t{spec.params.n_gens});
-    f.add("xover", std::uint64_t{spec.params.xover_threshold});
-    f.add("mut", std::uint64_t{spec.params.mut_threshold});
-    f.add("seed", std::uint64_t{spec.params.seed});
+    add_job_fields(f, spec);
     if (spec.words != 0) f.add("words", std::uint64_t{spec.words});
     if (spec.islands != 0) {
         f.add("islands", std::uint64_t{spec.islands});
         f.add("topology", island::topology_name(spec.topology));
-        // Echo the EFFECTIVE migration config (register decode + clamp
-        // against the island subpopulation size).
-        const island::MigrationConfig eff = island::clamp_migration(
-            island::decode_registers(spec.migration.interval,
-                                     island::pack_count_policy(spec.migration)),
-            spec.params.pop_size);
+        // Echo the EFFECTIVE migration config the island layer runs.
+        const island::MigrationConfig eff =
+            island::effective_migration(spec.migration, spec.params.pop_size);
         f.add("interval", std::uint64_t{eff.interval});
         f.add("count", std::uint64_t{eff.count});
         f.add("policy", island::policy_name(eff.policy));

@@ -46,6 +46,8 @@ struct Scheduler::Job final : trace::TraceSink {
         return sink_count.load(std::memory_order_relaxed) != 0;
     }
 
+    bool wants_events() const override { return streaming(); }
+
     void on_event(const trace::TraceEvent& e) override {
         if (!streaming()) return;
         std::lock_guard<std::mutex> lk(stream_mu);
@@ -594,24 +596,24 @@ void Scheduler::run_single(const JobPtr& j) {
     }
 }
 
+template <class Engine, class Step>
+bool Scheduler::drive(const JobPtr& j, const Engine& engine, Step step) {
+    while (!engine.done()) {
+        if (j->cancel.load(std::memory_order_relaxed)) {
+            finish(j, JobState::kCancelled, {});
+            return false;
+        }
+        if (past_deadline(j)) {
+            finish(j, JobState::kExpired, {});
+            return false;
+        }
+        step();
+    }
+    return true;
+}
+
 void Scheduler::run_engine_job(const JobPtr& j) {
     const JobSpec& spec = j->rec.spec;
-    // The one loop of both resumable engines: check cancel and deadline,
-    // then advance one generation. False when the job ended early.
-    const auto drive = [&](const auto& engine, const auto& advance) {
-        while (!engine.done()) {
-            if (j->cancel.load(std::memory_order_relaxed)) {
-                finish(j, JobState::kCancelled, {});
-                return false;
-            }
-            if (past_deadline(j)) {
-                finish(j, JobState::kExpired, {});
-                return false;
-            }
-            advance();
-        }
-        return true;
-    };
     JobOutcome out;
     if (spec.backend == core::Substrate::kRtl) {
         system::GaSystemConfig cfg;
@@ -622,7 +624,7 @@ void Scheduler::run_engine_job(const JobPtr& j) {
         system::GaSystem sys(cfg);
         if (!sys.start()) throw std::runtime_error("GaSystem: init handshake timed out");
         const std::uint64_t bound = sys.cycle_bound();
-        const bool ran = drive(sys, [&] {
+        const bool ran = drive(j, sys, [&] {
             const std::uint32_t next = std::min(sys.generation() + 1, spec.params.n_gens);
             if (!sys.run_to(next, bound).ok)
                 throw std::runtime_error("GaSystem: generation missed its cycle bound");
@@ -635,7 +637,7 @@ void Scheduler::run_engine_job(const JobPtr& j) {
     } else {
         core::BehavioralEngine eng(spec.params, core::rom_fitness(spec.fn),
                                    prng::RngKind::kCellularAutomaton, /*keep_populations=*/false);
-        const bool ran = drive(eng, [&] {
+        const bool ran = drive(j, eng, [&] {
             eng.step_generation();
             if (j->streaming()) {
                 trace::TraceEvent e(trace::kind::kGeneration, 0, 0);
@@ -673,34 +675,32 @@ void Scheduler::run_island_job(const JobPtr& j) {
     ic.words = spec.words;
     ic.sink = j.get();
     JobOutcome out;
+    out.generations = spec.params.n_gens;
+    island::IslandResult r;
     if (spec.supervise) {
         island::SupervisedIslandConfig sc;
         sc.islands = ic;
         sc.sink = j.get();
         island::SupervisedIslandSystem sys(sc);
-        const island::SupervisedIslandReport rep = sys.run();
-        out.best_fitness = rep.best_fitness;
-        out.best_candidate = rep.best_candidate;
-        out.generations = spec.params.n_gens;
+        if (!drive(j, sys, [&] { sys.step(); })) return;
+        const island::SupervisedIslandReport rep = sys.finish();
         out.rollbacks = rep.rollbacks;
         out.status = supervisor::status_name(rep.status);
-        for (const island::IslandStats& is : rep.result.islands) out.evaluations += is.evaluations;
         if (rep.status == supervisor::Status::kAborted) {
             finish(j, JobState::kFailed, out, "supervisor abort: " + rep.abort_reason);
             return;
         }
+        r = rep.result;
     } else {
-        const island::IslandResult r = island::run_island_system(ic);
-        out.best_fitness = r.best_fitness;
-        out.best_candidate = r.best_candidate;
-        out.generations = spec.params.n_gens;
-        for (const island::IslandStats& is : r.islands) out.evaluations += is.evaluations;
+        island::IslandSystem sys(ic);
+        sys.start();
+        if (!drive(j, sys, [&] { sys.step(); })) return;
+        r = sys.finish();
     }
-    if (j->cancel.load(std::memory_order_relaxed)) {
-        finish(j, JobState::kCancelled, {});
-    } else {
-        finish(j, past_deadline(j) ? JobState::kExpired : JobState::kDone, out);
-    }
+    out.best_fitness = r.best_fitness;
+    out.best_candidate = r.best_candidate;
+    for (const island::IslandStats& is : r.islands) out.evaluations += is.evaluations;
+    finish(j, past_deadline(j) ? JobState::kExpired : JobState::kDone, out);
 }
 
 void Scheduler::run_supervised_job(const JobPtr& j) {

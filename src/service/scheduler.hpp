@@ -18,11 +18,11 @@
 //     returns to the queue, so nothing starves behind a stream of gates
 //     jobs. A per-worker cached runner (BatchGateRunner::reconfigure)
 //     pays for the two compiled netlists once per worker and width;
-//   * behavioral and rtl jobs share one loop over a resumable engine
-//     (core::BehavioralEngine, system::GaSystem::run_to) that advances one
-//     generation at a time — the cancel/deadline check points;
-//   * island jobs map to island::IslandSystem ensembles (supervised island
-//     jobs to SupervisedIslandSystem), supervised jobs to the
+//   * behavioral, rtl and island jobs share one loop over a resumable
+//     engine (core::BehavioralEngine, system::GaSystem::run_to, and
+//     island::IslandSystem / SupervisedIslandSystem::step) that advances
+//     one generation, or one barrier-to-barrier segment, at a time — the
+//     cancel/deadline check points; supervised jobs run the
 //     MissionSupervisor ladder.
 //
 // Every job's results are bit-identical to running the same spec directly
@@ -32,9 +32,10 @@
 // (asserted by tests/service/test_service_differential.cpp).
 //
 // Cancellation is cooperative: behavioral and rtl jobs stop at the next
-// generation boundary, gate lanes at the next check window (~2k cycles)
-// while the rest of their block runs on; monolithic island/supervised runs
-// are cancelled between runs, or their finished result is discarded when
+// generation boundary, island jobs at the next migration barrier, gate
+// lanes at the next check window (~2k cycles) while the rest of their
+// block runs on; a monolithic supervised (MissionSupervisor) run is
+// cancelled before it starts, or its finished result is discarded when
 // the flag arrives mid-run. Deadlines follow the same checkpoints; a job
 // finishing past its deadline is `expired` and counts as a deadline miss.
 //
@@ -211,9 +212,16 @@ private:
     /// has stopped for this block.
     bool refill_lanes(gates::BatchGateRunner& runner, std::vector<JobPtr>& lanes,
                       std::size_t& live);
+    /// The one loop of every resumable job: while `engine` is not done,
+    /// end the job if it was cancelled (stop() cancels) or is past its
+    /// deadline, else run one step. False when the job ended early.
+    template <class Engine, class Step>
+    bool drive(const JobPtr& j, const Engine& engine, Step step);
     /// A plain behavioral or RT-level job: generation by generation, so
     /// cancel, deadline and stop() end it at the next generation boundary.
     void run_engine_job(const JobPtr& j);
+    /// An island job, plain or supervised: segment by segment, so cancel,
+    /// deadline and stop() end it at the next migration barrier.
     void run_island_job(const JobPtr& j);
     void run_supervised_job(const JobPtr& j);
 

@@ -302,6 +302,35 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
     std::unique_ptr<system::GaSystem> idle_sys;
     std::uint16_t idle_seed = seed;
 
+    // Book one attempt: record it and advance the attempt number and the
+    // cycle total. A finished attempt is delivered as `status` unless that
+    // is kAborted (then true is returned); a watchdog outcome emits its
+    // trip when `trips` is set.
+    const auto book = [&](const AttemptRecord& rec, Status status, bool trips) {
+        rep.attempts.push_back(rec);
+        ++attempt_no;
+        rep.total_cycles += rec.cycles;
+        if (rec.outcome == AttemptOutcome::kFinished && status != Status::kAborted) {
+            out.status = status;
+            out.rung = rec.rung;
+            out.best_fitness = rec.best_fitness;
+            out.best_candidate = rec.best_candidate;
+            out.generations = rec.generations;
+            return true;
+        }
+        if (trips && (rec.outcome == AttemptOutcome::kWatchdogIdle ||
+                      rec.outcome == AttemptOutcome::kWatchdogWedged)) {
+            ++rep.watchdog_trips;
+            emit(trace::TraceEvent(trace::kind::kWatchdogTrip, 0, rep.total_cycles)
+                     .add("replica", std::uint64_t{replica})
+                     .add("attempt", std::uint64_t{rec.attempt})
+                     .add("budget", rec.budget)
+                     .add("final_state", std::uint64_t{rec.final_state})
+                     .add("outcome", std::string(attempt_outcome_name(rec.outcome))));
+        }
+        return false;
+    };
+
     // --- primary + backoff retries ---------------------------------------
     double scale = 1.0;
     const unsigned attempts_max = 1 + cfg_.ladder.max_retries;
@@ -346,27 +375,7 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
             idle_sys = std::move(tripped);
             idle_seed = att_seed;
         }
-        rep.attempts.push_back(rec);
-        ++attempt_no;
-        rep.total_cycles += rec.cycles;
-        if (rec.outcome == AttemptOutcome::kFinished) {
-            out.status = Status::kOk;
-            out.rung = info.rung;
-            out.best_fitness = rec.best_fitness;
-            out.best_candidate = rec.best_candidate;
-            out.generations = rec.generations;
-            return out;
-        }
-        if (rec.outcome == AttemptOutcome::kWatchdogIdle ||
-            rec.outcome == AttemptOutcome::kWatchdogWedged) {
-            ++rep.watchdog_trips;
-            emit(trace::TraceEvent(trace::kind::kWatchdogTrip, 0, rep.total_cycles)
-                     .add("replica", std::uint64_t{replica})
-                     .add("attempt", std::uint64_t{rec.attempt})
-                     .add("budget", rec.budget)
-                     .add("final_state", std::uint64_t{rec.final_state})
-                     .add("outcome", std::string(attempt_outcome_name(rec.outcome))));
-        }
+        if (book(rec, Status::kOk, /*trips=*/true)) return out;
         // A retry that resumed from a checkpoint and still failed (or came
         // back corrupted) walks the checkpoint stack back one generation —
         // the snapshot itself may have captured corrupted state.
@@ -397,24 +406,7 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
                                               hook_fn(cfg_.hook, *idle_sys, info, 8))
                                  .cycles;
             record_stop(rec, *idle_sys);
-            rep.attempts.push_back(rec);
-            ++attempt_no;
-            rep.total_cycles += rec.cycles;
-            if (rec.outcome == AttemptOutcome::kFinished) {
-                out.status = Status::kOk;
-                out.rung = Rung::kRestart;
-                out.best_fitness = rec.best_fitness;
-                out.best_candidate = rec.best_candidate;
-                out.generations = rec.generations;
-                return out;
-            }
-            ++rep.watchdog_trips;
-            emit(trace::TraceEvent(trace::kind::kWatchdogTrip, 0, rep.total_cycles)
-                     .add("replica", std::uint64_t{replica})
-                     .add("attempt", std::uint64_t{rec.attempt})
-                     .add("budget", rec.budget)
-                     .add("final_state", std::uint64_t{rec.final_state})
-                     .add("outcome", std::string(attempt_outcome_name(rec.outcome))));
+            if (book(rec, Status::kOk, /*trips=*/true)) return out;
             if (rec.outcome != AttemptOutcome::kWatchdogIdle) idle_sys.reset();
         }
     }
@@ -443,7 +435,6 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
             rec.generations = preset_baseline_.generations;
         } else if (backend == Substrate::kGates) {
             rec = run_gate_attempt(info, cfg_.params.seed, fb_bound, pm);
-            rec.rung = Rung::kPresetFallback;
         } else {
             system::GaSystem* sys = idle_sys.get();
             std::unique_ptr<system::GaSystem> fresh;
@@ -472,28 +463,17 @@ MissionSupervisor::ReplicaResult MissionSupervisor::run_ladder(unsigned replica,
                                  .cycles;
             record_stop(rec, *sys);
         }
-        rep.attempts.push_back(rec);
-        ++attempt_no;
-        rep.total_cycles += rec.cycles;
-
-        if (rec.outcome == AttemptOutcome::kFinished) {
-            // Verify against the exact behavioral preset baseline: a
-            // degraded run that cannot even reproduce the Table IV job is
-            // silent corruption — abort instead of delivering it.
-            if (rec.best_fitness == preset_baseline_.best_fitness &&
-                rec.best_candidate == preset_baseline_.best_candidate) {
-                out.status = Status::kOkDegraded;
-                out.rung = Rung::kPresetFallback;
-                out.best_fitness = rec.best_fitness;
-                out.best_candidate = rec.best_candidate;
-                out.generations = rec.generations;
-                return out;
-            }
-            rep.abort_reason = "preset fallback finished but mismatched the behavioral baseline "
-                               "(silent corruption)";
-        } else {
-            rep.abort_reason = "preset fallback missed its cycle bound";
-        }
+        // Verify against the exact behavioral preset baseline: a degraded
+        // run that cannot even reproduce the Table IV job is silent
+        // corruption — abort instead of delivering it.
+        const bool baseline = rec.best_fitness == preset_baseline_.best_fitness &&
+                              rec.best_candidate == preset_baseline_.best_candidate;
+        if (book(rec, baseline ? Status::kOkDegraded : Status::kAborted, /*trips=*/false))
+            return out;
+        rep.abort_reason = rec.outcome == AttemptOutcome::kFinished
+                               ? "preset fallback finished but mismatched the behavioral "
+                                 "baseline (silent corruption)"
+                               : "preset fallback missed its cycle bound";
     } else {
         rep.abort_reason = "recovery ladder exhausted (no fallback configured)";
     }

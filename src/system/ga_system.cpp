@@ -233,8 +233,10 @@ core::RunResult GaSystem::finish() {
     return result;
 }
 
-void GaSystem::drain_start_pulse() {
-    for (unsigned k = 0; k < 32 && wires_.start_ga.read(); ++k) ga_cycle();
+unsigned GaSystem::drain_start_pulse() {
+    unsigned k = 0;
+    for (; k < 32 && wires_.start_ga.read(); ++k) ga_cycle();
+    return k;
 }
 
 std::uint32_t GaSystem::generation() const {

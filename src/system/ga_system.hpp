@@ -144,10 +144,10 @@ public:
     /// After GA_done: clock until the application module has taken the
     /// result, then return it. Throws std::runtime_error if it never does.
     core::RunResult finish();
-    /// Clock until the start pulse has fallen (at most 32 cycles). Needed
-    /// before a checkpoint restore: a still-high start_GA would re-trigger
-    /// the RNG's seed-reload edge detector.
-    void drain_start_pulse();
+    /// Clock until the start pulse has fallen (at most 32 cycles); returns
+    /// the cycles clocked. Needed before a checkpoint restore: a still-high
+    /// start_GA would re-trigger the RNG's seed-reload edge detector.
+    unsigned drain_start_pulse();
     /// One 50 MHz GA cycle (the 200 MHz peripheral domain advances inside).
     void ga_cycle() { kernel_.run_cycles(*ga_clk_, 1); }
 

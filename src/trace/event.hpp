@@ -122,6 +122,10 @@ public:
     virtual ~TraceSink() = default;
     virtual void on_event(const TraceEvent& e) = 0;
     virtual void flush() {}
+    /// Whether the sink currently wants events. A producer may skip
+    /// building them while it does not (SystemTap does); the answer may
+    /// change at any time, e.g. when a subscriber attaches to a live job.
+    virtual bool wants_events() const { return true; }
 };
 
 /// Buffering sink for tests and the diff tooling.
@@ -149,6 +153,11 @@ public:
     }
     void flush() override {
         for (TraceSink* s : sinks_) s->flush();
+    }
+    bool wants_events() const override {
+        for (const TraceSink* s : sinks_)
+            if (s->wants_events()) return true;
+        return false;
     }
 
 private:

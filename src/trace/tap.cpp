@@ -30,10 +30,15 @@ void SystemTap::emit(TraceEvent e) {
 void SystemTap::tick() {
     if (sink_ == nullptr) return;
 
+    // An edge builds its event only while the sink wants it; the edge
+    // detectors and counter snapshots advance regardless, so a sink that
+    // starts wanting events mid-run gets the stream from that point on.
+    const auto on = [this] { return sink_->wants_events(); };
+
     // Fixed check order = deterministic intra-cycle event order: handshake
     // first, then control, then fitness, then generation bookkeeping.
     const bool ack = p_.data_ack.read();
-    if (ack && !prev_ack_) {
+    if (ack && !prev_ack_ && on()) {
         emit(make(kind::kInitWrite)
                  .add("index", static_cast<std::uint64_t>(p_.index.read()))
                  .add("value", static_cast<std::uint64_t>(p_.value.read())));
@@ -41,15 +46,15 @@ void SystemTap::tick() {
     prev_ack_ = ack;
 
     const bool idone = p_.init_done.read();
-    if (idone && !prev_init_done_) emit(make(kind::kInitDone));
+    if (idone && !prev_init_done_ && on()) emit(make(kind::kInitDone));
     prev_init_done_ = idone;
 
     const bool start = p_.start_ga.read();
-    if (start && !prev_start_) emit(make(kind::kStart));
+    if (start && !prev_start_ && on()) emit(make(kind::kStart));
     prev_start_ = start;
 
     const std::uint8_t preset = p_.preset.read();
-    if (preset_seen_ && preset != prev_preset_) {
+    if (preset_seen_ && preset != prev_preset_ && on()) {
         emit(make(kind::kPreset)
                  .add("preset", static_cast<std::uint64_t>(preset))
                  .add("was", static_cast<std::uint64_t>(prev_preset_)));
@@ -58,14 +63,14 @@ void SystemTap::tick() {
     preset_seen_ = true;
 
     const bool req = p_.fit_request.read();
-    if (req && !prev_req_) {
+    if (req && !prev_req_ && on()) {
         emit(make(kind::kFemRequest)
                  .add("candidate", static_cast<std::uint64_t>(p_.candidate.read())));
     }
     prev_req_ = req;
 
     const bool valid = p_.fit_valid.read();
-    if (valid && !prev_valid_) {
+    if (valid && !prev_valid_ && on()) {
         emit(make(kind::kFemValue)
                  .add("candidate", static_cast<std::uint64_t>(p_.candidate.read()))
                  .add("value", static_cast<std::uint64_t>(p_.fit_value.read())));
@@ -74,35 +79,38 @@ void SystemTap::tick() {
 
     const bool pulse = p_.mon_gen_pulse.read();
     if (pulse && !prev_pulse_) {
-        TraceEvent e = make(kind::kGeneration);
-        e.add("gen", static_cast<std::uint64_t>(p_.mon_gen_id.read()))
-            .add("best_fit", static_cast<std::uint64_t>(p_.mon_best_fit.read()))
-            .add("best_ind", static_cast<std::uint64_t>(p_.mon_best_ind.read()))
-            .add("fit_sum", static_cast<std::uint64_t>(p_.mon_fit_sum.read()))
-            .add("pop", static_cast<std::uint64_t>(p_.mon_pop_size.read()))
-            .add("bank", static_cast<std::uint64_t>(p_.mon_bank.read() ? 1 : 0));
-        if (core_ != nullptr) {
+        if (on()) {
+            TraceEvent e = make(kind::kGeneration);
+            e.add("gen", static_cast<std::uint64_t>(p_.mon_gen_id.read()))
+                .add("best_fit", static_cast<std::uint64_t>(p_.mon_best_fit.read()))
+                .add("best_ind", static_cast<std::uint64_t>(p_.mon_best_ind.read()))
+                .add("fit_sum", static_cast<std::uint64_t>(p_.mon_fit_sum.read()))
+                .add("pop", static_cast<std::uint64_t>(p_.mon_pop_size.read()))
+                .add("bank", static_cast<std::uint64_t>(p_.mon_bank.read() ? 1 : 0));
             // Per-generation operation counts (deltas of the core's
             // simulator-side totals).
-            e.add("rng_draws", core_->rng_draws() - last_rng_draws_)
-                .add("crossovers", core_->crossovers() - last_crossovers_)
-                .add("mutations", core_->mutations() - last_mutations_);
+            if (core_ != nullptr)
+                e.add("rng_draws", core_->rng_draws() - last_rng_draws_)
+                    .add("crossovers", core_->crossovers() - last_crossovers_)
+                    .add("mutations", core_->mutations() - last_mutations_);
+            emit(std::move(e));
+        }
+        if (core_ != nullptr) {
             last_rng_draws_ = core_->rng_draws();
             last_crossovers_ = core_->crossovers();
             last_mutations_ = core_->mutations();
         }
-        emit(std::move(e));
     }
     prev_pulse_ = pulse;
 
     const bool bank = p_.mon_bank.read();
-    if (bank != prev_bank_) {
+    if (bank != prev_bank_ && on()) {
         emit(make(kind::kBankSwap).add("bank", static_cast<std::uint64_t>(bank ? 1 : 0)));
     }
     prev_bank_ = bank;
 
     const bool done = p_.ga_done.read();
-    if (done && !prev_done_) {
+    if (done && !prev_done_ && on()) {
         emit(make(kind::kDone)
                  .add("best_fit", static_cast<std::uint64_t>(p_.mon_best_fit.read()))
                  .add("best_ind", static_cast<std::uint64_t>(p_.mon_best_ind.read()))

@@ -16,7 +16,9 @@
 //   done         GA_done rose
 //
 // The tap is only instantiated when a sink is configured (GaSystemConfig
-// ::trace_sink / ::trace_path), so tracing costs nothing when off.
+// ::trace_sink / ::trace_path), so tracing costs nothing when off. While
+// the sink wants no events (TraceSink::wants_events, e.g. a gaipd job
+// nobody streams) the tap only tracks its edges and counter snapshots.
 #pragma once
 
 #include <cstdint>

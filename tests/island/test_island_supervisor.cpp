@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -18,7 +19,9 @@
 #include "rtl/scan.hpp"
 #include "supervisor/supervisor.hpp"
 #include "system/ga_system.hpp"
+#include "trace/diff.hpp"
 #include "trace/event.hpp"
+#include "trace/jsonl.hpp"
 
 namespace gaip::island {
 namespace {
@@ -110,12 +113,17 @@ TEST(SupervisedIslands, SeuMidRunRollsBackOnlyThatIsland) {
 }
 
 // A fault-free supervised run is just the island system with bookkeeping:
-// same result, zero trips, checkpoints at every barrier.
+// same result (every field, cycle counts included), the same island_*
+// events, zero trips, checkpoints at every segment start.
 TEST(SupervisedIslands, FaultFreeRunMatchesPlainSystem) {
-    const IslandConfig icfg = base_islands();
+    IslandConfig icfg = base_islands();
+    trace::MemorySink plain;
+    icfg.sink = &plain;
     const IslandResult golden = run_island_system(icfg);
+    trace::MemorySink supervised;
     SupervisedIslandConfig cfg;
     cfg.islands = icfg;
+    cfg.sink = &supervised;
     const SupervisedIslandReport rep = SupervisedIslandSystem(cfg).run();
     ASSERT_EQ(rep.status, Status::kOk);
     EXPECT_EQ(rep.watchdog_trips, 0u);
@@ -124,7 +132,20 @@ TEST(SupervisedIslands, FaultFreeRunMatchesPlainSystem) {
     EXPECT_EQ(rep.best_fitness, golden.best_fitness);
     EXPECT_EQ(rep.best_candidate, golden.best_candidate);
     EXPECT_EQ(rep.result.migrations, golden.migrations);
+    EXPECT_TRUE(rep.result == golden);
+    EXPECT_EQ(rep.result.makespan_cycles, golden.makespan_cycles);
     EXPECT_FALSE(rep.voted);
+
+    trace::DiffOptions island_only;
+    island_only.compare_cycle = true;
+    island_only.kinds = {trace::kind::kIslandBarrier, trace::kind::kIslandMigrate,
+                         trace::kind::kIslandStall, trace::kind::kIslandDone};
+    ASSERT_FALSE(trace::filter_events(plain.events(), island_only.kinds).empty());
+    const std::optional<trace::Divergence> d =
+        trace::first_divergence(plain.events(), supervised.events(), island_only);
+    EXPECT_FALSE(d.has_value()) << "island events diverge at " << d->index << ": "
+                                << trace::to_json_line(d->a) << " vs "
+                                << trace::to_json_line(d->b);
 }
 
 // NMR: the island job is bit-exact per replica, so an undisturbed

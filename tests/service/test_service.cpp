@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -89,15 +90,31 @@ JobSpec long_rtl_job() {
     return spec;
 }
 
-/// Thread-safe count of the generation events a job streams.
-class GenerationCounter final : public trace::TraceSink {
+/// An RT-level island job a run-to-completion scheduler spends over 10 x
+/// kRtlStopBound on (a migration barrier after every one of 12k generations
+/// of two pop-64 islands, ~37 s on one 4-core x86 container): it only ends
+/// within the bound when the scheduler stops it at a barrier.
+JobSpec long_island_job(bool supervise = false) {
+    JobSpec spec = small_job(core::Substrate::kRtl);
+    spec.params.pop_size = 64;
+    spec.params.n_gens = 12'000;
+    spec.islands = 2;
+    spec.migration.interval = 1;
+    spec.supervise = supervise;
+    return spec;
+}
+
+/// Thread-safe count of the events of one kind a job streams.
+class KindCounter final : public trace::TraceSink {
 public:
+    explicit KindCounter(std::string kind) : kind_(std::move(kind)) {}
     void on_event(const trace::TraceEvent& e) override {
-        if (e.kind == trace::kind::kGeneration) n_.fetch_add(1);
+        if (e.kind == kind_) n_.fetch_add(1);
     }
     unsigned count() const { return n_.load(); }
 
 private:
+    std::string kind_;
     std::atomic<unsigned> n_{0};
 };
 
@@ -255,7 +272,7 @@ TEST(Service, CancelStopsRunningRtlJobAtGenerationBoundary) {
     service::Daemon d(daemon_config("t_svc_rtlcancel.sock"));
     Client c(d.socket_path());
     const std::uint64_t id = c.submit(long_rtl_job());
-    const auto gens = std::make_shared<GenerationCounter>();
+    const auto gens = std::make_shared<KindCounter>(trace::kind::kGeneration);
     ASSERT_TRUE(d.scheduler().attach_stream(id, gens, [](const service::JobRecord&) {}));
     const auto until = std::chrono::steady_clock::now() + kRtlStopBound;
     while (gens->count() < 2 && std::chrono::steady_clock::now() < until)
@@ -287,6 +304,56 @@ TEST(Service, DaemonStopEndsRunningRtlJob) {
         wait_running(c, c.submit(long_rtl_job()));
     }
     // Stops the poll loop, then the scheduler, which joins its workers.
+    const auto t0 = std::chrono::steady_clock::now();
+    d.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, kRtlStopBound);
+}
+
+/// Cancel a running island job once it has passed two barriers: it must
+/// end cancelled, with at most the barrier in flight after the ack.
+void expect_cancel_at_barrier(const std::string& socket, bool supervise) {
+    service::Daemon d(daemon_config(socket));
+    Client c(d.socket_path());
+    const std::uint64_t id = c.submit(long_island_job(supervise));
+    const auto barriers = std::make_shared<KindCounter>(trace::kind::kIslandBarrier);
+    ASSERT_TRUE(d.scheduler().attach_stream(id, barriers, [](const service::JobRecord&) {}));
+    const auto until = std::chrono::steady_clock::now() + kRtlStopBound;
+    while (barriers->count() < 2 && std::chrono::steady_clock::now() < until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(c.status(id).str("state"), "running");
+    ASSERT_GE(barriers->count(), 2u);
+
+    EXPECT_EQ(c.cancel(id), service::CancelOutcome::kCancelled);
+    const unsigned at_ack = barriers->count();
+    const Frame f = status_after(c, id, kRtlStopBound);
+    EXPECT_EQ(f.str("state"), "cancelled");
+    EXPECT_LE(barriers->count(), at_ack + 1) << "only the segment in flight may follow the ack";
+}
+
+TEST(Service, CancelStopsRunningIslandJobAtMigrationBarrier) {
+    expect_cancel_at_barrier("t_svc_islcancel.sock", /*supervise=*/false);
+}
+
+TEST(Service, CancelStopsRunningSupervisedIslandJobAtMigrationBarrier) {
+    expect_cancel_at_barrier("t_svc_supislcancel.sock", /*supervise=*/true);
+}
+
+TEST(Service, DeadlineExpiresRunningIslandJob) {
+    service::Daemon d(daemon_config("t_svc_isldeadline.sock"));
+    Client c(d.socket_path());
+    JobSpec spec = long_island_job();
+    spec.deadline_ms = 300;
+    const std::uint64_t id = c.submit(spec);
+    const Frame f = status_after(c, id, std::chrono::milliseconds(spec.deadline_ms) + kRtlStopBound);
+    EXPECT_EQ(f.str("state"), "expired");
+}
+
+TEST(Service, DaemonStopEndsRunningIslandJob) {
+    auto d = std::make_unique<service::Daemon>(daemon_config("t_svc_islstop.sock"));
+    {
+        Client c(d->socket_path());
+        wait_running(c, c.submit(long_island_job()));
+    }
     const auto t0 = std::chrono::steady_clock::now();
     d.reset();
     EXPECT_LT(std::chrono::steady_clock::now() - t0, kRtlStopBound);

@@ -184,6 +184,66 @@ TEST(SystemTap, GenerationCountersSumToRunTotals) {
     EXPECT_GT(sys.core().rng_draws(), 0u);
 }
 
+/// A memory sink that wants events only while `on` is set.
+class GatedSink final : public TraceSink {
+public:
+    void on_event(const TraceEvent& e) override { mem.on_event(e); }
+    bool wants_events() const override { return on; }
+    bool on = false;
+    MemorySink mem;
+};
+
+TEST(SystemTap, InactiveSinkGetsNoEventsAndLeavesTheRunAlone) {
+    system::GaSystemConfig cfg;
+    cfg.params = small_params();
+    cfg.internal_fems = {fitness::FitnessId::kOneMax};
+    cfg.keep_populations = false;
+    const core::RunResult plain = system::GaSystem(cfg).run();
+
+    GatedSink sink;
+    cfg.trace_sink = &sink;
+    system::GaSystem sys(cfg);
+    const core::RunResult gated = sys.run();
+    ASSERT_NE(sys.tap(), nullptr);
+    EXPECT_EQ(sys.tap()->events_emitted(), 0u);
+    EXPECT_TRUE(sink.mem.events().empty());
+    EXPECT_EQ(gated.best_candidate, plain.best_candidate);
+    EXPECT_EQ(gated.best_fitness, plain.best_fitness);
+    EXPECT_EQ(gated.evaluations, plain.evaluations);
+    ASSERT_EQ(gated.history.size(), plain.history.size());
+    for (std::size_t g = 0; g < plain.history.size(); ++g) {
+        EXPECT_EQ(gated.history[g].gen, plain.history[g].gen);
+        EXPECT_EQ(gated.history[g].best_fit, plain.history[g].best_fit);
+        EXPECT_EQ(gated.history[g].best_ind, plain.history[g].best_ind);
+        EXPECT_EQ(gated.history[g].fit_sum, plain.history[g].fit_sum);
+    }
+}
+
+// A sink that starts wanting events mid-run gets the full stream from that
+// point on, per-generation counter deltas included.
+TEST(SystemTap, SinkActivatedMidRunGetsTheStreamSuffix) {
+    const std::vector<TraceEvent> full = record_rtl();
+    GatedSink sink;
+    system::GaSystemConfig cfg;
+    cfg.params = small_params();
+    cfg.internal_fems = {fitness::FitnessId::kOneMax};
+    cfg.keep_populations = false;
+    cfg.trace_sink = &sink;
+    system::GaSystem sys(cfg);
+    ASSERT_TRUE(sys.start());
+    ASSERT_TRUE(sys.run_to(1, sys.cycle_bound()).ok);
+    const std::uint64_t t_on = sys.kernel().now();
+    sink.on = true;
+    ASSERT_TRUE(sys.run_to(system::GaSystem::kEnd, sys.cycle_bound()).ok);
+    sys.finish();
+
+    std::vector<TraceEvent> suffix;
+    for (const TraceEvent& e : full)
+        if (e.t > t_on) suffix.push_back(e);
+    ASSERT_FALSE(suffix.empty());
+    EXPECT_EQ(sink.mem.events(), suffix);
+}
+
 TEST(SystemTap, GateLevelCoreEmitsSameStreamMinusCounters) {
     const std::vector<TraceEvent> rt = record_rtl(false);
     const std::vector<TraceEvent> gate = record_rtl(true);
