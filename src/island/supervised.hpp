@@ -16,8 +16,9 @@
 //
 // This layer adds N-modular redundancy: `nmr` replicas of the complete
 // island job, majority-voted on the delivered (best fitness, best
-// candidate) pair — meaningful because the island system is bit-exact per
-// replica.
+// candidate) pair by the mission supervisor's vote (supervisor::nmr_vote)
+// — meaningful because the island system is bit-exact per replica. As in
+// MissionSupervisor, a vote without a strict majority aborts.
 //
 // Decisions are emitted as trace events: the supervisor's sup_checkpoint /
 // watchdog_trip / sup_vote / sup_abort / sup_result kinds plus the
@@ -78,7 +79,7 @@ public:
     /// Every replica has ended.
     bool done() const noexcept { return results_.size() >= std::max(1u, cfg_.nmr); }
     /// Vote and report. Faults the rollback ladder covers never throw —
-    /// they end as status kAborted.
+    /// they end as status kAborted, as does a vote without a majority.
     SupervisedIslandReport finish() const;
     /// Run all replicas, vote, and return the report.
     SupervisedIslandReport run();

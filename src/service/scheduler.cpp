@@ -711,7 +711,9 @@ void Scheduler::run_supervised_job(const JobPtr& j) {
     sc.backend = spec.backend;
     sc.sink = j.get();
     supervisor::MissionSupervisor sup(sc);
-    const supervisor::SupervisorReport rep = sup.run();
+    sup.start();
+    if (!drive(j, sup, [&] { sup.step(); })) return;
+    const supervisor::SupervisorReport rep = sup.finish();
     JobOutcome out;
     out.best_fitness = rep.best_fitness;
     out.best_candidate = rep.best_candidate;
@@ -723,11 +725,7 @@ void Scheduler::run_supervised_job(const JobPtr& j) {
         finish(j, JobState::kFailed, out, "supervisor abort: " + rep.abort_reason);
         return;
     }
-    if (j->cancel.load(std::memory_order_relaxed)) {
-        finish(j, JobState::kCancelled, {});
-    } else {
-        finish(j, past_deadline(j) ? JobState::kExpired : JobState::kDone, out);
-    }
+    finish(j, past_deadline(j) ? JobState::kExpired : JobState::kDone, out);
 }
 
 void Scheduler::run_gate_batch(std::vector<JobPtr> batch, unsigned worker_idx) {

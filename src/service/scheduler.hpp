@@ -18,12 +18,12 @@
 //     returns to the queue, so nothing starves behind a stream of gates
 //     jobs. A per-worker cached runner (BatchGateRunner::reconfigure)
 //     pays for the two compiled netlists once per worker and width;
-//   * behavioral, rtl and island jobs share one loop over a resumable
-//     engine (core::BehavioralEngine, system::GaSystem::run_to, and
-//     island::IslandSystem / SupervisedIslandSystem::step) that advances
-//     one generation, or one barrier-to-barrier segment, at a time — the
-//     cancel/deadline check points; supervised jobs run the
-//     MissionSupervisor ladder.
+//   * behavioral, rtl, supervised and island jobs share one loop over a
+//     resumable engine (core::BehavioralEngine, system::GaSystem::run_to,
+//     supervisor::MissionSupervisor::step and island::IslandSystem /
+//     SupervisedIslandSystem::step) that advances one generation, or one
+//     barrier-to-barrier segment, at a time — the cancel/deadline check
+//     points.
 //
 // Every job's results are bit-identical to running the same spec directly
 // through those engines — the scheduler only multiplexes, it never alters
@@ -31,13 +31,12 @@
 // one-lane direct run, wherever and whenever it entered its block
 // (asserted by tests/service/test_service_differential.cpp).
 //
-// Cancellation is cooperative: behavioral and rtl jobs stop at the next
-// generation boundary, island jobs at the next migration barrier, gate
-// lanes at the next check window (~2k cycles) while the rest of their
-// block runs on; a monolithic supervised (MissionSupervisor) run is
-// cancelled before it starts, or its finished result is discarded when
-// the flag arrives mid-run. Deadlines follow the same checkpoints; a job
-// finishing past its deadline is `expired` and counts as a deadline miss.
+// Cancellation is cooperative: behavioral, rtl and supervised jobs stop at
+// the next generation boundary (a supervised job's current attempt, on
+// whatever rung), island jobs at the next migration barrier, gate lanes at
+// the next check window (~2k cycles) while the rest of their block runs
+// on. Deadlines follow the same checkpoints; a job finishing past its
+// deadline is `expired` and counts as a deadline miss.
 //
 // Journal writes never run under the scheduler mutex: submit allocates the
 // id under it, journals outside it, then queues and acks; finish claims
@@ -223,6 +222,9 @@ private:
     /// An island job, plain or supervised: segment by segment, so cancel,
     /// deadline and stop() end it at the next migration barrier.
     void run_island_job(const JobPtr& j);
+    /// A single-engine supervised job: attempt generation by generation,
+    /// so cancel, deadline and stop() end it at the next generation
+    /// boundary on any rung.
     void run_supervised_job(const JobPtr& j);
 
     /// Claim `j` and commit() it; no-op when another path claimed it.

@@ -195,8 +195,9 @@ GaSystem::Advance GaSystem::run_to(std::uint32_t g, std::uint64_t bound,
                                    const CycleFn& on_cycle) {
     Advance a;
     while (true) {
-        if (g == kEnd && done()) {
-            a.ok = true;
+        if (done()) {
+            // A core in kDone never pulses again: a generation target is missed.
+            a.ok = g == kEnd;
             return a;
         }
         if (a.cycles >= bound) return a;
@@ -209,6 +210,7 @@ GaSystem::Advance GaSystem::run_to(std::uint32_t g, std::uint64_t bound,
         if (boundary) {
             // The pulse edge committed; one more edge commits the monitor
             // capture and leaves the memory quiescent for a poke.
+            if (a.cycles >= bound) return a;
             ga_cycle();
             ++a.cycles;
             if (on_cycle) on_cycle(a.cycles);

@@ -120,7 +120,7 @@ public:
     /// How far one run_to() got.
     struct Advance {
         bool ok = false;           ///< reached the target within the bound
-        std::uint64_t cycles = 0;  ///< GA cycles clocked (== bound on a miss)
+        std::uint64_t cycles = 0;  ///< GA cycles clocked (<= bound)
     };
 
     explicit GaSystem(GaSystemConfig cfg);
@@ -139,7 +139,8 @@ public:
     /// cycle the monitor pulse rises with gen id `g` — the edge where the
     /// monitor has captured the boundary and the current bank is poke-safe
     /// (for g == n_gens that edge enters kDone). kEnd clocks until GA_done.
-    /// Stops after `bound` cycles without reaching the target.
+    /// Never clocks more than `bound` cycles; a generation target is missed
+    /// when the bound runs out or the core reaches kDone without its pulse.
     Advance run_to(std::uint32_t g, std::uint64_t bound, const CycleFn& on_cycle = {});
     /// After GA_done: clock until the application module has taken the
     /// result, then return it. Throws std::runtime_error if it never does.

@@ -9,8 +9,10 @@
 // exhausted.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -168,6 +170,45 @@ TEST(SupervisedIslands, NmrVoteUnanimousWhenUndisturbed) {
     for (const trace::TraceEvent& e : sink.events())
         if (e.kind == trace::kind::kSupVote) saw_vote = true;
     EXPECT_TRUE(saw_vote);
+}
+
+// Three replicas whose island 0 each finishes with a different best_fit
+// upset (invisible to the segment watchdog): three different answers, no
+// majority — the vote aborts instead of delivering replica 0's answer,
+// exactly as MissionSupervisor does.
+TEST(SupervisedIslands, NmrWithoutMajorityAborts) {
+    trace::MemorySink sink;
+    SupervisedIslandConfig cfg;
+    cfg.islands = base_islands();
+    cfg.nmr = 3;
+    cfg.sink = &sink;
+    std::array<bool, 3> fired{};
+    cfg.hook = [&fired](system::GaSystem& sys, const AttemptInfo& info, std::uint64_t cycle) {
+        if (info.attempt != 0 || fired[info.replica]) return;  // island 0 only
+        if (cycle >= 200 && fault::scan_safe_state(sys.core().state())) {
+            rtl::ScanChain& chain = sys.core().scan_chain();
+            chain.flip(chain.position_of("best_fit", 13 + info.replica));
+            sys.core().input_changed();
+            fired[info.replica] = true;
+        }
+    };
+    const SupervisedIslandReport rep = SupervisedIslandSystem(cfg).run();
+    EXPECT_TRUE(fired[0] && fired[1] && fired[2]);
+    ASSERT_EQ(rep.status, Status::kAborted);
+    EXPECT_NE(rep.abort_reason.find("no NMR majority"), std::string::npos);
+    EXPECT_TRUE(rep.voted);
+    EXPECT_EQ(rep.vote_agree, 1u);
+    unsigned votes = 0, aborts = 0;
+    for (const trace::TraceEvent& e : sink.events()) {
+        if (e.kind == trace::kind::kSupVote) {
+            ++votes;
+            EXPECT_EQ(e.u64("majority"), 0u);
+            EXPECT_EQ(e.u64("agree"), 1u);
+        }
+        if (e.kind == trace::kind::kSupAbort) ++aborts;
+    }
+    EXPECT_EQ(votes, 1u);
+    EXPECT_EQ(aborts, 1u);
 }
 
 // A persistent wedge with the rollback budget at zero must end in a

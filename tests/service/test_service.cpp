@@ -309,6 +309,50 @@ TEST(Service, DaemonStopEndsRunningRtlJob) {
     EXPECT_LT(std::chrono::steady_clock::now() - t0, kRtlStopBound);
 }
 
+/// long_rtl_job() under the mission supervisor. Its attempts stream no
+/// generation events, so the tests below let it run a while (well into
+/// the primary attempt) before they stop it.
+JobSpec long_supervised_rtl_job() {
+    JobSpec spec = long_rtl_job();
+    spec.supervise = true;
+    return spec;
+}
+
+TEST(Service, CancelStopsRunningSupervisedRtlJob) {
+    service::Daemon d(daemon_config("t_svc_suprtlcancel.sock"));
+    Client c(d.socket_path());
+    const std::uint64_t id = c.submit(long_supervised_rtl_job());
+    wait_running(c, id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ASSERT_EQ(c.status(id).str("state"), "running");
+    EXPECT_EQ(c.cancel(id), service::CancelOutcome::kCancelled);
+    const Frame f = status_after(c, id, kRtlStopBound);
+    EXPECT_EQ(f.str("state"), "cancelled");
+}
+
+TEST(Service, DeadlineExpiresRunningSupervisedRtlJob) {
+    service::Daemon d(daemon_config("t_svc_suprtldeadline.sock"));
+    Client c(d.socket_path());
+    JobSpec spec = long_supervised_rtl_job();
+    spec.deadline_ms = 300;
+    const std::uint64_t id = c.submit(spec);
+    const Frame f = status_after(c, id, std::chrono::milliseconds(spec.deadline_ms) + kRtlStopBound);
+    EXPECT_EQ(f.str("state"), "expired");
+}
+
+TEST(Service, DaemonStopEndsRunningSupervisedRtlJob) {
+    auto d = std::make_unique<service::Daemon>(daemon_config("t_svc_suprtlstop.sock"));
+    {
+        Client c(d->socket_path());
+        const std::uint64_t id = c.submit(long_supervised_rtl_job());
+        wait_running(c, id);
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    d.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, kRtlStopBound);
+}
+
 /// Cancel a running island job once it has passed two barriers: it must
 /// end cancelled, with at most the barrier in flight after the ack.
 void expect_cancel_at_barrier(const std::string& socket, bool supervise) {

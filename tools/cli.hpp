@@ -85,6 +85,12 @@ struct JobFlags {
     core::GaParameters handshake() const { return service::handshake_parameters(frame); }
 };
 
+/// The --help lines of the job flags `job` takes (the GA-core ones only
+/// when job.core_only), one per submit-schema field in schema order, each
+/// ending with the field's default in `job`: "--flag META" indented by
+/// `indent` and padded to `column`, then what the field sets.
+std::string job_flag_help(const JobFlags& job, std::size_t indent, std::size_t column);
+
 /// The parameters a run uses: resolve_parameters plus the preset's seed.
 core::GaParameters run_parameters(std::uint8_t preset, const core::GaParameters& handshake);
 

@@ -42,14 +42,9 @@ struct Options {
 };
 
 void usage() {
+    std::printf("usage: gacli [options]\n%s",
+                cli::job_flag_help(cli::JobFlags::local_defaults(), 2, 19).c_str());
     std::printf(
-        "usage: gacli [options]\n"
-        "  --fitness NAME   BF6 F2 F3 mBF6_2 mBF7_2 mShubert2D OneMax RoyalRoad\n"
-        "  --pop N          population size (2..128, default 32)\n"
-        "  --gens N         generations (default 32)\n"
-        "  --xover T        crossover threshold 0..15 (rate = T/16, default 10)\n"
-        "  --mut T          mutation threshold 0..15 (rate = T/16, default 1)\n"
-        "  --seed S         RNG seed (decimal or 0x hex, default 0x2961)\n"
         "  --preset M       preset mode 1..3 (Table IV; overrides parameters)\n"
         "  --rng KIND       ca | lfsr | xorshift | weaklcg (default ca)\n"
         "  --external       serve fitness through the external FEM ports\n"

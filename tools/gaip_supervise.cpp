@@ -36,10 +36,7 @@ void usage() {
         "usage: gaip-supervise run [options]\n"
         "\n"
         "  job:\n"
-        "    --fitness NAME       BF6 F2 F3 mBF6_2 mBF7_2 mShubert2D OneMax RoyalRoad\n"
-        "    --pop N --gens N     population / generations (defaults 32/32)\n"
-        "    --xover T --mut T    crossover / mutation thresholds (0..15)\n"
-        "    --seed S             RNG seed (decimal or 0x hex)\n"
+        "%s"
         "    --backend B          rtl | behavioral | lanes (default rtl)\n"
         "\n"
         "  supervision:\n"
@@ -60,7 +57,8 @@ void usage() {
         "    -o PATH              stream supervisor decisions as JSONL\n"
         "\n"
         "exit status: 0 = ok, 3 = ok-degraded, 1 = aborted, 2 = error\n"
-        "             with --daemon also: 4 = cannot connect, 5 = malformed response\n");
+        "             with --daemon also: 4 = cannot connect, 5 = malformed response\n",
+        cli::job_flag_help(cli::JobFlags::local_defaults(), 4, 25).c_str());
 }
 
 }  // namespace

@@ -40,10 +40,7 @@ void usage() {
         "usage: gaip-trace <command> [options]\n"
         "\n"
         "  record   run the GA and stream telemetry to a JSONL file\n"
-        "    --fitness NAME     BF6 F2 F3 mBF6_2 mBF7_2 mShubert2D OneMax RoyalRoad\n"
-        "    --pop N --gens N   population / generations (defaults 32/32)\n"
-        "    --xover T --mut T  crossover / mutation thresholds (0..15)\n"
-        "    --seed S           RNG seed (decimal or 0x hex)\n"
+        "%s"
         "    --preset M         preset mode 1..3 (overrides parameters)\n"
         "    --backend B        rtl | gates | lanes (default rtl)\n"
         "                       rtl   = RT-level system\n"
@@ -64,7 +61,8 @@ void usage() {
         "    --ignore F1,F2     field keys excluded from comparison\n"
         "    --strict           also compare timestamps and cycle counts\n"
         "\n"
-        "exit status: 0 = ok / match, 1 = streams differ, 2 = error\n");
+        "exit status: 0 = ok / match, 1 = streams differ, 2 = error\n",
+        cli::job_flag_help(cli::JobFlags::local_defaults(), 4, 23).c_str());
 }
 
 struct RecordOptions {

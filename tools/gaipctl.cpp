@@ -55,10 +55,8 @@ void usage() {
         "  shutdown [--drain]  stop the daemon; --drain finishes running jobs\n"
         "                      and journals the queue for the next boot\n"
         "submit fields (all optional; names match the submit frame schema):\n"
-        "  --fitness NAME --backend rtl|behavioral|gates --pop N --gens N\n"
-        "  --xover T --mut T --seed S --words W --islands N --topology ring|star\n"
-        "  --interval G --count N --policy worst|random --mig-seed S\n"
-        "  --supervise --deadline-ms N\n");
+        "%s",
+        cli::job_flag_help(cli::JobFlags{}, 2, 22).c_str());
 }
 
 void print_frame(const Frame& f) { std::printf("%s\n", service::to_line(f).c_str()); }
