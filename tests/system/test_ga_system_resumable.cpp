@@ -1,8 +1,9 @@
 // The resumable GaSystem (start / run_to / finish) on both cores, RT-level
 // and gate-level: stepping it one generation at a time is the same
 // simulation as run(), byte for byte; its population at every boundary is
-// the behavioral engine's; and a poke at a boundary steers both models
-// identically (stale fit_sum, untouched best registers).
+// the behavioral engine's; a poke at a boundary steers both models
+// identically (stale fit_sum, untouched best registers); and run_to never
+// clocks past its bound or past GA_done.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -144,6 +145,28 @@ TEST_P(ResumableGaSystem, PokeAtABoundaryMatchesTheBehavioralPoke) {
     unpoked.run_to(params().n_gens);
     EXPECT_NE(got.history[at + 1].population, unpoked.history()[at + 1].population)
         << "the poke must have changed the run";
+}
+
+// run_to() never clocks past its bound, not even the capture edge of a
+// boundary whose pulse lands on the bound's last cycle, and a generation
+// target past GA_done is missed at once instead of burning the bound.
+TEST_P(ResumableGaSystem, RunToStopsAtItsBoundAndAtDone) {
+    std::uint64_t to_gen1 = 0;
+    {
+        GaSystem sys(config(gate_level()));
+        ASSERT_TRUE(sys.start());
+        to_gen1 = sys.run_to(1, sys.cycle_bound()).cycles;
+    }
+    GaSystem sys(config(gate_level()));
+    ASSERT_TRUE(sys.start());
+    const GaSystem::Advance cut = sys.run_to(1, to_gen1 - 1);  // the pulse edge is the last
+    EXPECT_FALSE(cut.ok);
+    EXPECT_EQ(cut.cycles, to_gen1 - 1);
+
+    ASSERT_TRUE(sys.run_to(GaSystem::kEnd, sys.cycle_bound()).ok);
+    const GaSystem::Advance past = sys.run_to(params().n_gens + 1, sys.cycle_bound());
+    EXPECT_FALSE(past.ok);
+    EXPECT_EQ(past.cycles, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, ResumableGaSystem, ::testing::Values(false, true),
