@@ -62,14 +62,25 @@ void BM_BehavioralGaGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_BehavioralGaGeneration)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
+/// A telemetry sink nobody reads: the tap tracks its edges, builds nothing.
+class QuietSink final : public trace::TraceSink {
+public:
+    void on_event(const trace::TraceEvent&) override {}
+    bool wants_events() const override { return false; }
+};
+
 void BM_RtlSystemRun(benchmark::State& state) {
     // Full-system RTL simulation throughput: one complete small run per
-    // iteration. Reports simulated 50 MHz cycles per second as a counter.
+    // iteration. Reports simulated 50 MHz cycles per second as a counter,
+    // and module ticks per GA edge. Arg 1 binds the SystemTap to a quiet
+    // sink (wants_events() false), as for a gaipd job nobody streams.
     system::GaSystemConfig cfg;
     cfg.params = {.pop_size = 16, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1,
                   .seed = 0x2961};
     cfg.internal_fems = {fitness::FitnessId::kMBf6_2};
     cfg.keep_populations = false;
+    QuietSink quiet;
+    if (state.range(0) != 0) cfg.trace_sink = &quiet;
     system::GaSystem sys(cfg);
     std::uint64_t cycles = 0;
     for (auto _ : state) {
@@ -78,8 +89,11 @@ void BM_RtlSystemRun(benchmark::State& state) {
     }
     state.counters["sim_cycles_per_s"] =
         benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
+    state.counters["ticks_per_cycle"] =
+        benchmark::Counter(static_cast<double>(sys.kernel().stats().module_ticks) /
+                           static_cast<double>(sys.ga_clock().edges()));
 }
-BENCHMARK(BM_RtlSystemRun);
+BENCHMARK(BM_RtlSystemRun)->Arg(0)->Arg(1)->ArgName("tap");
 
 void BM_RtlSystemScheduler(benchmark::State& state) {
     // Event-driven (arg 0) vs evaluate-everything sweep (arg 1) on the same
@@ -87,7 +101,8 @@ void BM_RtlSystemScheduler(benchmark::State& state) {
     // dirty-tracking scheduler avoids: module eval() calls per simulated
     // time point and modules skipped per settle. ticks_per_cycle and
     // commits_per_cycle are module ticks and register commits per GA clock
-    // edge: deterministic counts, the same under both schedulers.
+    // edge: deterministic counts for each scheduler (the sweep also ticks
+    // every module at every edge; the default skips idle pure ticks).
     const bool full_settle = state.range(0) != 0;
     system::GaSystemConfig cfg;
     cfg.params = {.pop_size = 16, .n_gens = 8, .xover_threshold = 10, .mut_threshold = 1,

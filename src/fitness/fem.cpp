@@ -9,7 +9,11 @@ RomFitnessModule::RomFitnessModule(std::string name, FemPorts ports,
     : Module(std::move(name)), p_(ports), rom_(std::move(rom)), cfg_(cfg) {
     if (!rom_) throw std::invalid_argument("RomFitnessModule: null rom");
     attach_all(state_, addr_, value_, delay_);
-    sense();  // eval() reads the FSM/value registers only; the handshake is ticked
+    // eval() reads the FSM/value registers only; the handshake is ticked, and
+    // a tick with unchanged inputs and registers does nothing (evaluations_
+    // counts the kPresent tick, which a state commit always wakes).
+    sense(p_.fit_request, p_.candidate);
+    pure_tick();
 }
 
 void RomFitnessModule::eval() {

@@ -76,7 +76,10 @@ public:
     explicit MigrationRegisterBus(MigrationBusPorts ports)
         : Module("migration_bus"), p_(ports) {
         attach_all(interval_, count_policy_);
-        sense();  // sampling snoop: no eval(), registers load on clock edges
+        // Sampling snoop: no eval(), registers load on clock edges from the
+        // four bus nets alone, so a tick with unchanged nets is skipped.
+        sense(p_.ga_load, p_.index, p_.value, p_.data_valid);
+        pure_tick();
     }
 
     void tick() override {

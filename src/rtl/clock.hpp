@@ -16,6 +16,8 @@ namespace gaip::rtl {
 /// Simulation time in picoseconds.
 using SimTime = std::uint64_t;
 
+class Kernel;
+
 class Clock {
 public:
     Clock(std::string name, std::uint64_t freq_hz, SimTime phase_ps = 0)
@@ -29,6 +31,7 @@ public:
     const std::string& name() const noexcept { return name_; }
     std::uint64_t freq_hz() const noexcept { return freq_hz_; }
     SimTime period_ps() const noexcept { return period_ps_; }
+    SimTime phase_ps() const noexcept { return phase_ps_; }
 
     /// Time of the next rising edge not yet processed.
     SimTime next_edge() const noexcept { return next_edge_; }
@@ -48,12 +51,15 @@ public:
     }
 
 private:
+    friend class Kernel;
+
     std::string name_;
     std::uint64_t freq_hz_;
     SimTime phase_ps_;
     SimTime period_ps_ = 0;
     SimTime next_edge_ = 0;
     std::uint64_t edges_ = 0;
+    const Kernel* kernel_ = nullptr;  ///< the kernel that defined this clock
 };
 
 }  // namespace gaip::rtl

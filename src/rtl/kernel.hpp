@@ -4,19 +4,35 @@
 //   1. settle(): re-evaluate modules until no Wire changes (bounded; throws
 //      on a combinational loop).
 //   2. tick() every module bound to a clock whose rising edge falls at t
-//      (multiple domains can coincide, e.g. 50 MHz and 200 MHz every 20 ns).
+//      (multiple domains can coincide, e.g. 50 MHz and 200 MHz every 20 ns),
+//      domain by domain in add_clock() order and, within a domain, in bind()
+//      order; each domain's clock advances right after its modules ticked.
+//      A module that declared pure_tick() (Module) is skipped at an edge
+//      unless something woke it since its last tick — a skipped tick would
+//      have changed nothing.
 //   3. commit the registers of exactly the ticked modules; modules whose
-//      registers actually changed are marked for re-evaluation. Each module
-//      keeps a pending-commit list that Reg::load() fills (each register at
-//      most once per edge), so a commit visits only the registers loaded
-//      since the module last ticked, not every attached flip-flop. A load
-//      into a module that does not tick at t stays pending until its own
-//      clock's next edge.
+//      registers actually changed are marked for re-evaluation (and woken).
+//      Each module keeps a pending-commit list that Reg::load() fills (each
+//      register at most once per edge), so a commit visits only the
+//      registers loaded since the module last ticked, not every attached
+//      flip-flop. A load into a module that does not tick at t stays
+//      pending until its own clock's next edge.
 //   4. settle() again so Moore outputs reflect the new state before the
 //      next domain's edge.
 //
 // This is the standard two-phase synchronous-RTL semantics: all flip-flops
 // of a domain sample their D inputs simultaneously.
+//
+// Time points come from a static tick schedule: add_clock() and bind()
+// build the cyclic edge table of the clocks — one slot per distinct edge
+// time in the lcm of the periods, each holding the clocks that rise there
+// and the modules they tick, in the order above. For the DCM pair that is
+// 4 slots per 20 ns: slot 0 ticks the GA (50 MHz) and app (200 MHz)
+// domains, slots 1-3 the app domain only. step() walks the table; a clock
+// set whose table would exceed kMaxScheduleSlots is rejected. A time point
+// whose modules all declared pure_tick(), with no module woken and no eval
+// pending, is quiescent: steps 1-4 would do nothing, so only its clocks
+// advance and the observers run (no settle() is counted for it).
 //
 // Scheduling: settle() is event-driven. Modules that declared their eval()
 // sensitivity (Module::sense) are only re-evaluated when a sensed wire or
@@ -24,11 +40,11 @@
 // did not are swept in full fixed-point passes exactly like the original
 // kernel. Setting the environment variable GAIP_KERNEL_FULL_SETTLE=1 (or
 // calling set_full_settle(true)) forces the original sweep for every module
-// — the escape hatch differential tests compare against.
+// and ticks every module at every edge of its clock — the reference path
+// differential tests compare against.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,7 +68,7 @@ public:
 /// simulation cost metric (host work), not modeled hardware time.
 struct KernelStats {
     std::uint64_t time_points = 0;     ///< processed clock-edge instants
-    std::uint64_t settle_calls = 0;    ///< settle() invocations (2 per time point + resets)
+    std::uint64_t settle_calls = 0;    ///< settle() invocations (2 per busy time point + resets)
     std::uint64_t settle_passes = 0;   ///< fixed-point sweep iterations executed
     std::uint64_t module_evals = 0;    ///< individual Module::eval() calls
     std::uint64_t modules_skipped = 0; ///< evals avoided vs. one full sweep per settle pass
@@ -70,8 +86,16 @@ class Kernel {
 public:
     Kernel();
 
+    /// Most clock edges one cycle of the tick schedule (the lcm of the
+    /// periods) may hold: the DCM pair has 5 edges in 4 slots, 1 MHz beside
+    /// 200 MHz 201 edges in 200 slots.
+    static constexpr std::size_t kMaxScheduleSlots = 4096;
+
     /// Define a clock domain. The returned reference stays valid for the
-    /// kernel's lifetime.
+    /// kernel's lifetime. Throws std::invalid_argument if the phase is not
+    /// below the period or the clock set's tick schedule would exceed
+    /// kMaxScheduleSlots, and std::logic_error once the kernel has stepped
+    /// (clocks are defined before the first step, or reset() follows).
     Clock& add_clock(std::string name, std::uint64_t freq_hz, SimTime phase_ps = 0);
 
     /// Bind a module to a clock domain (tick on its rising edges). A module
@@ -90,14 +114,27 @@ public:
 
     /// Advance simulation until `n` further rising edges of `c` have been
     /// processed. Throws std::invalid_argument if `c` is not this kernel's.
-    void run_cycles(Clock& c, std::uint64_t n);
+    void run_cycles(const Clock& c, std::uint64_t n) {
+        check_owned(c, "run_cycles");
+        const std::uint64_t target = c.edges() + n;
+        while (c.edges() < target) step();
+    }
 
     /// Advance until `pred()` becomes true (checked after each time point)
     /// or `max_edges` edges of `c` elapse. Returns true if pred fired.
     /// Throws std::invalid_argument if `c` is not this kernel's.
-    bool run_until(Clock& c, const std::function<bool()>& pred, std::uint64_t max_edges);
+    template <typename Pred>
+    bool run_until(const Clock& c, Pred&& pred, std::uint64_t max_edges) {
+        check_owned(c, "run_until");
+        const std::uint64_t limit = c.edges() + max_edges;
+        while (c.edges() < limit) {
+            if (pred()) return true;
+            step();
+        }
+        return pred();
+    }
 
-    /// Process exactly one time point (the earliest pending clock edge).
+    /// Process exactly one time point (the next slot of the tick schedule).
     void step();
 
     SimTime now() const noexcept { return now_; }
@@ -131,18 +168,42 @@ public:
 
 private:
     void settle();
-    void drain_worklist(std::uint64_t& evals, std::uint64_t max_evals);
+    void drain_worklist(std::uint64_t& evals, std::uint64_t budget);
     void discard_worklist();
-    void register_module(Module& m);
+    void register_module(Module& m, std::size_t* wakes);
+    void settle_sweep();
+    void build_schedule();
+
+    /// Throws std::invalid_argument naming `caller` unless `c` is this
+    /// kernel's clock.
+    void check_owned(const Clock& c, const char* caller) const {
+        if (c.kernel_ != this) throw_foreign_clock(caller);
+    }
+    [[noreturn]] static void throw_foreign_clock(const char* caller);
 
     struct Domain {
         std::unique_ptr<Clock> clock;
         std::vector<Module*> modules;
     };
 
-    /// The domain of `c`; throws std::invalid_argument naming `caller` if
-    /// `c` belongs to another kernel.
-    Domain& domain_of(const Clock& c, const char* caller);
+    /// One clock rising in a schedule slot, with the modules it ticks:
+    /// slot_modules_[modules_begin, modules_end). `pure_only`: every one of
+    /// them declared pure_tick().
+    struct SlotEdge {
+        Clock* clock;
+        std::uint32_t modules_begin;
+        std::uint32_t modules_end;
+        bool pure_only;
+    };
+    /// One time point of the schedule cycle: its offset from the cycle
+    /// start and its rising clocks, slot_edges_[edges_begin, edges_end).
+    /// `pure_only`: so are all of its edges.
+    struct Slot {
+        SimTime offset;
+        std::uint32_t edges_begin;
+        std::uint32_t edges_end;
+        bool pure_only;
+    };
 
     std::vector<Domain> domains_;
     std::vector<Module*> combinational_;
@@ -150,6 +211,18 @@ private:
     std::vector<Module*> legacy_;    ///< modules without a sensitivity list
     std::vector<Module*> worklist_;  ///< event-driven modules pending eval
     std::vector<Module*> ticked_;    ///< step()'s modules ticked at now_; keeps its capacity
+
+    // The tick schedule (build_schedule()) and the position in it.
+    std::vector<Slot> slots_;
+    std::vector<SlotEdge> slot_edges_;
+    std::vector<Module*> slot_modules_;
+    SimTime cycle_ps_ = 0;   ///< schedule period: lcm of the clock periods
+    std::size_t cursor_ = 0; ///< the next slot step() processes
+    SimTime cycle_base_ = 0; ///< start time of the current schedule cycle
+    /// Clocked pure-tick modules woken since their last tick: while zero,
+    /// an edge whose modules are all pure ticks none of them.
+    std::size_t woken_pure_ = 0;
+
     SimTime now_ = 0;
     KernelStats stats_;
     bool full_settle_ = false;

@@ -26,6 +26,19 @@
 // arguments for a module whose eval() reads registers only. Modules that
 // never call sense() keep the legacy semantics: they are re-evaluated in
 // every settling pass.
+//
+// Tick elision: an event-driven module whose tick() is likewise a pure
+// function of its sensed wires and attached registers declares so with
+// pure_tick(). Its sensitivity list then also covers every wire tick()
+// reads, and tick() touches nothing but its own registers and plain
+// members that it derives from those inputs — so a tick that sees the same
+// inputs as the previous one changes nothing. The kernel skips such a
+// tick (and its commit) until the module has been woken since its last
+// tick: by a sensed wire changing, by its own commit changing a register,
+// by input_changed() (the rule for out-of-band edits: scan chain,
+// checkpoint restore, pokes, software requests), or by Kernel::reset().
+// Registers of such a module are loaded from tick() only. Modules that do
+// not declare pure_tick() tick on every edge of their clock.
 #pragma once
 
 #include <span>
@@ -94,11 +107,20 @@ public:
     /// (possibly empty) — the opt-in for event-driven scheduling.
     bool event_driven() const noexcept { return sensitivity_declared_; }
 
+    /// True once the module declared pure_tick(): the opt-in for tick
+    /// elision.
+    bool pure_tick_declared() const noexcept { return pure_tick_; }
+
     // --- scheduler interface (used by Kernel) ---
 
     /// Wire-change callback: marks the module for re-evaluation and appends
-    /// it to the kernel's worklist (once until re-evaluated).
+    /// it to the kernel's worklist (once until re-evaluated), and wakes its
+    /// tick.
     void input_changed() noexcept final {
+        if (!woken_) {
+            woken_ = true;
+            if (wakes_ != nullptr) ++*wakes_;
+        }
         if (!dirty_) {
             dirty_ = true;
             if (worklist_ != nullptr) worklist_->push_back(this);
@@ -111,19 +133,40 @@ public:
     /// kernel's worklist to enqueue itself on. One whose inputs moved
     /// before it was bound (wires driven during system construction) is
     /// enqueued right away — its dirty flag is already set, so later
-    /// input_changed() calls would short-circuit and never queue it.
-    void attach_kernel(std::vector<Module*>* worklist) {
+    /// input_changed() calls would short-circuit and never queue it. A
+    /// clocked pure-tick module also gets the kernel's count of woken pure
+    /// ticks (`wakes`; null for a combinational module) and joins it while
+    /// woken.
+    void attach_kernel(std::vector<Module*>* worklist, std::size_t* wakes) {
         if (in_kernel_)
             throw std::invalid_argument("module '" + name_ +
                                         "' is already registered with a kernel");
+        if (pure_tick_ && !event_driven())
+            throw std::invalid_argument("module '" + name_ +
+                                        "' declares pure_tick() without a sensitivity list");
         in_kernel_ = true;
         if (!event_driven()) return;
         worklist_ = worklist;
         if (dirty_) worklist_->push_back(this);
+        if (pure_tick_ && wakes != nullptr) {
+            wakes_ = wakes;
+            if (woken_) ++*wakes_;
+        }
     }
 
     bool dirty() const noexcept { return dirty_; }
     void clear_dirty() noexcept { dirty_ = false; }
+
+    /// Whether tick() has to run at this edge: always, unless the module
+    /// declared pure_tick() and has not been woken since its last tick.
+    bool tick_due() const noexcept { return woken_ || !pure_tick_; }
+    /// Called right before tick(): the wakes seen so far are consumed.
+    void clear_wake() noexcept {
+        if (woken_) {
+            woken_ = false;
+            if (wakes_ != nullptr) --*wakes_;
+        }
+    }
 
 protected:
     void attach(RegBase& r) {
@@ -146,13 +189,21 @@ protected:
         (static_cast<WireBase&>(ws).add_listener(this), ...);
     }
 
+    /// Declare tick() a pure function of the sensed wires and the attached
+    /// registers (see "Tick elision" above): the kernel may then skip it on
+    /// edges where nothing woke the module. Requires sense().
+    void pure_tick() noexcept { pure_tick_ = true; }
+
 private:
     std::string name_;
     std::vector<RegBase*> regs_;
     std::vector<RegBase*> pending_;  ///< loaded since the last commit, each once
     std::vector<Module*>* worklist_ = nullptr;
+    std::size_t* wakes_ = nullptr;  ///< the kernel's woken pure-tick count
     bool dirty_ = false;
+    bool woken_ = true;  ///< a fresh module ticks at its first edge
     bool sensitivity_declared_ = false;
+    bool pure_tick_ = false;
     bool in_kernel_ = false;
 };
 

@@ -24,7 +24,10 @@ class AppModule final : public rtl::Module {
 public:
     explicit AppModule(AppModulePorts ports) : Module("app_module"), p_(ports) {
         attach_all(state_, hold_, result_);
-        sense();  // eval() reads the FSM state register only
+        // eval() reads the FSM state register only; tick() reads the three
+        // inputs besides (and restart_pending_, whose setter wakes it).
+        sense(p_.init_done, p_.ga_done, p_.candidate);
+        pure_tick();
     }
 
     void eval() override {
@@ -80,7 +83,10 @@ public:
     /// Software request (from the scenario driver) to run the GA again.
     /// Honored from kDone (adaptive re-invocation) and from kWaitDone (the
     /// supervisor's hung-run recovery: re-pulse start_GA without a reset).
-    void request_restart() noexcept { restart_pending_ = true; }
+    void request_restart() noexcept {
+        restart_pending_ = true;
+        input_changed();  // a plain member tick() reads: wake the tick
+    }
 
 private:
     enum class State : std::uint8_t { kWaitInit = 0, kStart, kWaitDone, kDone };

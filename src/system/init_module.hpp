@@ -30,7 +30,10 @@ class InitModule final : public rtl::Module {
 public:
     InitModule(InitModulePorts ports) : Module("init_module"), p_(ports) {
         attach_all(state_, item_);
-        sense();  // eval() reads the FSM registers (and the pre-run program) only
+        // eval() reads the FSM registers (and the pre-run program) only;
+        // tick() reads data_ack besides, and idles between handshake steps.
+        sense(p_.data_ack);
+        pure_tick();
     }
 
     /// Replace the parameter program with the six writes covering Table III

@@ -6,7 +6,14 @@ SystemTap::SystemTap(SystemTapPorts ports, TraceSink* sink, const rtl::Kernel* k
                      const rtl::Clock* ga_clk, const core::GaCore* core)
     : Module("system_tap"), p_(ports), sink_(sink), kernel_(kernel), ga_clk_(ga_clk),
       core_(core) {
-    sense();  // no eval(): purely a sampling tap on its clock edges
+    // No eval(): purely a sampling tap on its clock edges. The edge
+    // detectors hold the last sampled inputs, so a tick with no changed port
+    // emits nothing and changes nothing — the kernel skips it.
+    sense(p_.ga_load, p_.index, p_.value, p_.data_valid, p_.data_ack, p_.init_done,
+          p_.start_ga, p_.ga_done, p_.preset, p_.fit_request, p_.fit_valid, p_.fit_value,
+          p_.candidate, p_.mon_gen_pulse, p_.mon_gen_id, p_.mon_best_fit, p_.mon_fit_sum,
+          p_.mon_best_ind, p_.mon_bank, p_.mon_pop_size);
+    pure_tick();
 }
 
 void SystemTap::reset_state() {

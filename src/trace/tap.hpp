@@ -18,7 +18,9 @@
 // The tap is only instantiated when a sink is configured (GaSystemConfig
 // ::trace_sink / ::trace_path), so tracing costs nothing when off. While
 // the sink wants no events (TraceSink::wants_events, e.g. a gaipd job
-// nobody streams) the tap only tracks its edges and counter snapshots.
+// nobody streams) the tap only tracks its edges and counter snapshots. It
+// senses its 20 ports and declares a pure tick (rtl::Module), so the
+// kernel ticks it only on edges after one of them moved.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,13 @@
 // Event-driven scheduler tests: sensitivity declarations, dirty tracking,
-// the stats counters, and equivalence with the evaluate-everything sweep
+// the stats counters, tick elision (Module::pure_tick), the static tick
+// schedule, and equivalence with the evaluate-everything sweep
 // (GAIP_KERNEL_FULL_SETTLE / Kernel::set_full_settle).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <tuple>
+#include <vector>
 
 #include "rtl/kernel.hpp"
 
@@ -370,6 +376,182 @@ TEST(KernelEvents, LoadStaysPendingUntilItsOwnClockTicks) {
     EXPECT_EQ(slow.pending_commits(), 0u);
     EXPECT_EQ(k.stats().register_commits, 1u);
     EXPECT_EQ(k.stats().module_ticks, 5u + 2u);
+}
+
+/// Pure-tick countdown: tick() loads `n - 1` while the sensed `enable` wire
+/// is high and n > 0; it reads nothing else, so it idles once n hits 0 or
+/// enable drops.
+class Countdown final : public Module {
+public:
+    Countdown(std::string name, Wire<bool>& enable) : Module(std::move(name)), enable_(enable) {
+        attach(n);
+        sense(enable_);
+        pure_tick();
+    }
+    void tick() override {
+        ++ticks;
+        if (enable_.read() && n.read() > 0) n.load(n.read() - 1);
+    }
+    Reg<std::uint32_t> n{"n", 0};
+    std::uint64_t ticks = 0;
+
+private:
+    Wire<bool>& enable_;
+};
+
+TEST(TickElision, IdlePureTickIsSkipped) {
+    Kernel k;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Wire<bool> enable{true};
+    Countdown cd("cd", enable);
+    k.bind(cd, clk);
+    k.reset();
+    k.run_cycles(clk, 20);
+    EXPECT_EQ(cd.ticks, 1u) << "reset wakes it once; with n = 0 that tick changes nothing";
+    EXPECT_EQ(k.stats().module_ticks, 1u);
+    EXPECT_EQ(k.stats().time_points, 20u);
+    EXPECT_EQ(clk.edges(), 20u);
+}
+
+TEST(TickElision, EachWakeTicksTheModule) {
+    Kernel k;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Wire<bool> enable{false};
+    Countdown cd("cd", enable);
+    k.bind(cd, clk);
+    k.reset();
+    k.run_cycles(clk, 5);
+    ASSERT_EQ(cd.ticks, 1u);
+
+    // set_bits() alone is an out-of-band edit nobody announced: no wake.
+    cd.n.set_bits(3);
+    k.run_cycles(clk, 5);
+    EXPECT_EQ(cd.ticks, 1u);
+    // input_changed() after it wakes the module (enable is low: one no-op tick).
+    cd.input_changed();
+    k.run_cycles(clk, 5);
+    EXPECT_EQ(cd.ticks, 2u);
+    EXPECT_EQ(cd.n.read(), 3u);
+
+    // A sensed wire changing wakes it; each commit that changes n wakes it
+    // again, until the tick that finds n = 0 changes nothing.
+    enable.drive(true);
+    k.run_cycles(clk, 10);
+    EXPECT_EQ(cd.n.read(), 0u);
+    EXPECT_EQ(cd.ticks, 2u + 3u + 1u);
+
+    // reset() wakes every module.
+    k.reset();
+    k.run_cycles(clk, 5);
+    EXPECT_EQ(cd.ticks, 7u);
+}
+
+TEST(TickElision, ModulesWithoutPureTickTickEveryEdge) {
+    Kernel k;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Wire<bool> enable{true};
+    Countdown cd("cd", enable);
+    Holder h("h");  // event-driven, but its tick() is not declared pure
+    k.bind(cd, clk);
+    k.bind(h, clk);
+    k.reset();
+    k.run_cycles(clk, 10);
+    EXPECT_EQ(h.ticks, 10u);
+    EXPECT_EQ(cd.ticks, 1u);
+}
+
+TEST(TickElision, FullSettleTicksEveryModule) {
+    Kernel k;
+    k.set_full_settle(true);
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    Wire<bool> enable{true};
+    Countdown cd("cd", enable);
+    k.bind(cd, clk);
+    k.reset();
+    k.run_cycles(clk, 10);
+    EXPECT_EQ(cd.ticks, 10u);
+    EXPECT_EQ(k.stats().module_ticks, 10u);
+}
+
+TEST(TickElision, PureTickNeedsASensitivityList) {
+    class NoSense final : public Module {
+    public:
+        NoSense() : Module("no_sense") { pure_tick(); }
+    };
+    Kernel k;
+    Clock& clk = k.add_clock("clk", 100'000'000);
+    NoSense m;
+    EXPECT_THROW(k.bind(m, clk), std::invalid_argument);
+}
+
+/// Logs (module, time, edges of both clocks) at every tick.
+class EdgeLogger final : public Module {
+public:
+    using Entry = std::tuple<int, SimTime, std::uint64_t, std::uint64_t>;
+    EdgeLogger(int id, const Kernel& k, const Clock& a, const Clock& b, std::vector<Entry>& log)
+        : Module("logger" + std::to_string(id)), id_(id), k_(k), a_(a), b_(b), log_(log) {}
+    void tick() override { log_.emplace_back(id_, k_.now(), a_.edges(), b_.edges()); }
+
+private:
+    int id_;
+    const Kernel& k_;
+    const Clock& a_;
+    const Clock& b_;
+    std::vector<Entry>& log_;
+};
+
+TEST(TickSchedule, DcmPairReproducesTheEarliestEdgeOrder) {
+    // The 50/200 MHz pair of the system's DCM, bound in that order, against
+    // the earliest-next-edge search over free-standing clocks: the same time
+    // points, tick order and edges() over 1 000 time points.
+    Kernel k;
+    Clock& ga = k.add_clock("ga", 50'000'000);
+    Clock& app = k.add_clock("app", 200'000'000);
+    std::vector<EdgeLogger::Entry> log;
+    EdgeLogger g0(0, k, ga, app, log), g1(1, k, ga, app, log), a0(2, k, ga, app, log);
+    k.bind(g0, ga);
+    k.bind(a0, app);
+    k.bind(g1, ga);
+    k.reset();
+
+    Clock ref_ga("ga", 50'000'000), ref_app("app", 200'000'000);
+    std::vector<EdgeLogger::Entry> expected;
+    for (int i = 0; i < 1000; ++i) {
+        const SimTime t = std::min(ref_ga.next_edge(), ref_app.next_edge());
+        if (ref_ga.next_edge() == t) {
+            for (int id : {0, 1}) expected.emplace_back(id, t, ref_ga.edges(), ref_app.edges());
+            ref_ga.advance();
+        }
+        if (ref_app.next_edge() == t) {
+            expected.emplace_back(2, t, ref_ga.edges(), ref_app.edges());
+            ref_app.advance();
+        }
+        k.step();
+        ASSERT_EQ(k.now(), t) << "time point " << i;
+        ASSERT_EQ(ga.edges(), ref_ga.edges()) << "time point " << i;
+        ASSERT_EQ(app.edges(), ref_app.edges()) << "time point " << i;
+    }
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(ga.edges(), 250u);
+    EXPECT_EQ(app.edges(), 1000u);
+    EXPECT_EQ(k.now(), 999u * 5'000u);
+}
+
+TEST(TickSchedule, OversizedClockSetThrows) {
+    Kernel k;
+    Clock& clk = k.add_clock("a", 1'000'000);
+    // 1 MHz beside 3 MHz (333 333 ps): the periods' lcm spans a million
+    // edges, far past the schedule cap. The kernel keeps its first clock.
+    EXPECT_THROW(k.add_clock("b", 3'000'000), std::invalid_argument);
+    EXPECT_THROW(k.add_clock("c", 100'000'000, 10'000), std::invalid_argument)
+        << "a phase at or past the period";
+    Holder h("h");
+    k.bind(h, clk);
+    k.reset();
+    k.run_cycles(clk, 3);
+    EXPECT_EQ(h.ticks, 3u);
+    EXPECT_EQ(k.now(), 2'000'000u);
+    EXPECT_THROW(k.add_clock("d", 1'000'000), std::logic_error) << "clocks come before stepping";
 }
 
 }  // namespace

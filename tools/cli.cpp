@@ -100,6 +100,18 @@ JobFlags JobFlags::local_defaults() {
     return JobFlags{service::submit_frame(spec), true};
 }
 
+JobFlags JobFlags::submit_defaults() {
+    JobFlags job = local_defaults();
+    const auto schema = service::submit_schema();
+    std::erase_if(job.frame.fields, [&](const trace::Field& fd) {
+        return std::none_of(schema.begin(), schema.end(), [&](const service::SubmitField& f) {
+            return f.core && fd.key == f.key;
+        });
+    });
+    job.core_only = false;
+    return job;
+}
+
 bool JobFlags::take(Args& args) {
     for (const service::SubmitField& field : service::submit_schema()) {
         if (args.flag() != flag_of(field.key) || (core_only && !field.core)) continue;

@@ -75,6 +75,10 @@ struct JobFlags {
     /// The local CLIs' documented default job: mBF6_2, pop 32, gens 32,
     /// xover 10, mut 1, seed 0x2961; GA-core flags only.
     static JobFlags local_defaults();
+    /// gaipctl's submit: the six GA-core fields of local_defaults(), so no
+    /// job flags name the same job as in the local CLIs; every submit field
+    /// is a flag, and the daemon supplies the service-level defaults.
+    static JobFlags submit_defaults();
 
     /// Take the current flag if it names a job field; false, consuming
     /// nothing, otherwise.

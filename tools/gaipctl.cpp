@@ -56,7 +56,7 @@ void usage() {
         "                      and journals the queue for the next boot\n"
         "submit fields (all optional; names match the submit frame schema):\n"
         "%s",
-        cli::job_flag_help(cli::JobFlags{}, 2, 22).c_str());
+        cli::job_flag_help(cli::JobFlags::submit_defaults(), 2, 22).c_str());
 }
 
 void print_frame(const Frame& f) { std::printf("%s\n", service::to_line(f).c_str()); }
@@ -103,14 +103,15 @@ int run(int argc, char** argv) {
         usage();
         return 2;
     }
-    cli::JobFlags job;
+    cli::JobFlags job = cli::JobFlags::submit_defaults();
     bool follow = false;
     bool drain = false;
     double wait_s = -1;
     std::uint64_t id = 0;
     if (verb == "submit") {
-        // The daemon supplies the defaults. The job is validated here too,
-        // so a bad value is a usage error even with no daemon up.
+        // The GA-core defaults are the local CLIs'; the daemon supplies the
+        // rest. The job is validated here too, so a bad value is a usage
+        // error even with no daemon up.
         while (args.more()) {
             if (args.next() == "--follow") follow = true;
             else if (!job.take(args)) args.unknown();
