@@ -3,9 +3,15 @@
 // cycles per host second), not the paper's hardware.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "core/behavioral.hpp"
 #include "core/dual_core.hpp"
+#include "fault/campaign.hpp"
+#include "gates/batch_runner.hpp"
 #include "gates/ga_core_gates.hpp"
+#include "gates/rng_gates.hpp"
 #include "fitness/rom_builder.hpp"
 #include "island/island.hpp"
 #include "prng/ca_prng.hpp"
@@ -173,6 +179,80 @@ void BM_GateNetlistEval(benchmark::State& state) {
         static_cast<double>(g->nl.stats().logic_gates), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GateNetlistEval);
+
+void BM_GateLaneStep(benchmark::State& state) {
+    // A fault-campaign block on the JIT: every lane runs the campaign's job,
+    // lane 0 stays golden and lane k > 0 takes an SEU in register bit k*7
+    // (mod the register count) on a 25-point cycle grid. One iteration is
+    // one step_cycle(); a block that is done or past 2x the golden length
+    // restarts untimed. harness_share is the share of a step spent outside
+    // both netlists' eval + clock, the latter timed on twin netlists in the
+    // same run (CI gates the ratio, never a time).
+    using Clock = std::chrono::steady_clock;
+    const auto words = static_cast<unsigned>(state.range(0));
+    const fault::CampaignConfig cfg;
+    gates::BatchGateRunner runner(
+        cfg.fn, std::vector<core::GaParameters>(words * 64, cfg.params), words,
+        gates::Backend::kJit);
+    runner.begin_run();
+    while (runner.step_cycle() > 0) {
+    }
+    const std::uint64_t golden = runner.cycles();
+    const std::vector<gates::Net> regs = runner.core_ports().nl.register_q_nets();
+    struct Flip {
+        std::uint64_t cycle;
+        unsigned lane;
+        gates::Net q;
+    };
+    std::vector<Flip> flips;
+    for (unsigned k = 1; k < words * 64; ++k)
+        flips.push_back({(k % 25) * golden * 9 / 250, k, regs[(k * 7) % regs.size()]});
+    std::sort(flips.begin(), flips.end(),
+              [](const Flip& a, const Flip& b) { return a.cycle < b.cycle; });
+    std::size_t next = 0;
+    runner.begin_run();
+    Clock::duration step_time{};
+    for (auto _ : state) {
+        for (; next < flips.size() && flips[next].cycle == runner.cycles(); ++next)
+            runner.flip_register_bit(flips[next].lane, flips[next].q);
+        const Clock::time_point t0 = Clock::now();
+        const std::size_t unfinished = runner.step_cycle();
+        step_time += Clock::now() - t0;
+        if (unfinished == 0 || runner.cycles() >= 2 * golden) {
+            state.PauseTiming();
+            runner.begin_run();
+            next = 0;
+            state.ResumeTiming();
+        }
+    }
+
+    // The engine alone: the runner's two netlists, compiled the same way.
+    const gates::GaCoreNetlist& core_src = runner.core_ports();
+    const auto rng_src = gates::build_rng_netlist();
+    const auto options = [&](std::vector<gates::Net> keep) {
+        return gates::CompiledNetlist::Options{.words = words, .cse = true, .prune = true,
+                                               .keep = std::move(keep),
+                                               .backend = gates::Backend::kJit};
+    };
+    gates::CompiledNetlist core(core_src.nl, options(core_src.observable_port_nets()));
+    gates::CompiledNetlist rng(rng_src->nl, options(rng_src->observable_port_nets()));
+    const Clock::time_point t0 = Clock::now();
+    for (std::int64_t i = 0; i < state.iterations(); ++i) {
+        core.eval();
+        rng.eval();
+        core.clock();
+        rng.clock();
+    }
+    const Clock::duration engine_time = Clock::now() - t0;
+    const double n = static_cast<double>(state.iterations());
+    const double step_ns = std::chrono::duration<double, std::nano>(step_time).count() / n;
+    const double engine_ns = std::chrono::duration<double, std::nano>(engine_time).count() / n;
+    state.counters["step_ns"] = step_ns;
+    state.counters["engine_ns"] = engine_ns;
+    state.counters["harness_share"] = 1.0 - engine_ns / step_ns;
+    state.counters["jit"] = runner.core_sim().jit_active() ? 1 : 0;
+}
+BENCHMARK(BM_GateLaneStep)->Arg(8)->ArgName("words")->Unit(benchmark::kMicrosecond);
 
 void BM_SoftwareGa(benchmark::State& state) {
     const core::GaParameters p{.pop_size = 32, .n_gens = 32, .xover_threshold = 10,

@@ -6,9 +6,9 @@
 #include <string>
 #include <utility>
 
+#include "fitness/rom_builder.hpp"
 #include "mem/ga_memory.hpp"
 #include "trace/vcd.hpp"
-#include "util/bits.hpp"
 
 namespace gaip::gates {
 
@@ -27,6 +27,27 @@ void set(std::array<std::uint64_t, W>& v, std::size_t k) noexcept {
 template <std::size_t W>
 void clear(std::array<std::uint64_t, W>& v, std::size_t k) noexcept {
     v[k / kWordBits] &= ~(std::uint64_t{1} << (k % kWordBits));
+}
+
+/// Calls f(k) for every set bit k of `bits`, lowest first.
+template <typename F>
+void for_each_bit(std::uint64_t bits, F&& f) {
+    for (; bits != 0; bits &= bits - 1) f(static_cast<unsigned>(std::countr_zero(bits)));
+}
+
+/// Lane k's value of an N-bit signal held as lane-sliced rows (bit j of
+/// the value = bit k of rows[j]), and the lanes of `among` that hold the
+/// same value.
+template <std::size_t N>
+std::pair<std::uint32_t, std::uint64_t> match_lane(const std::uint64_t (&rows)[N], unsigned k,
+                                                   std::uint64_t among) noexcept {
+    std::uint32_t value = 0;
+    for (unsigned j = 0; j < N; ++j) {
+        const std::uint64_t b = (rows[j] >> k) & 1u;
+        value |= static_cast<std::uint32_t>(b) << j;
+        among &= rows[j] ^ (b - 1);  // rows[j] where lane k's bit is 1, ~rows[j] where 0
+    }
+    return {value, among};
 }
 
 /// Drive every primary input of `sim` (compiled from `nl`) to 0.
@@ -56,7 +77,8 @@ BatchGateRunner::BatchGateRunner(fitness::FitnessId fn,
     core_.emplace(core_src_->nl, options(core_src_->observable_port_nets()));
     rng_.emplace(rng_src_->nl, options(rng_src_->observable_port_nets()));
     words_ = core_->words();
-    mem_.assign(mem::kGaMemoryDepth * core_->lane_count(), 0);
+    static_assert(kDataBits == mem::kGaMemoryDataBits);
+    mem_.assign(mem::kGaMemoryDepth * kDataBits * words_, 0);
 
     const GaCoreNetlist& c = *core_src_;
     const RngNetlist& r = *rng_src_;
@@ -114,7 +136,8 @@ void BatchGateRunner::reconfigure(fitness::FitnessId fn,
     lane_sinks_.assign(params_.size(), nullptr);
     tracing_ = false;
     lanes_.assign(params_.size(), Lane{});
-    live_ = WordVec{};
+    live_ = stall_ = WordVec{};
+    started_ = finished_ = prev_ack_ = prev_pulse_ = prev_bank_ = WordVec{};
     for (std::size_t k = 0; k < params_.size(); ++k) {
         lanes_[k].fn = fn;
         lanes_[k].program = core::init_program(params_[k]);
@@ -152,7 +175,7 @@ void BatchGateRunner::load_lane(unsigned lane, fitness::FitnessId fn,
     params_[lane] = p;
     set(live_, lane);
     set(reset_, lane);
-    clear(stall_, lane);
+    clear_lane_masks(lane);
     clear_lane_memory(lane);
     handshake_quiet_ = false;
     set_lane_sink(lane, nullptr);
@@ -230,15 +253,12 @@ std::size_t BatchGateRunner::run_to_barrier(std::uint64_t max_cycles) {
 
 std::size_t BatchGateRunner::pending_lanes() const noexcept {
     std::size_t n = 0;
-    for (std::size_t k = 0; k < lanes_.size(); ++k)
-        if (get(live_, k) && !lanes_[k].result.finished && !lanes_[k].parked) ++n;
+    for (unsigned w = 0; w < words_; ++w)
+        n += static_cast<std::size_t>(std::popcount(live_[w] & ~finished_[w] & ~stall_[w]));
     return n;
 }
 
-void BatchGateRunner::release_lanes() {
-    for (Lane& l : lanes_) l.parked = false;
-    stall_ = WordVec{};
-}
+void BatchGateRunner::release_lanes() { stall_ = WordVec{}; }
 
 bool BatchGateRunner::lane_bank(unsigned lane) const {
     check_lane(lane);
@@ -247,12 +267,21 @@ bool BatchGateRunner::lane_bank(unsigned lane) const {
 
 std::uint32_t BatchGateRunner::peek_lane_mem(unsigned lane, std::uint8_t addr) const {
     check_lane(lane);
-    return mem_[std::size_t{addr} * core_->lane_count() + lane];
+    const unsigned w = lane / kWordBits, k = lane % kWordBits;
+    std::uint32_t word = 0;
+    for (unsigned j = 0; j < kDataBits; ++j)
+        word |= static_cast<std::uint32_t>((mem_[mem_row(addr, j, w)] >> k) & 1u) << j;
+    return word;
 }
 
 void BatchGateRunner::poke_lane_mem(unsigned lane, std::uint8_t addr, std::uint32_t word) {
     check_lane(lane);
-    mem_[std::size_t{addr} * core_->lane_count() + lane] = word;
+    const unsigned w = lane / kWordBits;
+    const std::uint64_t bit = std::uint64_t{1} << (lane % kWordBits);
+    for (unsigned j = 0; j < kDataBits; ++j) {
+        std::uint64_t& row = mem_[mem_row(addr, j, w)];
+        row = ((word >> j) & 1u) ? (row | bit) : (row & ~bit);
+    }
 }
 
 void BatchGateRunner::check_lane(unsigned lane) const {
@@ -273,8 +302,14 @@ void BatchGateRunner::drive_presets() {
 }
 
 void BatchGateRunner::clear_lane_memory(std::size_t lane) {
-    const std::size_t block = core_->lane_count();
-    for (std::size_t a = 0; a < mem::kGaMemoryDepth; ++a) mem_[a * block + lane] = 0;
+    const auto w = static_cast<unsigned>(lane / kWordBits);
+    const std::uint64_t keep = ~(std::uint64_t{1} << (lane % kWordBits));
+    for (std::size_t i = w; i < mem_.size(); i += words_) mem_[i] &= keep;
+}
+
+void BatchGateRunner::clear_lane_masks(std::size_t lane) {
+    for (WordVec* v : {&stall_, &started_, &finished_, &prev_ack_, &prev_pulse_, &prev_bank_})
+        clear(*v, lane);
 }
 
 void BatchGateRunner::begin_run() {
@@ -285,6 +320,7 @@ void BatchGateRunner::begin_run() {
     reset_ = WordVec{};
     reset_high_ = false;
     handshake_quiet_ = false;
+    started_ = finished_ = prev_ack_ = prev_pulse_ = prev_bank_ = WordVec{};
     mdi_ = {};
     std::fill(mem_.begin(), mem_.end(), 0u);
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
@@ -420,11 +456,18 @@ void BatchGateRunner::drive_handshake() {
     }
 }
 
+const std::uint16_t* BatchGateRunner::fem_table(fitness::FitnessId fn) {
+    std::shared_ptr<const mem::BlockRom>& rom = roms_[static_cast<std::size_t>(fn)];
+    if (!rom) rom = fitness::fitness_rom(fn);
+    return rom->words().data();
+}
+
 /// Same-cycle FEM, matching the RT-level system where the 200 MHz FEM
 /// answers inside one 50 MHz core cycle: fit_valid combinationally tracks
 /// fit_request. fit_request and candidate are Moore outputs, so sampling
 /// them after the settle and driving the response back is loop-free; the
-/// re-settle runs only the fit_valid/fit_value fanout cone.
+/// re-settle runs only the fit_valid/fit_value fanout cone. The value is
+/// the fitness ROM word at the candidate, as in the FEM's block ROM.
 void BatchGateRunner::serve_fitness() {
     WordVec req = read_core(hc_fit_request_);
     bool any = false;
@@ -436,197 +479,231 @@ void BatchGateRunner::serve_fitness() {
     std::array<WordVec, 16> fitv_w{};
     for (unsigned w = 0; w < words_; ++w) {
         if (req[w] == 0) continue;
-        // Gather this word's candidates into one value per lane, evaluate
-        // the requesting lanes, scatter the fitness bits back — two 64x64
-        // transposes instead of per-lane bit probes.
-        std::uint64_t cand[kWordBits] = {};
+        const std::size_t lane_base = std::size_t{w} * kWordBits;
+        std::uint64_t cand[16];
         for (unsigned j = 0; j < 16; ++j) cand[j] = core_->read_word(hc_cand_[j], w);
-        util::transpose64(cand);
-        std::uint64_t fv[kWordBits] = {};
-        for (std::uint64_t r = req[w]; r != 0; r &= r - 1) {
-            const unsigned k = static_cast<unsigned>(std::countr_zero(r));
-            const std::size_t lane = std::size_t{w} * kWordBits + k;
-            Lane& l = lanes_[lane];
-            const auto c = static_cast<std::uint16_t>(cand[k]);
-            const std::uint16_t value = fitness::fitness_u16(l.fn, c);
-            fv[k] = value;
-            ++l.result.evaluations;
-            if (trace::TraceSink* sink = tracing_ ? lane_sinks_[lane] : nullptr) {
-                // Request and value share one cycle here; the stream order
-                // (request then value, one pair per evaluation) matches the
-                // RT-level tap.
-                sink->on_event(lane_event(l, trace::kind::kFemRequest, cycle_ + 1)
-                                   .add("candidate", std::uint64_t{c}));
-                sink->on_event(lane_event(l, trace::kind::kFemValue, cycle_ + 1)
-                                   .add("candidate", std::uint64_t{c})
-                                   .add("value", std::uint64_t{value}));
-            }
+        // One ROM read per group of requesting lanes with the same
+        // candidate and fitness function; its bits go out as masks.
+        for (std::uint64_t left = req[w]; left != 0;) {
+            const unsigned k = static_cast<unsigned>(std::countr_zero(left));
+            const auto [c, m] = match_lane(cand, k, left);
+            const fitness::FitnessId fn = lanes_[lane_base + k].fn;
+            std::uint64_t group = 0;
+            for_each_bit(m, [&](unsigned i) {
+                Lane& l = lanes_[lane_base + i];
+                if (l.fn != fn) return;
+                group |= std::uint64_t{1} << i;
+                ++l.result.evaluations;
+            });
+            left &= ~group;
+            const std::uint16_t value = fem_table(fn)[c];
+            for (unsigned j = 0; j < 16; ++j)
+                if ((value >> j) & 1u) fitv_w[j][w] |= group;
         }
-        util::transpose64(fv);
-        for (unsigned j = 0; j < 16; ++j) fitv_w[j][w] = fv[j];
+        if (!tracing_) continue;
+        for_each_bit(req[w], [&](unsigned k) {
+            trace::TraceSink* sink = lane_sinks_[lane_base + k];
+            if (sink == nullptr) return;
+            const Lane& l = lanes_[lane_base + k];
+            const std::uint64_t c = match_lane(cand, k, 0).first;
+            const std::uint64_t value = fem_table(l.fn)[c];
+            // Request and value share one cycle here; the stream order
+            // (request then value, one pair per evaluation) matches the
+            // RT-level tap.
+            sink->on_event(
+                lane_event(l, trace::kind::kFemRequest, cycle_ + 1).add("candidate", c));
+            sink->on_event(lane_event(l, trace::kind::kFemValue, cycle_ + 1)
+                               .add("candidate", c)
+                               .add("value", value));
+        });
     }
     drive_core(hc_fit_valid_, req);
     for (unsigned j = 0; j < 16; ++j) drive_core(hc_fit_value_[j], fitv_w[j]);
     core_->eval_cone(fit_cone_);
 }
 
-/// Post-edge per-lane pass: GA memory, init handshake and start pulse,
-/// telemetry, barrier parking and completion. Lane-block <-> per-lane
-/// conversions go through one 64x64 transpose per signal group and word.
+void BatchGateRunner::access_memory(unsigned w, std::uint64_t act, std::uint64_t wr,
+                                    std::array<std::uint64_t, kDataBits>& dout) {
+    // mem_address / mem_data_out are combinational in registers only, so
+    // their slots still hold the pre-edge values the RAM samples.
+    std::uint64_t addr_rows[8];
+    for (unsigned j = 0; j < 8; ++j) addr_rows[j] = core_->read_word(hc_addr_[j], w);
+    std::uint64_t wdata[kDataBits];
+    if (wr != 0)
+        for (unsigned j = 0; j < kDataBits; ++j) wdata[j] = core_->read_word(hc_mdo_[j], w);
+    while (act != 0) {
+        // The lowest remaining lane's address, and every remaining lane
+        // that presents the same one.
+        const auto k = static_cast<unsigned>(std::countr_zero(act));
+        const auto [addr, m] = match_lane(addr_rows, k, act);
+        act &= ~m;
+        std::uint64_t* const row = &mem_[mem_row(addr, 0, w)];
+        const std::uint64_t wm = wr & m;
+        for (unsigned j = 0; j < kDataBits; ++j) {
+            std::uint64_t& r = row[std::size_t{j} * words_];
+            if (wm != 0) r = (r & ~wm) | (wdata[j] & wm);
+            dout[j] |= r & m;
+        }
+    }
+}
+
+/// Init-handshake FSM, then the two-cycle start pulse, of the active lanes
+/// of word `w` (called only while some lane is in either).
+void BatchGateRunner::step_handshake(unsigned w, std::uint64_t act, std::uint64_t ack) {
+    for_each_bit(act, [&](unsigned k) {
+        Lane& l = lanes_[std::size_t{w} * kWordBits + k];
+        const bool a = (ack >> k) & 1u;
+        if (!l.init_done) {
+            if (l.init_asserting) {
+                if (a) l.init_asserting = false;
+            } else if (!a) {
+                if (++l.init_item >= l.program.size()) {
+                    l.init_done = true;
+                    l.start_hold = 2;
+                } else {
+                    l.init_asserting = true;
+                }
+            }
+        } else if (l.start_hold > 0) {
+            if (!((started_[w] >> k) & 1u)) {
+                started_[w] |= std::uint64_t{1} << k;
+                l.start_cycle = cycle_ - 1;
+            }
+            --l.start_hold;
+        }
+    });
+}
+
+/// Telemetry of the active lanes of word `w` with a sink, in lane order
+/// and, per lane, in the RT-level tap's order. `ack`, `rise`, `bank` are
+/// this edge's samples (pulse already edge-detected); `fin` holds the
+/// lanes that completed at it.
+void BatchGateRunner::emit_lane_events(unsigned w, std::uint64_t act, std::uint64_t ack,
+                                       std::uint64_t rise, std::uint64_t bank,
+                                       std::uint64_t fin) {
+    const std::uint64_t ack_rise = ack & ~prev_ack_[w];
+    const std::uint64_t bank_edge = bank ^ prev_bank_[w];
+    for_each_bit(act, [&](unsigned k) {
+        const std::size_t lane = std::size_t{w} * kWordBits + k;
+        trace::TraceSink* sink = lane_sinks_[lane];
+        if (sink == nullptr) return;
+        Lane& l = lanes_[lane];
+        const auto lk = static_cast<unsigned>(lane);
+        const GaCoreNetlist& c = *core_src_;
+        if ((ack_rise >> k) & 1u) {
+            // The handshake FSM leaves init_item alone while ack is high.
+            const auto& [idx, val] = l.program[l.init_item];
+            sink->on_event(lane_event(l, trace::kind::kInitWrite, cycle_)
+                               .add("index", std::uint64_t{idx})
+                               .add("value", std::uint64_t{val}));
+        }
+        if (l.init_done && !l.init_done_traced) {
+            l.init_done_traced = true;
+            sink->on_event(lane_event(l, trace::kind::kInitDone, cycle_));
+        }
+        if (((started_[w] >> k) & 1u) && !l.start_traced) {
+            l.start_traced = true;
+            sink->on_event(lane_event(l, trace::kind::kStart, cycle_));
+        }
+        const std::uint64_t b = (bank >> k) & 1u;
+        if ((rise >> k) & 1u)
+            sink->on_event(lane_event(l, trace::kind::kGeneration, cycle_)
+                               .add("gen", core_->word_value(c.mon_gen_id, lk))
+                               .add("best_fit", core_->word_value(c.mon_best_fit, lk))
+                               .add("best_ind", core_->word_value(c.mon_best_ind, lk))
+                               .add("fit_sum", core_->word_value(c.mon_fit_sum, lk))
+                               .add("pop", core_->word_value(c.mon_pop_size, lk))
+                               .add("bank", b));
+        if ((bank_edge >> k) & 1u)
+            sink->on_event(lane_event(l, trace::kind::kBankSwap, cycle_).add("bank", b));
+        if ((fin >> k) & 1u) {
+            const BatchLaneResult& res = l.result;
+            sink->on_event(lane_event(l, trace::kind::kDone, cycle_)
+                               .add("best_fit", std::uint64_t{res.best_fitness})
+                               .add("best_ind", std::uint64_t{res.best_candidate})
+                               .add("gen", std::uint64_t{res.generations}));
+        }
+    });
+}
+
+/// Post-edge pass, one lane-block word at a time and on whole masks: GA
+/// memory, init handshake and start pulse, telemetry, barrier parking and
+/// completion.
 std::size_t BatchGateRunner::advance_lanes(const WordVec& data_ack_w, const WordVec& mem_wr_w,
                                            const WordVec& mon_pulse_w,
                                            const WordVec& mon_bank_w) {
-    const std::size_t n = lanes_.size();
-    const std::size_t block = core_->lane_count();
     std::size_t unfinished = 0;
     for (unsigned w = 0; w < words_; ++w) {
-        const std::size_t lane_base = std::size_t{w} * kWordBits;
-        if (live_[w] == 0) {
+        const std::uint64_t live = live_[w];
+        if (live == 0) {
             for (WordVec& row : mdi_) row[w] = 0;
             continue;
         }
-        // mem_address / mem_data_out are combinational in registers only,
-        // so their slots still hold the pre-edge values the RAM samples.
-        std::uint64_t addr[kWordBits] = {};
-        for (unsigned j = 0; j < 8; ++j) addr[j] = core_->read_word(hc_addr_[j], w);
-        util::transpose64(addr);
-        const std::uint64_t wr = mem_wr_w[w];
-        std::uint64_t wdata[kWordBits] = {};
-        if (wr != 0) {
-            for (unsigned j = 0; j < 32; ++j) wdata[j] = core_->read_word(hc_mdo_[j], w);
-            util::transpose64(wdata);
-        }
-        // Lanes whose post-edge FSM state is kDone.
-        std::uint64_t done = ~std::uint64_t{0};
-        for (unsigned j = 0; j < 6; ++j) {
-            const std::uint64_t row = core_->read_word(hc_state_[j], w);
-            done &= ((kDoneState >> j) & 1u) ? row : ~row;
-        }
-        // Lanes parked before this edge keep their read data; lanes without
-        // a job (free, unconfigured, in reset) read 0.
+        const std::size_t lane_base = std::size_t{w} * kWordBits;
+        // The reset edge just landed in these lanes: their own clock starts.
+        const std::uint64_t reset = live & reset_[w];
+        for_each_bit(reset, [&](unsigned k) { lanes_[lane_base + k].base = cycle_; });
+        // Lanes parked before this edge are frozen at the barrier:
+        // peripherals and edge detectors hold, the lane accrues stall time
+        // and keeps its read data.
         const std::uint64_t held = stall_[w];
-        std::uint64_t dout[kWordBits] = {};
+        for_each_bit(live & held & ~reset,
+                     [&](unsigned k) { ++lanes_[lane_base + k].stall_cycles; });
+        const std::uint64_t act = live & ~reset & ~held;
 
-        const std::size_t m = std::min<std::size_t>(kWordBits, n - lane_base);
-        for (std::size_t k = 0; k < m; ++k) {
-            const std::size_t lane = lane_base + k;
-            Lane& l = lanes_[lane];
-            if (!((live_[w] >> k) & 1u)) continue;
-            if ((reset_[w] >> k) & 1u) {
-                // The reset edge just landed: the lane's own clock starts.
-                l.base = cycle_;
-                ++unfinished;
-                continue;
-            }
-            if (l.parked) {
-                // Frozen at the barrier: peripherals and telemetry edge
-                // detectors hold, the lane just accrues stall time.
-                ++l.stall_cycles;
-                if (!l.result.finished) ++unfinished;
-                continue;
-            }
-            trace::TraceSink* sink = tracing_ ? lane_sinks_[lane] : nullptr;
-            const bool ack = (data_ack_w[w] >> k) & 1u;
-            if (sink != nullptr && ack && !l.prev_ack) {
-                const auto& [idx, val] = l.program[l.init_item];
-                sink->on_event(lane_event(l, trace::kind::kInitWrite, cycle_)
-                                   .add("index", std::uint64_t{idx})
-                                   .add("value", std::uint64_t{val}));
-            }
-            l.prev_ack = ack;
+        // GA memory (write-first synchronous RAM); lanes without a job
+        // (free, unconfigured, in reset) read 0.
+        std::array<std::uint64_t, kDataBits> dout{};
+        if (act != 0) access_memory(w, act, mem_wr_w[w] & act, dout);
+        for (unsigned j = 0; j < kDataBits; ++j)
+            mdi_[j][w] = (dout[j] & ~held) | (mdi_[j][w] & held);
 
-            // GA memory (write-first synchronous RAM).
-            std::uint32_t& cell = mem_[(addr[k] & 0xFF) * block + lane];
-            if ((wr >> k) & 1u) cell = static_cast<std::uint32_t>(wdata[k]);
-            dout[k] = cell;
+        const std::uint64_t ack = data_ack_w[w] & act;
+        if (!handshake_quiet_) step_handshake(w, act, ack);
 
-            // Init handshake FSM, then the two-cycle start pulse (no lane
-            // is in either once the handshake drive went quiet).
-            if (!handshake_quiet_ && !l.init_done) {
-                if (l.init_asserting) {
-                    if (ack) l.init_asserting = false;
-                } else if (!ack) {
-                    if (++l.init_item >= l.program.size()) {
-                        l.init_done = true;
-                        l.start_hold = 2;
-                    } else {
-                        l.init_asserting = true;
-                    }
-                }
-            } else if (!handshake_quiet_ && l.start_hold > 0) {
-                if (!l.started) {
-                    l.started = true;
-                    l.start_cycle = cycle_ - 1;
-                }
-                --l.start_hold;
-            }
+        const std::uint64_t pulse = mon_pulse_w[w] & act;
+        const std::uint64_t rise = pulse & ~prev_pulse_[w];
+        // Barrier park: the pulse rise IS the monitor capture edge (E2 of
+        // the boundary), so gating the lane from the next cycle on freezes
+        // it after the pre-migration snapshot and before the elite write
+        // reaches the other bank — the exact window the RTL island driver
+        // pokes GaMemory in.
+        if (barrier_armed_)
+            for_each_bit(rise & ~finished_[w], [&](unsigned k) {
+                const auto lk = static_cast<unsigned>(lane_base + k);
+                if (core_->word_value(core_src_->mon_gen_id, lk) == barrier_gen_)
+                    stall_[w] |= std::uint64_t{1} << k;
+            });
 
-            const bool pulse = (mon_pulse_w[w] >> k) & 1u;
-            const bool bank = (mon_bank_w[w] >> k) & 1u;
-            if (sink != nullptr) {
-                if (l.init_done && !l.init_done_traced) {
-                    l.init_done_traced = true;
-                    sink->on_event(lane_event(l, trace::kind::kInitDone, cycle_));
-                }
-                if (l.started && !l.start_traced) {
-                    l.start_traced = true;
-                    sink->on_event(lane_event(l, trace::kind::kStart, cycle_));
-                }
-                if (pulse && !l.prev_pulse) {
-                    const auto lk = static_cast<unsigned>(lane);
-                    const GaCoreNetlist& c = *core_src_;
-                    sink->on_event(lane_event(l, trace::kind::kGeneration, cycle_)
-                                       .add("gen", core_->word_value(c.mon_gen_id, lk))
-                                       .add("best_fit", core_->word_value(c.mon_best_fit, lk))
-                                       .add("best_ind", core_->word_value(c.mon_best_ind, lk))
-                                       .add("fit_sum", core_->word_value(c.mon_fit_sum, lk))
-                                       .add("pop", core_->word_value(c.mon_pop_size, lk))
-                                       .add("bank", std::uint64_t{bank}));
-                }
-                if (bank != l.prev_bank)
-                    sink->on_event(lane_event(l, trace::kind::kBankSwap, cycle_)
-                                       .add("bank", std::uint64_t{bank}));
+        // Completion: GA_done rises at this edge (post-edge kDone).
+        std::uint64_t fin = act & started_[w] & ~finished_[w];
+        if (fin != 0) {
+            for (unsigned j = 0; j < 6; ++j) {
+                const std::uint64_t row = core_->read_word(hc_state_[j], w);
+                fin &= ((kDoneState >> j) & 1u) ? row : ~row;
             }
-            // Barrier park: the pulse rise IS the monitor capture edge (E2
-            // of the boundary), so gating the lane from the next cycle on
-            // freezes it after the pre-migration snapshot and before the
-            // elite write reaches the other bank — the exact window the RTL
-            // island driver pokes GaMemory in.
-            if (barrier_armed_ && !l.result.finished && pulse && !l.prev_pulse &&
-                core_->word_value(core_src_->mon_gen_id, static_cast<unsigned>(lane)) ==
-                    barrier_gen_) {
-                l.parked = true;
-                set(stall_, lane);
-            }
-            l.prev_pulse = pulse;
-            l.prev_bank = bank;
-
-            // Completion: GA_done rises at this edge (post-edge kDone).
-            if (!l.result.finished) {
-                if (l.started && ((done >> k) & 1u)) {
-                    const auto lk = static_cast<unsigned>(lane);
-                    BatchLaneResult& res = l.result;
-                    res.finished = true;
-                    res.best_fitness =
-                        static_cast<std::uint16_t>(core_->word_value(core_src_->best_fit, lk));
-                    res.best_candidate =
-                        static_cast<std::uint16_t>(core_->word_value(core_src_->best_ind, lk));
-                    res.generations =
-                        static_cast<std::uint32_t>(core_->word_value(core_src_->gen_id, lk));
-                    res.ga_cycles = cycle_ - l.start_cycle;
-                    if (sink != nullptr)
-                        sink->on_event(lane_event(l, trace::kind::kDone, cycle_)
-                                           .add("best_fit", std::uint64_t{res.best_fitness})
-                                           .add("best_ind", std::uint64_t{res.best_candidate})
-                                           .add("gen", std::uint64_t{res.generations}));
-                } else {
-                    ++unfinished;
-                }
-            }
+            finished_[w] |= fin;
+            for_each_bit(fin, [&](unsigned k) {
+                const auto lk = static_cast<unsigned>(lane_base + k);
+                Lane& l = lanes_[lk];
+                BatchLaneResult& res = l.result;
+                res.finished = true;
+                res.best_fitness =
+                    static_cast<std::uint16_t>(core_->word_value(core_src_->best_fit, lk));
+                res.best_candidate =
+                    static_cast<std::uint16_t>(core_->word_value(core_src_->best_ind, lk));
+                res.generations =
+                    static_cast<std::uint32_t>(core_->word_value(core_src_->gen_id, lk));
+                res.ga_cycles = cycle_ - l.start_cycle;
+            });
         }
 
-        util::transpose64(dout);
-        for (unsigned j = 0; j < 32; ++j) mdi_[j][w] = (dout[j] & ~held) | (mdi_[j][w] & held);
+        const std::uint64_t bank = mon_bank_w[w] & act;
+        if (tracing_) emit_lane_events(w, act, ack, rise, bank, fin);
+        prev_ack_[w] = (prev_ack_[w] & ~act) | ack;
+        prev_pulse_[w] = (prev_pulse_[w] & ~act) | pulse;
+        prev_bank_[w] = (prev_bank_[w] & ~act) | bank;
+        unfinished += static_cast<std::size_t>(std::popcount(live & ~finished_[w]));
     }
     return unfinished;
 }

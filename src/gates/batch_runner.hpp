@@ -7,7 +7,7 @@
 // Each lane has its own GaParameters and fitness function and runs the
 // system flow of the RT-level GaSystem: the Sec. III-B.6 init handshake
 // (snooped by the RNG module for the seed), the start_GA pulse, the FEM
-// handshake against a software FEM (fitness_u16, the block-ROM values) and
+// handshake against a software FEM (the process-wide fitness ROM) and
 // a 256x32 write-first GA memory. The FEM answers in the same cycle, as the
 // 200 MHz FEM does inside one 50 MHz core cycle, so lane results — best
 // fitness/candidate, evaluation, generation AND GA-cycle counts — equal the
@@ -17,6 +17,22 @@
 // new job while its siblings keep stepping, free_lane() retires a lane. A
 // reloaded lane counts its trace `cycle`/`t` from its own reset, so its run
 // is indistinguishable from a fresh one-lane runner (gaipd's lane refill).
+//
+// The harness keeps the engine's lane-sliced layout end to end, so a cycle
+// never converts between "one word per signal bit" and "one word per lane".
+// The GA memory is one row of words() u64 per (address, data bit): bit k of
+// word w is lane w*64+k. Per word and cycle, the active lanes are grouped by
+// the address they present (pick the lowest remaining lane, mask every lane
+// with the same 8 address bits); each group's write-first access is 32
+// masked row operations, and its read data lands straight in the mem_data_in
+// drive rows. In a fault campaign most words present one address per cycle.
+// The FEM likewise reads the ROM once per group of requesting lanes with the
+// same candidate and fitness function. Lane bookkeeping is masks too:
+// started, finished, parked and the telemetry edge detectors are one WordVec
+// each, completion visits only the set bits of `done & started & ~finished &
+// active`, the unfinished count is a popcount, and the per-lane init
+// handshake, event and barrier passes run only while a lane is in its
+// handshake, a sink is attached or a barrier is armed.
 #pragma once
 
 #include <array>
@@ -32,6 +48,9 @@
 #include "gates/rng_gates.hpp"
 #include "trace/event.hpp"
 
+namespace gaip::mem {
+class BlockRom;
+}
 namespace gaip::trace {
 class VcdWriter;
 }
@@ -205,7 +224,10 @@ private:
     /// One lane-block's worth of packed bits for a single signal.
     using WordVec = std::array<std::uint64_t, CompiledNetlist::kMaxWords>;
     using Handle = CompiledNetlist::SlotHandle;
+    static constexpr unsigned kDataBits = 32;  ///< GA memory word width
 
+    /// Per-lane state that does not fit a mask; the started, finished,
+    /// parked and edge-detector bits live in the WordVecs below.
     struct Lane {
         fitness::FitnessId fn = fitness::FitnessId::kOneMax;  ///< software FEM function
         std::uint64_t base = 0;  ///< runner cycle of the lane's last reset
@@ -216,15 +238,9 @@ private:
         bool init_done = false;
         // start pulse
         int start_hold = -1;  ///< -1 = not yet scheduled; >0 = cycles left high
-        bool started = false;
         std::uint64_t start_cycle = 0;  ///< runner cycle start_GA rose in
-        // island barrier: clock-gated hold at a generation boundary
-        bool parked = false;
-        std::uint64_t stall_cycles = 0;
-        // telemetry edge detectors (touched only when a sink is attached)
-        bool prev_ack = false;
-        bool prev_pulse = false;
-        bool prev_bank = false;
+        std::uint64_t stall_cycles = 0;  ///< cycles clock-gated at barriers
+        // telemetry (touched only when a sink is attached)
         bool init_done_traced = false;
         bool start_traced = false;
         BatchLaneResult result;
@@ -232,9 +248,26 @@ private:
 
     void check_lane(unsigned lane) const;
     void drive_presets();
+    /// Element of mem_ holding data bit `bit` of address `addr`, word `w`.
+    std::size_t mem_row(std::size_t addr, unsigned bit, unsigned w) const noexcept {
+        return (addr * kDataBits + bit) * words_ + w;
+    }
     void clear_lane_memory(std::size_t lane);
+    /// Forget one lane's mask bits (a fresh job starts in it).
+    void clear_lane_masks(std::size_t lane);
     void drive_handshake();
+    /// The lane's fitness ROM, taken from the process-wide cache on its
+    /// first evaluation (a ROM build costs up to ~13 ms; runner setup and
+    /// reconfigure never pay it).
+    const std::uint16_t* fem_table(fitness::FitnessId fn);
     void serve_fitness();
+    /// Write-first GA memory access of the `act` lanes of word `w`: ORs
+    /// their read data into `dout` (one mask per data bit).
+    void access_memory(unsigned w, std::uint64_t act, std::uint64_t wr,
+                       std::array<std::uint64_t, kDataBits>& dout);
+    void step_handshake(unsigned w, std::uint64_t act, std::uint64_t ack);
+    void emit_lane_events(unsigned w, std::uint64_t act, std::uint64_t ack, std::uint64_t rise,
+                          std::uint64_t bank, std::uint64_t fin);
     std::size_t advance_lanes(const WordVec& data_ack_w, const WordVec& mem_wr_w,
                               const WordVec& mon_pulse_w, const WordVec& mon_bank_w);
     trace::TraceEvent lane_event(const Lane& l, const char* kind, std::uint64_t at) const;
@@ -264,7 +297,7 @@ private:
     Handle hc_mon_pulse_, hc_mon_bank_;
     std::array<Handle, 3> hc_index_{};
     std::array<Handle, 16> hc_value_{}, hc_fit_value_{}, hc_rn_{}, hc_cand_{};
-    std::array<Handle, 32> hc_mdi_{}, hc_mdo_{};
+    std::array<Handle, kDataBits> hc_mdi_{}, hc_mdo_{};
     std::array<Handle, 8> hc_addr_{};
     std::array<Handle, 6> hc_state_{};
     Handle hr_reset_, hr_ga_load_, hr_data_valid_, hr_start_, hr_rn_next_;
@@ -284,14 +317,21 @@ private:
     /// handshake drive words are all-zero from then on (the storage holds
     /// the zeros of the transition cycle), so step() skips them.
     bool handshake_quiet_ = false;
-    /// GA memory of every lane, element [addr * lanes in block + lane]:
-    /// lanes in step read the same address, so a cycle touches a few
-    /// contiguous cache lines.
-    std::vector<std::uint32_t> mem_;
+    /// Lanes whose start_GA pulse has begun, and lanes whose result is in.
+    WordVec started_{}, finished_{};
+    /// Edge detectors: data_ack, the monitor pulse and the monitor bank as
+    /// each lane saw them in its last active cycle.
+    WordVec prev_ack_{}, prev_pulse_{}, prev_bank_{};
+    /// GA memory of every lane, lane-sliced: element mem_row(addr, bit, w)
+    /// holds data bit `bit` at address `addr` of the 64 lanes of word w.
+    std::vector<std::uint64_t> mem_;
     /// mem_data_in drive words for the next cycle (bit k of [j][w] = bit j
     /// of lane w*64+k's read data), refreshed by every step().
-    std::array<WordVec, 32> mdi_{};
-    // island barrier state: per-lane clock-gate mask + armed boundary
+    std::array<WordVec, kDataBits> mdi_{};
+    /// Fitness ROM per FitnessId, resolved on first use (fem_table).
+    std::array<std::shared_ptr<const mem::BlockRom>, fitness::kNumFitnessIds> roms_{};
+    // island barrier state: per-lane clock-gate mask (the parked lanes) +
+    // armed boundary
     WordVec stall_{};
     bool barrier_armed_ = false;
     std::uint32_t barrier_gen_ = 0;

@@ -65,23 +65,6 @@ constexpr std::uint64_t sat_mul_u64(std::uint64_t a, std::uint64_t b) noexcept {
     return __builtin_mul_overflow(a, b, &r) ? ~std::uint64_t{0} : r;
 }
 
-/// In-place 64x64 bit-matrix transpose (Hacker's Delight fig. 7-3,
-/// generalized to 64 rows): afterwards bit c of a[r] holds what bit r of
-/// a[c] held. The SWAR lane engines use it to convert between "one word
-/// per signal bit, one lane per word bit" (the compiled-netlist layout)
-/// and "one word per lane" (what per-lane peripheral models want) in
-/// ~6*64 word ops instead of width*64 single-bit probes.
-inline void transpose64(std::uint64_t a[64]) noexcept {
-    std::uint64_t m = 0x00000000FFFFFFFFull;
-    for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
-        for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-        }
-    }
-}
-
 /// Width (in bits) needed to represent `v`.
 constexpr unsigned bit_width_of(std::uint64_t v) noexcept {
     unsigned w = 0;

@@ -6,9 +6,13 @@
 // lanes that live beyond word 0 of a multi-word block.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "bench/common.hpp"
 #include "gates/batch_runner.hpp"
 #include "gates/jit.hpp"
+#include "mem/ga_memory.hpp"
 #include "system/ga_system.hpp"
 #include "trace/event.hpp"
 #include "trace/jsonl.hpp"
@@ -318,6 +322,119 @@ TEST(BatchGateRunner, ReloadedLanesMatchFreshOneLaneRunsJit) {
     if (!gates::jit::available())
         GTEST_SKIP() << "no host compiler for the JIT backend";
     reload_lanes_mid_run(gates::Backend::kJitForce);
+}
+
+/// Register-bit nets of the core by scan name ("<register><bit>").
+std::map<std::string, Net> register_nets(const BatchGateRunner& runner) {
+    const GateNetlist& nl = runner.core_ports().nl;
+    std::map<std::string, Net> out;
+    for (const Net q : nl.register_q_nets()) out.emplace(nl.name_of(q), q);
+    return out;
+}
+
+/// Everything a lane exposes at the end of a run: result, FSM state and
+/// the whole GA memory.
+struct LaneSnapshot {
+    BatchLaneResult result;
+    std::uint8_t state = 0;
+    std::vector<std::uint32_t> mem;
+};
+
+LaneSnapshot snapshot(const BatchGateRunner& runner, unsigned lane) {
+    LaneSnapshot s{runner.lane_result(lane), runner.lane_state(lane), {}};
+    for (unsigned a = 0; a < mem::kGaMemoryDepth; ++a)
+        s.mem.push_back(runner.peek_lane_mem(lane, static_cast<std::uint8_t>(a)));
+    return s;
+}
+
+/// Lane privacy of the lane-sliced GA memory: lane 0 of a 2-word block is
+/// golden, every other lane takes its own SEU at its own cycle in a
+/// register that steers the memory address (population/scan indices, the
+/// selection sum, the parents, the FSM state). The lanes then present
+/// different addresses in the same cycle, and each must still end exactly
+/// like a one-lane run of its own flip — result, state and all 256 words.
+void flipped_lanes_match_solo_runs(gates::Backend backend) {
+    const FitnessId fn = FitnessId::kMBf6_2;
+    const GaParameters p{.pop_size = 8, .n_gens = 2, .xover_threshold = 12, .mut_threshold = 2,
+                         .seed = 0x2961};
+    constexpr unsigned kLanes = 128;
+    BatchGateRunner batch(fn, std::vector<GaParameters>(kLanes, p), 2, backend);
+    ASSERT_EQ(batch.words(), 2u);
+    const std::map<std::string, Net> nets = register_nets(batch);
+    const std::vector<std::pair<std::string, unsigned>> regs = {
+        {"pop_idx", 8}, {"scan_idx", 8}, {"sel_cum", 24},
+        {"parent1", 16}, {"parent2", 16}, {"state", 6}};
+    struct Flip {
+        Net q = kNoNet;
+        std::uint64_t cycle = 0;
+    };
+    // Steps `r` from reset for `cycles` cycles (or until every lane is
+    // done), flipping lane k's bit right before cycle flips[k].cycle.
+    const auto run = [](BatchGateRunner& r, const std::vector<Flip>& lane_flips,
+                        std::uint64_t cycles, bool until_done) {
+        r.begin_run();
+        while (r.cycles() < cycles) {
+            for (unsigned k = 0; k < lane_flips.size(); ++k)
+                if (lane_flips[k].q != kNoNet && lane_flips[k].cycle == r.cycles())
+                    r.flip_register_bit(k, lane_flips[k].q);
+            if (r.step_cycle() == 0 && until_done) break;
+        }
+    };
+    BatchGateRunner solo(fn, {p}, 1, backend);
+    run(solo, {Flip{}}, ~std::uint64_t{0}, true);
+    const std::uint64_t golden_cycles = solo.cycles();
+    ASSERT_GT(golden_cycles, 30 + 2 * kLanes) << "every flip lands before the golden run ends";
+    std::vector<Flip> flips(kLanes);
+    for (unsigned k = 1; k < kLanes; ++k) {
+        const auto& [reg, width] = regs[k % regs.size()];
+        const unsigned bit = (k / regs.size()) % width;
+        flips[k] = {nets.at(reg + std::to_string(bit)), 30 + 2ull * k};
+    }
+    // Lanes a flip wedged never finish: stop them all at the same cycle.
+    run(batch, flips, 3 * golden_cycles, true);
+    ASSERT_TRUE(batch.lane_result(0).finished);
+
+    for (unsigned k = 0; k < kLanes; ++k) {
+        SCOPED_TRACE("lane " + std::to_string(k));
+        run(solo, {flips[k]}, batch.cycles(), false);
+        const LaneSnapshot got = snapshot(batch, k);
+        const LaneSnapshot want = snapshot(solo, 0);
+        EXPECT_EQ(got.result.finished, want.result.finished);
+        if (want.result.finished) expect_same_result(got.result, want.result);
+        EXPECT_EQ(got.state, want.state);
+        EXPECT_EQ(got.mem, want.mem);
+    }
+}
+
+TEST(BatchGateRunner, FlippedLanesKeepPrivateMemory) {
+    flipped_lanes_match_solo_runs(gates::Backend::kInterp);
+}
+
+TEST(BatchGateRunner, FlippedLanesKeepPrivateMemoryJit) {
+    if (!gates::jit::available())
+        GTEST_SKIP() << "no host compiler for the JIT backend";
+    flipped_lanes_match_solo_runs(gates::Backend::kJitForce);
+}
+
+TEST(BatchGateRunner, PokeLaneMemIsLanePrivate) {
+    const GaParameters p{.pop_size = 8, .n_gens = 2, .xover_threshold = 12, .mut_threshold = 2,
+                         .seed = 0x2961};
+    constexpr unsigned kLanes = 128, kTarget = 77;  // lane 13 of word 1
+    BatchGateRunner runner(FitnessId::kOneMax, std::vector<GaParameters>(kLanes, p), 2);
+    runner.begin_run();
+    for (int i = 0; i < 400; ++i) runner.step_cycle();  // the population is in memory
+    std::vector<LaneSnapshot> before;
+    for (unsigned k = 0; k < kLanes; ++k) before.push_back(snapshot(runner, k));
+    for (unsigned a = 0; a < mem::kGaMemoryDepth; ++a)
+        runner.poke_lane_mem(kTarget, static_cast<std::uint8_t>(a), 0x9E3779B9u * (a + 1));
+    for (unsigned k = 0; k < kLanes; ++k) {
+        if (k == kTarget) continue;
+        SCOPED_TRACE("lane " + std::to_string(k));
+        EXPECT_EQ(snapshot(runner, k).mem, before[k].mem);
+    }
+    for (unsigned a = 0; a < mem::kGaMemoryDepth; ++a)
+        EXPECT_EQ(runner.peek_lane_mem(kTarget, static_cast<std::uint8_t>(a)),
+                  0x9E3779B9u * (a + 1));
 }
 
 TEST(BatchGateRunner, FreedLaneStopsCounting) {

@@ -73,26 +73,6 @@ TEST(SatU64, AddAndMulClampAtMax) {
     EXPECT_EQ(sat_add_u64(sat_mul_u64(kMax, 2), 100'000), kMax);
 }
 
-TEST(Transpose64, TrueTransposeEveryBit) {
-    // b[r] bit c must equal a[c] bit r — a TRUE transpose under LSB-first
-    // bit numbering, not the MSB-first anti-transpose of the textbook
-    // formulation. The lane engines depend on this orientation to convert
-    // between per-signal-bit words and per-lane words.
-    std::uint64_t a[64], b[64];
-    std::uint64_t x = 0x9E3779B97F4A7C15ull;
-    for (int r = 0; r < 64; ++r) {
-        x ^= x << 13; x ^= x >> 7; x ^= x << 17;  // xorshift64
-        a[r] = b[r] = x;
-    }
-    transpose64(b);
-    for (int r = 0; r < 64; ++r)
-        for (int c = 0; c < 64; ++c)
-            ASSERT_EQ((b[r] >> c) & 1u, (a[c] >> r) & 1u) << "r=" << r << " c=" << c;
-    // Involution: transposing again restores the original matrix.
-    transpose64(b);
-    for (int r = 0; r < 64; ++r) EXPECT_EQ(b[r], a[r]);
-}
-
 TEST(BitWidthOf, MinimalWidths) {
     EXPECT_EQ(bit_width_of(0), 1u);
     EXPECT_EQ(bit_width_of(1), 1u);
