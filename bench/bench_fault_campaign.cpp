@@ -12,9 +12,9 @@
 //   * a stratified sample of records is replayed on the RT-level model via
 //     both the scan-chain read-modify-write backend and the register-poke
 //     backend — all three backends must agree on the classification;
-//   * sampled "recovered" faults are driven through the actual PRESET
-//     fallback (preset pins + start_GA pulse, no reset) and must land on
-//     the preset mode's exact behavioral result.
+//   * sampled "recovered" faults are driven through the mission
+//     supervisor's PRESET fallback rung (preset pins + start_GA pulse, no
+//     reset) and must land on the preset mode's exact behavioral result.
 //
 // Usage:
 //   bench_fault_campaign                 full campaign (~10k injections)
@@ -39,6 +39,7 @@
 #include "fault/campaign.hpp"
 #include "gates/compiled_kernels.hpp"
 #include "gates/jit.hpp"
+#include "supervisor/supervisor.hpp"
 #include "util/worker_pool.hpp"
 
 namespace {
@@ -227,16 +228,36 @@ int main(int argc, char** argv) {
     std::printf("  %zu records checked, %zu disagreements\n", checked, disagreements);
 
     // PRESET fallback demonstration on sampled recovered faults: the
-    // supervisor recipe (preset pins + start pulse, no reset) must land on
-    // the preset mode's exact behavioral result despite the corrupted state.
+    // mission supervisor, cut down to its fallback rung (no retry, no
+    // restart, the campaign's watchdog budget), re-drives the tripped system
+    // in place (preset pins + start pulse, no reset) and must land on the
+    // preset mode's exact behavioral result despite the corrupted state.
+    const fault::GoldenRun& preset = campaign.injector().preset_baseline();
     std::size_t fb_checked = 0, fb_failed = 0;
     for (const FaultRecord& r : res.records) {
         if (r.outcome != FaultOutcome::kRecovered || fb_checked >= 3) continue;
         ++fb_checked;
-        FaultRecord observed;
-        if (!campaign.injector().validate_preset_fallback(r.site, &observed)) {
+        supervisor::SupervisorConfig sc;
+        sc.fn = cfg.fn;
+        sc.params = cfg.params;
+        sc.watchdog_factor = cfg.watchdog_factor;
+        sc.expected_cycles = golden.ga_cycles;
+        sc.ladder.max_retries = 0;
+        sc.ladder.restart_recovery = false;
+        sc.ladder.fallback_preset = cfg.fallback_preset;
+        bool fired = false;
+        sc.hook = supervisor::flip_hook(r.site, fired);
+        const supervisor::SupervisorReport rep = supervisor::MissionSupervisor(sc).run();
+        if (rep.status != supervisor::Status::kOkDegraded ||
+            rep.final_rung != supervisor::Rung::kPresetFallback ||
+            rep.best_fitness != preset.best_fitness ||
+            rep.best_candidate != preset.best_candidate) {
             ++fb_failed;
-            print_record("fallback", observed);
+            std::printf("  fallback   %s[%u] @%llu  status=%s rung=%s best=%u cand=%u\n",
+                        r.site.reg.c_str(), r.site.bit,
+                        static_cast<unsigned long long>(r.site.cycle),
+                        supervisor::status_name(rep.status), supervisor::rung_name(rep.final_rung),
+                        rep.best_fitness, rep.best_candidate);
         }
     }
     std::printf("  %zu recovered faults re-driven through PRESET fallback, %zu failed\n",

@@ -11,7 +11,6 @@
 
 #include "bench/common.hpp"
 #include "fault/seu_injector.hpp"
-#include "rtl/scan.hpp"
 #include "supervisor/supervisor.hpp"
 #include "system/ga_system.hpp"
 
@@ -72,16 +71,7 @@ int main() {
         cfg.ladder.checkpoint_every = 2;
         cfg.ladder.fallback_preset = 1;
         bool fired = false;
-        cfg.hook = [&fired, site](system::GaSystem& sys, const supervisor::AttemptInfo& info,
-                                  std::uint64_t cycle) {
-            if (fired || info.in_init || info.attempt != 0) return;
-            if (cycle >= site.cycle && fault::scan_safe_state(sys.core().state())) {
-                rtl::ScanChain& chain = sys.core().scan_chain();
-                chain.flip(chain.position_of(site.reg, site.bit));
-                sys.core().input_changed();
-                fired = true;
-            }
-        };
+        cfg.hook = supervisor::flip_hook(site, fired);
         const supervisor::SupervisorReport rep = supervisor::MissionSupervisor(cfg).run();
         supervised_cycles += rep.total_cycles;
         supervised_attempts += rep.attempts.size();

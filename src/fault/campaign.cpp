@@ -53,7 +53,7 @@ public:
         std::vector<std::uint64_t> done_cycle(sites.size() + 1, 0);
         std::size_t open = sites.size() + 1;
 
-        const std::uint64_t watchdog = golden.ga_cycles * cfg_.watchdog_factor + 64;
+        const std::uint64_t watchdog = watchdog_budget(golden.ga_cycles, cfg_.watchdog_factor);
         // Optimizer cycle: 0 = the edge that loaded kStart in golden lane 0
         // (SeuInjector's numbering); -1 until then. Bound on edges before
         // the optimizer starts (init handshake).

@@ -82,8 +82,7 @@ FaultRecord SeuInjector::run_rtl(const FaultSite& site, InjectBackend backend) c
     rec.inject_cycle = c;
 
     if (backend == InjectBackend::kPoke) {
-        chain.flip(pos);
-        core.input_changed();  // re-evaluate the Moore outputs pre-edge
+        sys.flip_register_bit(site.reg, site.bit);
     } else {
         // Scan-chain read-modify-write through the pins: rotate the whole
         // chain once, feeding every tail bit back into scanin — inverted at
@@ -148,60 +147,6 @@ FaultRecord SeuInjector::run_rtl(const FaultSite& site, InjectBackend backend) c
     rec.outcome = classify(rec.finished, rec.best_fitness, rec.best_candidate, rec.final_state,
                            golden_);
     return rec;
-}
-
-bool SeuInjector::validate_preset_fallback(const FaultSite& site, FaultRecord* observed) const {
-    system::GaSystemConfig scfg = system_config(cfg_);
-    scfg.trace_sink = sink_;  // the tap's `preset` event marks the fallback
-    system::GaSystem sys(scfg);
-    if (!sys.start()) throw std::runtime_error("SeuInjector: optimizer never started");
-    GaCore& core = sys.core();
-
-    std::uint64_t c = 0;
-    while (c < site.cycle || !scan_safe_state(core.state())) {
-        if (c >= golden_.ga_cycles) return false;
-        sys.ga_cycle();
-        ++c;
-    }
-    core.scan_chain().flip(core.scan_chain().position_of(site.reg, site.bit));
-    core.input_changed();
-
-    sys.run_to(system::GaSystem::kEnd, watchdog_cycles() - c);
-    // The fallback only applies to watchdog trips that parked the FSM in
-    // kIdle (anywhere else start_GA is not sampled and only reset helps).
-    if (core.state() != GaCore::State::kIdle) return false;
-
-    // Supervisor action: select the preset mode and re-pulse start_GA
-    // through the application module's hung-run recovery path (start_ga is
-    // a module-driven net — an external poke would be overwritten at the
-    // next settle). No reset: the preset path must not depend on any
-    // (possibly corrupted) programmed state.
-    sys.wires().preset.drive(cfg_.fallback_preset & 0x3);
-    sys.app_module().request_restart();
-    sys.ga_cycle();
-    sys.ga_cycle();
-    sys.ga_cycle();
-    sys.ga_cycle();
-
-    const std::uint64_t fc =
-        sys.run_to(system::GaSystem::kEnd,
-                   core::cycle_bound(core::preset_parameters(cfg_.fallback_preset)))
-            .cycles;
-
-    FaultRecord rec;
-    rec.site = site;
-    rec.finished = core.state() == GaCore::State::kDone;
-    rec.final_state = static_cast<std::uint8_t>(core.state());
-    if (rec.finished) {
-        rec.best_fitness = sys.best_fitness();
-        rec.best_candidate = sys.best_candidate();
-        rec.ga_cycles = fc;
-    }
-    rec.outcome = FaultOutcome::kRecovered;
-    if (observed != nullptr) *observed = rec;
-
-    return rec.finished && rec.best_fitness == preset_baseline_.best_fitness &&
-           rec.best_candidate == preset_baseline_.best_candidate;
 }
 
 }  // namespace gaip::fault

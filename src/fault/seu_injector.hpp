@@ -8,8 +8,8 @@
 //               the classic scan-based read-modify-write fault injection.
 //               The optimizer is frozen while shifting, so the rotation
 //               cycles do not count toward the run's cycle budget.
-//   kPoke     — simulator backdoor: ScanChain::flip on the RT-level core's
-//               register file between two clock edges.
+//   kPoke     — simulator backdoor: GaSystem::flip_register_bit on the
+//               RT-level core's register file between two clock edges.
 //   kLaneMask — CompiledNetlist::xor_register_lanes on the gate-level
 //               64-lane simulation: one XOR plants an independent fault per
 //               lane of the same baseline run (campaign.hpp drives this).
@@ -93,14 +93,6 @@ public:
     /// Run one faulted RT-level simulation (kScan or kPoke; kLaneMask runs
     /// batched inside FaultCampaign).
     FaultRecord run_rtl(const FaultSite& site, InjectBackend backend) const;
-
-    /// Demonstrate the recovery path end to end: replay `site` (poke
-    /// backend), require the watchdog to trip with the FSM in kIdle, then
-    /// assert the PRESET pins and pulse start_GA — no reset — and require
-    /// the rerun to finish with the preset baseline's exact result. Returns
-    /// false at the first unmet requirement; `observed` (optional) gets the
-    /// fallback run's record.
-    bool validate_preset_fallback(const FaultSite& site, FaultRecord* observed = nullptr) const;
 
 private:
     /// Overflow-checked `ga_cycles * factor + 64` (throws std::overflow_error

@@ -236,9 +236,7 @@ void BatchGateRunner::add_vcd(trace::VcdWriter* vcd, const std::vector<unsigned>
 std::vector<BatchLaneResult> BatchGateRunner::run(std::uint64_t max_cycles) {
     if (max_cycles == 0) max_cycles = default_cycle_bound();
     begin_run();
-    std::size_t unfinished = lanes_.size();
-    while (unfinished > 0 && cycle_ < max_cycles) unfinished = step_cycle();
-    if (unfinished > 0)
+    if (!run_to(core::kEnd, max_cycles).ok)
         throw std::runtime_error("BatchGateRunner: lanes did not finish within bound");
     std::vector<BatchLaneResult> out;
     out.reserve(lanes_.size());
@@ -246,9 +244,17 @@ std::vector<BatchLaneResult> BatchGateRunner::run(std::uint64_t max_cycles) {
     return out;
 }
 
-std::size_t BatchGateRunner::run_to_barrier(std::uint64_t max_cycles) {
-    while (pending_lanes() > 0 && cycle_ < max_cycles) step_cycle();
-    return pending_lanes();
+core::Advance BatchGateRunner::run_to(std::uint32_t g, std::uint64_t bound) {
+    stall_ = WordVec{};
+    barrier_armed_ = g != core::kEnd;
+    barrier_gen_ = g;
+    core::Advance a;
+    while (pending_lanes() > 0 && a.cycles < bound) {
+        step_cycle();
+        ++a.cycles;
+    }
+    a.ok = pending_lanes() == 0;
+    return a;
 }
 
 std::size_t BatchGateRunner::pending_lanes() const noexcept {
@@ -258,11 +264,31 @@ std::size_t BatchGateRunner::pending_lanes() const noexcept {
     return n;
 }
 
-void BatchGateRunner::release_lanes() { stall_ = WordVec{}; }
-
-bool BatchGateRunner::lane_bank(unsigned lane) const {
+std::uint32_t BatchGateRunner::lane_generation(unsigned lane) const {
     check_lane(lane);
-    return core_->value(core_src_->bank, lane);
+    return static_cast<std::uint32_t>(core_->word_value(core_src_->gen_id, lane));
+}
+
+std::vector<core::Member> BatchGateRunner::lane_population(unsigned lane) const {
+    check_lane(lane);
+    const bool bank = core_->value(core_src_->mon_bank, lane);
+    std::vector<core::Member> out(core_->word_value(core_src_->mon_pop_size, lane));
+    for (std::size_t j = 0; j < out.size(); ++j) {
+        const std::uint32_t word =
+            peek_lane_mem(lane, mem::bank_address(bank, static_cast<std::uint8_t>(j)));
+        out[j] = core::Member{mem::member_candidate(word), mem::member_fitness(word)};
+    }
+    return out;
+}
+
+void BatchGateRunner::poke_lane_member(unsigned lane, std::size_t slot, core::Member m) {
+    check_lane(lane);
+    if (slot >= core_->word_value(core_src_->mon_pop_size, lane))
+        throw std::invalid_argument("BatchGateRunner::poke_lane_member: slot out of range");
+    poke_lane_mem(lane,
+                  mem::bank_address(core_->value(core_src_->mon_bank, lane),
+                                    static_cast<std::uint8_t>(slot)),
+                  mem::pack_member(m.candidate, m.fitness));
 }
 
 std::uint32_t BatchGateRunner::peek_lane_mem(unsigned lane, std::uint8_t addr) const {
@@ -374,8 +400,8 @@ std::size_t BatchGateRunner::step_cycle() {
 
     // Pre-edge samples of the core's outputs. The monitor samples are the
     // observation point the RT-level SystemTap uses, so traced event
-    // streams line up across substrates; the island barrier watches the
-    // same pulse to spot lanes entering their kGenCheck boundary.
+    // streams line up across substrates; run_to() watches the same pulse
+    // to spot lanes entering their kGenCheck boundary.
     const WordVec data_ack_w = read_core(hc_data_ack_);
     const WordVec mem_wr_w = read_core(hc_mem_wr_);
     WordVec rn_next_w = read_core(hc_rn_next_);
@@ -627,8 +653,8 @@ void BatchGateRunner::emit_lane_events(unsigned w, std::uint64_t act, std::uint6
 }
 
 /// Post-edge pass, one lane-block word at a time and on whole masks: GA
-/// memory, init handshake and start pulse, telemetry, barrier parking and
-/// completion.
+/// memory, init handshake and start pulse, telemetry, boundary parking
+/// and completion.
 std::size_t BatchGateRunner::advance_lanes(const WordVec& data_ack_w, const WordVec& mem_wr_w,
                                            const WordVec& mon_pulse_w,
                                            const WordVec& mon_bank_w) {
@@ -643,7 +669,7 @@ std::size_t BatchGateRunner::advance_lanes(const WordVec& data_ack_w, const Word
         // The reset edge just landed in these lanes: their own clock starts.
         const std::uint64_t reset = live & reset_[w];
         for_each_bit(reset, [&](unsigned k) { lanes_[lane_base + k].base = cycle_; });
-        // Lanes parked before this edge are frozen at the barrier:
+        // Lanes parked before this edge are frozen at their boundary:
         // peripherals and edge detectors hold, the lane accrues stall time
         // and keeps its read data.
         const std::uint64_t held = stall_[w];
@@ -663,11 +689,11 @@ std::size_t BatchGateRunner::advance_lanes(const WordVec& data_ack_w, const Word
 
         const std::uint64_t pulse = mon_pulse_w[w] & act;
         const std::uint64_t rise = pulse & ~prev_pulse_[w];
-        // Barrier park: the pulse rise IS the monitor capture edge (E2 of
+        // Boundary park: the pulse rise IS the monitor capture edge (E2 of
         // the boundary), so gating the lane from the next cycle on freezes
         // it after the pre-migration snapshot and before the elite write
-        // reaches the other bank — the exact window the RTL island driver
-        // pokes GaMemory in.
+        // reaches the other bank — the point where GaSystem::run_to()
+        // parks the RT-level system.
         if (barrier_armed_)
             for_each_bit(rise & ~finished_[w], [&](unsigned k) {
                 const auto lk = static_cast<unsigned>(lane_base + k);

@@ -31,8 +31,15 @@
 // started, finished, parked and the telemetry edge detectors are one WordVec
 // each, completion visits only the set bits of `done & started & ~finished &
 // active`, the unfinished count is a popcount, and the per-lane init
-// handshake, event and barrier passes run only while a lane is in its
-// handshake, a sink is attached or a barrier is armed.
+// handshake, event and boundary passes run only while a lane is in its
+// handshake, a sink is attached or a run_to() boundary is armed.
+//
+// The block has the stepping and population surface of the RT-level
+// GaSystem: run_to(g, bound) -> core::Advance parks every lane at
+// generation g's boundary, and lane_generation / lane_population /
+// poke_lane_member read and poke a parked lane with GaSystem's semantics.
+// Islands and the supervisor drive lanes through that surface only; the
+// GA memory's bank layout stays inside the runner.
 #pragma once
 
 #include <array>
@@ -41,7 +48,9 @@
 #include <optional>
 #include <vector>
 
+#include "core/behavioral.hpp"
 #include "core/params.hpp"
+#include "core/substrate.hpp"
 #include "fitness/functions.hpp"
 #include "gates/compiled.hpp"
 #include "gates/ga_core_gates.hpp"
@@ -159,17 +168,18 @@ public:
     void add_vcd(trace::VcdWriter* vcd, const std::vector<unsigned>& lanes_to_trace);
 
     /// Reset everything and run until every lane reaches GA_done (or the
-    /// cycle bound trips; then throws). Returns one result per lane.
-    /// `max_cycles` counts from reset; 0 selects the formula bound.
+    /// cycle bound trips; then throws): begin_run() + run_to(core::kEnd).
+    /// Returns one result per lane. `max_cycles` counts from reset; 0
+    /// selects the formula bound.
     std::vector<BatchLaneResult> run(std::uint64_t max_cycles = 0);
 
-    // --- stepwise interface and island barrier ---------------------------
+    // --- stepwise interface ----------------------------------------------
     // Callers may step the block one GA cycle at a time (gaipd, the fault
-    // campaign) and park lanes at generation boundaries (src/island/): a
-    // parked lane is clock-gated and its peripherals freeze, so it holds
-    // its exact state while siblings evolve, and its GA memory can be
-    // poked (right after the monitor's kGenCheck capture edge, where the
-    // RTL island driver pokes GaMemory).
+    // campaign) or one generation boundary at a time with run_to() (island
+    // barriers, the supervisor's gate attempts): a lane parked at a
+    // boundary is clock-gated and its peripherals freeze, so it holds its
+    // exact state while siblings evolve, and its population can be read
+    // and poked there — the point where GaSystem::run_to() parks.
 
     /// Append one {index, value} write to a lane's init program (the
     /// migration registers 6/7 ride the handshake). Call before the run.
@@ -185,26 +195,17 @@ public:
     /// lanes count as unfinished).
     std::size_t step_cycle();
 
-    /// Arm the generation-synchronous barrier: an unfinished lane whose
-    /// monitor pulse rises with mon_gen_id == `gen` parks right after the
-    /// capture edge. Parked lanes stay parked until release_lanes().
-    void arm_generation_barrier(std::uint32_t gen) {
-        barrier_armed_ = true;
-        barrier_gen_ = gen;
-    }
-    void disarm_generation_barrier() { barrier_armed_ = false; }
+    /// GaSystem::run_to() for the whole block. Releases the lanes the
+    /// previous call parked, then clocks until every unfinished lane is
+    /// parked one edge past the monitor pulse with gen id `g` (core::kEnd:
+    /// until every lane has finished), at most `bound` cycles. ok = no lane
+    /// is still running.
+    core::Advance run_to(std::uint32_t g, std::uint64_t bound);
 
-    /// Step until every lane is parked at the armed barrier or finished,
-    /// or `max_cycles` (counted from reset) elapses. Returns the number of
-    /// lanes still running — nonzero means a lane missed the barrier
-    /// within the bound (the island watchdog's trip signal).
-    std::size_t run_to_barrier(std::uint64_t max_cycles);
-
-    /// Lanes neither finished, parked at the barrier nor free.
+    /// Lanes neither finished, parked at a run_to() boundary nor free.
     std::size_t pending_lanes() const noexcept;
-    /// Resume every parked lane (re-arm for the next boundary first).
-    void release_lanes();
-    /// GA cycles a lane spent clock-gated at barriers so far.
+    /// GA cycles a lane spent clock-gated at run_to() boundaries so far
+    /// (while siblings ran on to the boundary).
     std::uint64_t lane_stall_cycles(unsigned lane) const {
         check_lane(lane);
         return lanes_[lane].stall_cycles;
@@ -213,8 +214,17 @@ public:
         check_lane(lane);
         return lanes_[lane].result;
     }
-    /// Current-population bank bit of one lane (post-edge register value).
-    bool lane_bank(unsigned lane) const;
+
+    // --- population access: GaSystem's generation/population/poke_member,
+    // valid where run_to() parks ---
+    /// Completed generations of one lane: its core's generation counter.
+    std::uint32_t lane_generation(unsigned lane) const;
+    /// The lane's current population bank (bank and size from the monitor
+    /// taps mon_bank and mon_pop_size).
+    std::vector<core::Member> lane_population(unsigned lane) const;
+    /// Overwrite one slot of the lane's current bank. The fit_sum register
+    /// stays stale and the best-ever registers are untouched.
+    void poke_lane_member(unsigned lane, std::size_t slot, core::Member m);
 
     /// Backdoor access to a lane's GA memory (256 x 32 words).
     std::uint32_t peek_lane_mem(unsigned lane, std::uint8_t addr) const;
@@ -239,7 +249,7 @@ private:
         // start pulse
         int start_hold = -1;  ///< -1 = not yet scheduled; >0 = cycles left high
         std::uint64_t start_cycle = 0;  ///< runner cycle start_GA rose in
-        std::uint64_t stall_cycles = 0;  ///< cycles clock-gated at barriers
+        std::uint64_t stall_cycles = 0;  ///< cycles clock-gated at boundaries
         // telemetry (touched only when a sink is attached)
         bool init_done_traced = false;
         bool start_traced = false;
@@ -330,8 +340,8 @@ private:
     std::array<WordVec, kDataBits> mdi_{};
     /// Fitness ROM per FitnessId, resolved on first use (fem_table).
     std::array<std::shared_ptr<const mem::BlockRom>, fitness::kNumFitnessIds> roms_{};
-    // island barrier state: per-lane clock-gate mask (the parked lanes) +
-    // armed boundary
+    // run_to() boundary state: per-lane clock-gate mask (the parked lanes)
+    // + armed boundary
     WordVec stall_{};
     bool barrier_armed_ = false;
     std::uint32_t barrier_gen_ = 0;

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "gates/batch_runner.hpp"
-#include "mem/ga_memory.hpp"
 #include "util/worker_pool.hpp"
 
 namespace gaip::island {
@@ -21,7 +20,7 @@ public:
     Ensemble& operator=(const Ensemble&) = delete;
     virtual ~Ensemble() = default;
     /// Advance every island one edge past generation `g`'s boundary, or to
-    /// completion for GaSystem::kEnd. Throws std::runtime_error when an
+    /// completion for core::kEnd. Throws std::runtime_error when an
     /// island misses its cycle bound.
     virtual void advance(std::uint32_t g) = 0;
     virtual std::vector<core::Member> population(unsigned i) const = 0;
@@ -133,7 +132,7 @@ public:
         for (const Island& m : isl_) seg_max = std::max(seg_max, m.seg);
         for (Island& m : isl_) {
             m.run += m.seg;
-            if (g != GaSystem::kEnd) m.stall += seg_max - m.seg;
+            if (g != core::kEnd) m.stall += seg_max - m.seg;
             m.seg = 0;
             // The trajectory survives system replacement: a restored
             // system's monitor only sees generations past its checkpoint.
@@ -220,7 +219,7 @@ private:
     void run_segment(std::size_t i, std::uint32_t g, std::uint32_t gens) {
         Island& m = isl_[i];
         if (sup_ == nullptr) {
-            const GaSystem::Advance a = m.sys->run_to(g, bound_);
+            const core::Advance a = m.sys->run_to(g, bound_);
             if (!a.ok) throw std::runtime_error("IslandSystem: island missed its cycle bound (rtl)");
             m.seg += a.cycles;
             return;
@@ -242,7 +241,7 @@ private:
             GaSystem::CycleFn on_cycle;
             if (sup_->hook)
                 on_cycle = [&](std::uint64_t c) { sup_->hook(sys, info, base + c); };
-            const GaSystem::Advance a = sys.run_to(g, budget, on_cycle);
+            const core::Advance a = sys.run_to(g, budget, on_cycle);
             if (a.ok) {
                 m.seg += a.cycles;
                 return;
@@ -288,8 +287,7 @@ class GateEnsemble final : public Ensemble {
 public:
     GateEnsemble(const IslandConfig& cfg, const core::GaParameters& eff,
                  const std::vector<std::uint16_t>& seeds)
-        : pop_(eff.pop_size),
-          runner_(cfg.fn, lane_params(eff, seeds), cfg.words, cfg.gate_backend),
+        : runner_(cfg.fn, lane_params(eff, seeds), cfg.words, cfg.gate_backend),
           sinks_(seeds.size()) {
         for (unsigned i = 0; i < seeds.size(); ++i) {
             runner_.append_lane_write(i, kMigIntervalIndex, cfg.migration.interval);
@@ -300,37 +298,19 @@ public:
         bound_ = runner_.default_cycle_bound() * 4;
     }
 
+    /// `bound_` counts from reset, like the runner's cycles().
     void advance(std::uint32_t g) override {
-        if (parked_) runner_.release_lanes();
-        parked_ = false;
-        if (g == GaSystem::kEnd) {
-            runner_.disarm_generation_barrier();
-            if (runner_.run_to_barrier(bound_) != 0)
-                throw std::runtime_error(
-                    "IslandSystem: lane(s) missed the completion bound (gate)");
-            return;
-        }
-        runner_.arm_generation_barrier(g);
-        const std::size_t pending = runner_.run_to_barrier(bound_);
-        if (pending != 0)
-            throw std::runtime_error("IslandSystem: " + std::to_string(pending) +
-                                     " lane(s) missed the migration barrier (gate)");
-        parked_ = true;
+        if (runner_.run_to(g, bound_ - runner_.cycles()).ok) return;
+        if (g == core::kEnd)
+            throw std::runtime_error("IslandSystem: lane(s) missed the completion bound (gate)");
+        throw std::runtime_error("IslandSystem: " + std::to_string(runner_.pending_lanes()) +
+                                 " lane(s) missed the migration barrier (gate)");
     }
     std::vector<core::Member> population(unsigned i) const override {
-        const bool bank = runner_.lane_bank(i);
-        std::vector<core::Member> pop(pop_);
-        for (unsigned j = 0; j < pop_; ++j) {
-            const std::uint32_t word =
-                runner_.peek_lane_mem(i, mem::bank_address(bank, static_cast<std::uint8_t>(j)));
-            pop[j] = core::Member{mem::member_candidate(word), mem::member_fitness(word)};
-        }
-        return pop;
+        return runner_.lane_population(i);
     }
     void poke(unsigned i, std::size_t slot, core::Member m) override {
-        runner_.poke_lane_mem(
-            i, mem::bank_address(runner_.lane_bank(i), static_cast<std::uint8_t>(slot)),
-            mem::pack_member(m.candidate, m.fitness));
+        runner_.poke_lane_member(i, slot, m);
     }
     std::uint64_t makespan() const override { return runner_.cycles(); }
     void collect(IslandResult& r) const override {
@@ -357,11 +337,9 @@ private:
         return params;
     }
 
-    unsigned pop_;
     gates::BatchGateRunner runner_;
     std::vector<trace::MemorySink> sinks_;
     std::uint64_t bound_ = 0;
-    bool parked_ = false;
 };
 
 }  // namespace
@@ -442,7 +420,7 @@ void IslandSystem::start() {
 void IslandSystem::step() {
     const std::size_t k = next_++;
     if (k >= boundaries_.size()) {
-        ens_->advance(GaSystem::kEnd);
+        ens_->advance(core::kEnd);
         return;
     }
     const std::uint32_t g = boundaries_[k];

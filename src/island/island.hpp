@@ -15,9 +15,12 @@
 //                generation — the executable spec of the same exchange;
 //   kGates       one gates::BatchGateRunner lane block (the compiled
 //                gate-level netlist, interpreter or JIT backend): island i
-//                is SIMD lane i, the barrier is per-lane clock gating
-//                (CompiledNetlist::clock_gated), and migration pokes the
-//                lane's software GA memory.
+//                is SIMD lane i, BatchGateRunner::run_to() parks every lane
+//                at the barrier (per-lane clock gating inside the runner),
+//                and migration reads and pokes lanes through
+//                lane_population()/poke_lane_member() — the runner's
+//                GaSystem-shaped surface, so the ensemble never decodes the
+//                GA memory's bank layout.
 //
 // One resumable run loop (start(), step() per barrier-to-barrier segment,
 // done(), finish()) drives all three through a small per-substrate

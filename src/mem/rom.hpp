@@ -1,16 +1,13 @@
-// Block-ROM model: read-only storage with synchronous, one-cycle-latency
-// reads. The paper populates block ROMs with precomputed fitness values
-// ("lookup-based fitness computation", Sec. IV-B); RomModule is the clocked
-// wrapper the fitness evaluation modules instantiate.
+// Block-ROM contents: read-only storage for precomputed tables. The paper
+// populates block ROMs with precomputed fitness values ("lookup-based
+// fitness computation", Sec. IV-B); fitness::RomFitnessModule is the
+// clocked FEM that reads one, and the software baselines and the gate-lane
+// harness read the very same table.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
-
-#include "rtl/module.hpp"
 
 namespace gaip::mem {
 
@@ -28,34 +25,6 @@ public:
 
 private:
     std::vector<std::uint16_t> words_;
-};
-
-struct RomPorts {
-    rtl::Wire<std::uint16_t>& addr;
-    rtl::Wire<std::uint16_t>& data_out;
-};
-
-class RomModule final : public rtl::Module {
-public:
-    RomModule(std::string name, RomPorts ports, std::shared_ptr<const BlockRom> rom)
-        : Module(std::move(name)), p_(ports), rom_(std::move(rom)) {
-        if (!rom_) throw std::invalid_argument("RomModule: null rom");
-        attach(dout_reg_);
-    }
-
-    void eval() override { p_.data_out.drive(dout_reg_.read()); }
-
-    void tick() override {
-        const std::size_t a = p_.addr.read() % rom_->depth();
-        dout_reg_.load(rom_->read(a));
-    }
-
-    const BlockRom& rom() const noexcept { return *rom_; }
-
-private:
-    RomPorts p_;
-    std::shared_ptr<const BlockRom> rom_;
-    rtl::Reg<std::uint16_t> dout_reg_{"rom_dout", 0};
 };
 
 }  // namespace gaip::mem

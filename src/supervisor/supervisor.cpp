@@ -72,6 +72,17 @@ void record_stop(AttemptRecord& rec, system::GaSystem& sys) {
 
 }  // namespace
 
+CycleHook flip_hook(fault::FaultSite site, bool& fired, unsigned replica, unsigned attempt) {
+    return [site = std::move(site), &fired, replica, attempt](
+               system::GaSystem& sys, const AttemptInfo& info, std::uint64_t cycle) {
+        if (fired || info.in_init || info.replica != replica || info.attempt != attempt) return;
+        if (cycle >= site.cycle && fault::scan_safe_state(sys.state())) {
+            sys.flip_register_bit(site.reg, site.bit);
+            fired = true;
+        }
+    };
+}
+
 Checkpoint capture_checkpoint(system::GaSystem& sys, std::uint64_t cycle) {
     Checkpoint cp;
     cp.generation = sys.core().generation();
@@ -477,16 +488,8 @@ void MissionSupervisor::advance() {
         a.beh->step_generation();
         a.over = a.beh->done();
     } else {
-        // Gate lane: clock to the next kGenCheck entry edge.
-        constexpr auto kGenCheck = static_cast<std::uint8_t>(GaCore::State::kGenCheck);
-        std::uint8_t prev = a.gate->lane_state(0);
-        bool boundary = false;
-        while (!a.over && !boundary) {
-            a.over = a.gate->step_cycle() == 0 || a.gate->cycles() >= a.bound;
-            const std::uint8_t st = a.gate->lane_state(0);
-            boundary = st == kGenCheck && prev != kGenCheck;
-            prev = st;
-        }
+        a.c += a.gate->run_to(a.gate->lane_generation(0) + 1, a.bound - a.c).cycles;
+        a.over = a.gate->lane_result(0).finished || a.c >= a.bound;
     }
 }
 

@@ -41,7 +41,11 @@
 // kept idle for the restart and in-place fallback rungs, a fresh preset
 // system, a BehavioralEngine or a one-lane BatchGateRunner — and step()
 // advances it one generation under the attempt's cycle budget until it
-// finishes or trips. gaipd cancels a supervised job between two steps.
+// finishes or trips. The RT-level and gate-lane steps are the same call,
+// run_to(generation + 1, budget left), on GaSystem and BatchGateRunner.
+// gaipd cancels a supervised job between two steps. flip_hook() is the
+// one SEU-injecting hook (GaSystem::flip_register_bit) the tools, benches
+// and tests plant into an attempt.
 //
 // Every decision is emitted as a trace::TraceEvent (kinds sup_* and
 // watchdog_trip in trace/event.hpp), so `gaip-trace` tooling records and
@@ -144,6 +148,13 @@ struct AttemptInfo {
 /// the fault-injection tests do to exercise the ladder.
 using CycleHook =
     std::function<void(system::GaSystem&, const AttemptInfo&, std::uint64_t cycle)>;
+
+/// Hook that plants one SEU (GaSystem::flip_register_bit) into attempt
+/// `attempt` of replica `replica`, at the first scan-safe run cycle >=
+/// site.cycle — the SEU injector's convention — and sets `fired`
+/// (borrowed) once it has.
+CycleHook flip_hook(fault::FaultSite site, bool& fired, unsigned replica = 0,
+                    unsigned attempt = 0);
 
 /// Recovery-ladder policy.
 struct LadderConfig {

@@ -159,7 +159,7 @@ std::vector<const fitness::RomFitnessModule*> GaSystem::fems() const {
 }
 
 core::RunResult GaSystem::run() {
-    if (!start() || !run_to(kEnd, cycle_bound()).ok)
+    if (!start() || !run_to(core::kEnd, cycle_bound()).ok)
         throw std::runtime_error("GaSystem::run: did not complete within cycle bound");
     return finish();
 }
@@ -191,13 +191,12 @@ bool GaSystem::start(const CycleFn& on_cycle) {
     return false;
 }
 
-GaSystem::Advance GaSystem::run_to(std::uint32_t g, std::uint64_t bound,
-                                   const CycleFn& on_cycle) {
-    Advance a;
+core::Advance GaSystem::run_to(std::uint32_t g, std::uint64_t bound, const CycleFn& on_cycle) {
+    core::Advance a;
     while (true) {
         if (done()) {
             // A core in kDone never pulses again: a generation target is missed.
-            a.ok = g == kEnd;
+            a.ok = g == core::kEnd;
             return a;
         }
         if (a.cycles >= bound) return a;
@@ -264,6 +263,14 @@ void GaSystem::poke_member(std::size_t slot, core::Member m) {
         throw std::invalid_argument("GaSystem::poke_member: slot out of range");
     memory_->poke(mem::bank_address(wires_.mon_bank.read(), static_cast<std::uint8_t>(slot)),
                   mem::pack_member(m.candidate, m.fitness));
+}
+
+void GaSystem::flip_register_bit(const std::string& reg, unsigned bit) {
+    if (!core_)
+        throw std::logic_error("GaSystem::flip_register_bit: the gate-level core has no scan chain");
+    rtl::ScanChain& chain = core_->scan_chain();
+    chain.flip(chain.position_of(reg, bit));
+    core_->input_changed();  // re-evaluate the Moore outputs pre-edge
 }
 
 std::uint64_t GaSystem::cycle_bound() const {

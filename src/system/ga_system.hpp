@@ -16,6 +16,7 @@
 
 #include "core/behavioral.hpp"
 #include "core/ga_core.hpp"
+#include "core/substrate.hpp"
 #include "gates/ga_core_gates.hpp"
 #include "gates/rng_gates.hpp"
 #include "fitness/fem.hpp"
@@ -109,24 +110,15 @@ inline constexpr std::uint64_t kInitBound = 4096;
 
 class GaSystem {
 public:
-    /// run_to() target meaning "until GA_done".
-    static constexpr std::uint32_t kEnd = UINT32_MAX;
-
     /// Per-GA-cycle callback of start() and run_to(), called with the number
     /// of cycles that call has clocked so far (the supervised ensemble's
     /// fault-injection surface).
     using CycleFn = std::function<void(std::uint64_t)>;
 
-    /// How far one run_to() got.
-    struct Advance {
-        bool ok = false;           ///< reached the target within the bound
-        std::uint64_t cycles = 0;  ///< GA cycles clocked (<= bound)
-    };
-
     explicit GaSystem(GaSystemConfig cfg);
 
     /// Reset and run the whole flow (initialization handshake, start pulse,
-    /// optimization, GA_done) to completion: start() + run_to(kEnd) +
+    /// optimization, GA_done) to completion: start() + run_to(core::kEnd) +
     /// finish(). Throws std::runtime_error if the system does not finish
     /// within cycle_bound().
     core::RunResult run();
@@ -138,10 +130,11 @@ public:
     /// Clock until generation `g`'s boundary has passed: one edge past the
     /// cycle the monitor pulse rises with gen id `g` — the edge where the
     /// monitor has captured the boundary and the current bank is poke-safe
-    /// (for g == n_gens that edge enters kDone). kEnd clocks until GA_done.
-    /// Never clocks more than `bound` cycles; a generation target is missed
-    /// when the bound runs out or the core reaches kDone without its pulse.
-    Advance run_to(std::uint32_t g, std::uint64_t bound, const CycleFn& on_cycle = {});
+    /// (for g == n_gens that edge enters kDone). core::kEnd clocks until
+    /// GA_done. Never clocks more than `bound` cycles; a generation target
+    /// is missed when the bound runs out or the core reaches kDone without
+    /// its pulse.
+    core::Advance run_to(std::uint32_t g, std::uint64_t bound, const CycleFn& on_cycle = {});
     /// After GA_done: clock until the application module has taken the
     /// result, then return it. Throws std::runtime_error if it never does.
     core::RunResult finish();
@@ -163,6 +156,12 @@ public:
     /// Like core::BehavioralEngine::poke_member, the fit_sum register stays
     /// stale and the best-ever registers are untouched.
     void poke_member(std::size_t slot, core::Member m);
+    /// SEU primitive: invert bit `bit` of scan-chain register `reg` between
+    /// two edges and re-settle the core's Moore outputs, so the upset is
+    /// visible from the next edge on. Throws std::out_of_range for an
+    /// unknown register or bit, std::logic_error on the gate-level core
+    /// (it has no scan chain).
+    void flip_register_bit(const std::string& reg, unsigned bit);
     /// Whole-run GA-cycle bound: core::cycle_bound() of the resolved
     /// parameters plus four times the external FEM latency per evaluation.
     std::uint64_t cycle_bound() const;

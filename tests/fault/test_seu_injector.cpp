@@ -1,7 +1,8 @@
 // SeuInjector unit tests: fault-site addressing across the whole 405-bit
 // scan chain, the classification taxonomy, backend equivalence (scan-chain
 // read-modify-write through the pins vs the register-poke backdoor), and
-// the PRESET fallback recovery path.
+// the PRESET fallback recovery path (through the supervisor's fallback
+// rung).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -16,6 +17,7 @@
 #include "gates/compiled.hpp"
 #include "gates/rng_gates.hpp"
 #include "prng/rng_module.hpp"
+#include "supervisor/supervisor.hpp"
 #include "system/ga_system.hpp"
 
 namespace gaip::fault {
@@ -162,13 +164,28 @@ TEST(SeuInjector, StateBitFlipToIdleIsRecoveredViaPresetFallback) {
     EXPECT_FALSE(rec.finished);
     EXPECT_EQ(rec.final_state, static_cast<std::uint8_t>(GaCore::State::kIdle));
 
-    // The supervisor recipe must actually work: PRESET pins + re-pulsed
-    // start_GA (no reset) lands on the preset mode's exact result.
-    FaultRecord observed;
-    EXPECT_TRUE(inj.validate_preset_fallback(site, &observed));
-    EXPECT_TRUE(observed.finished);
-    EXPECT_EQ(observed.best_fitness, inj.preset_baseline().best_fitness);
-    EXPECT_EQ(observed.best_candidate, inj.preset_baseline().best_candidate);
+    // The supervisor's fallback rung must actually recover it: with the
+    // ladder cut to that rung and the injector's watchdog budget, PRESET
+    // pins + re-pulsed start_GA (no reset) land on the preset mode's exact
+    // result.
+    supervisor::SupervisorConfig cfg;
+    cfg.fn = inj.config().fn;
+    cfg.params = inj.config().params;
+    cfg.watchdog_factor = inj.config().watchdog_factor;
+    cfg.expected_cycles = inj.golden().ga_cycles;
+    cfg.ladder.max_retries = 0;
+    cfg.ladder.restart_recovery = false;
+    cfg.ladder.fallback_preset = inj.config().fallback_preset;
+    bool fired = false;
+    cfg.hook = supervisor::flip_hook(site, fired);
+    const supervisor::SupervisorReport rep = supervisor::MissionSupervisor(cfg).run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(rep.status, supervisor::Status::kOkDegraded);
+    EXPECT_EQ(rep.final_rung, supervisor::Rung::kPresetFallback);
+    ASSERT_EQ(rep.attempts.size(), 2u);
+    EXPECT_EQ(rep.attempts[0].outcome, supervisor::AttemptOutcome::kWatchdogIdle);
+    EXPECT_EQ(rep.best_fitness, inj.preset_baseline().best_fitness);
+    EXPECT_EQ(rep.best_candidate, inj.preset_baseline().best_candidate);
 }
 
 TEST(SeuInjector, LaneMaskBackendIsRejectedForRtlRuns) {

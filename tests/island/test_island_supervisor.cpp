@@ -18,7 +18,6 @@
 
 #include "fault/fault_model.hpp"
 #include "island/supervised.hpp"
-#include "rtl/scan.hpp"
 #include "supervisor/supervisor.hpp"
 #include "system/ga_system.hpp"
 #include "trace/diff.hpp"
@@ -54,9 +53,7 @@ supervisor::CycleHook wedge_island_hook(unsigned island, std::uint64_t at_cycle,
         if (fired || info.attempt != island || info.rung != Rung::kPrimary || info.resumed)
             return;
         if (cycle >= at_cycle && fault::scan_safe_state(sys.core().state())) {
-            rtl::ScanChain& chain = sys.core().scan_chain();
-            chain.flip(chain.position_of("state", 5));
-            sys.core().input_changed();
+            sys.flip_register_bit("state", 5);
             fired = true;
         }
     };
@@ -186,9 +183,7 @@ TEST(SupervisedIslands, NmrWithoutMajorityAborts) {
     cfg.hook = [&fired](system::GaSystem& sys, const AttemptInfo& info, std::uint64_t cycle) {
         if (info.attempt != 0 || fired[info.replica]) return;  // island 0 only
         if (cycle >= 200 && fault::scan_safe_state(sys.core().state())) {
-            rtl::ScanChain& chain = sys.core().scan_chain();
-            chain.flip(chain.position_of("best_fit", 13 + info.replica));
-            sys.core().input_changed();
+            sys.flip_register_bit("best_fit", 13 + info.replica);
             fired[info.replica] = true;
         }
     };

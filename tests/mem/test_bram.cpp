@@ -101,23 +101,5 @@ TEST(BlockRom, ReadAndBits) {
     EXPECT_THROW(rom.read(3), std::out_of_range);
 }
 
-TEST(RomModule, OneCycleLatencyAndModuloAddressing) {
-    rtl::Kernel kernel;
-    rtl::Clock& clk = kernel.add_clock("clk", 50'000'000);
-    rtl::Wire<std::uint16_t> addr;
-    rtl::Wire<std::uint16_t> dout;
-    auto rom = std::make_shared<const BlockRom>(std::vector<std::uint16_t>{5, 6, 7, 8});
-    RomModule mod("rom", RomPorts{addr, dout}, rom);
-    kernel.bind(mod, clk);
-    kernel.reset();
-
-    addr.drive(2);
-    kernel.run_cycles(clk, 1);
-    EXPECT_EQ(dout.read(), 7u);
-    addr.drive(6);  // wraps to 2 in a 4-deep ROM
-    kernel.run_cycles(clk, 1);
-    EXPECT_EQ(dout.read(), 7u);
-}
-
 }  // namespace
 }  // namespace gaip::mem

@@ -330,6 +330,27 @@ TEST(Service, CancelStopsRunningSupervisedRtlJob) {
     EXPECT_EQ(f.str("state"), "cancelled");
 }
 
+/// The gate-lane twin of long_supervised_rtl_job: the supervisor steps its
+/// one-lane runner one generation boundary at a time (run_to), so a cancel
+/// lands at the next boundary, not after 12k generations.
+JobSpec long_supervised_gates_job() {
+    JobSpec spec = long_supervised_rtl_job();
+    spec.backend = core::Substrate::kGates;
+    return spec;
+}
+
+TEST(Service, CancelStopsRunningSupervisedGatesJob) {
+    service::Daemon d(daemon_config("t_svc_supgatescancel.sock"));
+    Client c(d.socket_path());
+    const std::uint64_t id = c.submit(long_supervised_gates_job());
+    wait_running(c, id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ASSERT_EQ(c.status(id).str("state"), "running");
+    EXPECT_EQ(c.cancel(id), service::CancelOutcome::kCancelled);
+    const Frame f = status_after(c, id, kRtlStopBound);
+    EXPECT_EQ(f.str("state"), "cancelled");
+}
+
 TEST(Service, DeadlineExpiresRunningSupervisedRtlJob) {
     service::Daemon d(daemon_config("t_svc_suprtldeadline.sock"));
     Client c(d.socket_path());

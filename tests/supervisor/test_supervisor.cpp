@@ -14,7 +14,6 @@
 
 #include "core/ga_core.hpp"
 #include "fault/seu_injector.hpp"
-#include "rtl/scan.hpp"
 #include "supervisor/supervisor.hpp"
 #include "system/ga_system.hpp"
 #include "trace/event.hpp"
@@ -52,24 +51,6 @@ SupervisorConfig base_config() {
     // cheap; the formula default would arm a ~400k-cycle watchdog.
     cfg.expected_cycles = shared_injector().golden().ga_cycles;
     return cfg;
-}
-
-/// Hook that plants one SEU (poke backend: ScanChain::flip between two
-/// edges) into one attempt of one replica, at the first scan-safe cycle >=
-/// site.cycle — the SEU injector's convention.
-CycleHook flip_hook(FaultSite site, bool& fired, unsigned replica = 0,
-                    unsigned attempt = 0) {
-    return [site, &fired, replica, attempt](system::GaSystem& sys, const AttemptInfo& info,
-                                            std::uint64_t cycle) {
-        if (fired || info.in_init || info.replica != replica || info.attempt != attempt)
-            return;
-        if (cycle >= site.cycle && fault::scan_safe_state(sys.core().state())) {
-            rtl::ScanChain& chain = sys.core().scan_chain();
-            chain.flip(chain.position_of(site.reg, site.bit));
-            sys.core().input_changed();
-            fired = true;
-        }
-    };
 }
 
 TEST(MissionSupervisor, ConfigValidation) {
@@ -339,9 +320,7 @@ TEST(MissionSupervisor, NmrWithoutMajorityAborts) {
     cfg.hook = [&fired](system::GaSystem& sys, const AttemptInfo& info, std::uint64_t cycle) {
         if (info.in_init || info.attempt != 0 || fired[info.replica]) return;
         if (cycle >= 200 && fault::scan_safe_state(sys.core().state())) {
-            rtl::ScanChain& chain = sys.core().scan_chain();
-            chain.flip(chain.position_of("best_fit", 13 + info.replica));
-            sys.core().input_changed();
+            sys.flip_register_bit("best_fit", 13 + info.replica);
             fired[info.replica] = true;
         }
     };

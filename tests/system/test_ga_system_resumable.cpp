@@ -131,7 +131,7 @@ TEST_P(ResumableGaSystem, PokeAtABoundaryMatchesTheBehavioralPoke) {
     ASSERT_TRUE(sys.run_to(at, sys.cycle_bound()).ok);
     sys.poke_member(4, migrant);
     EXPECT_EQ(sys.population()[4], migrant);
-    ASSERT_TRUE(sys.run_to(GaSystem::kEnd, sys.cycle_bound()).ok);
+    ASSERT_TRUE(sys.run_to(core::kEnd, sys.cycle_bound()).ok);
     const RunResult got = sys.finish();
 
     core::BehavioralEngine eng = behavioral();
@@ -159,12 +159,12 @@ TEST_P(ResumableGaSystem, RunToStopsAtItsBoundAndAtDone) {
     }
     GaSystem sys(config(gate_level()));
     ASSERT_TRUE(sys.start());
-    const GaSystem::Advance cut = sys.run_to(1, to_gen1 - 1);  // the pulse edge is the last
+    const core::Advance cut = sys.run_to(1, to_gen1 - 1);  // the pulse edge is the last
     EXPECT_FALSE(cut.ok);
     EXPECT_EQ(cut.cycles, to_gen1 - 1);
 
-    ASSERT_TRUE(sys.run_to(GaSystem::kEnd, sys.cycle_bound()).ok);
-    const GaSystem::Advance past = sys.run_to(params().n_gens + 1, sys.cycle_bound());
+    ASSERT_TRUE(sys.run_to(core::kEnd, sys.cycle_bound()).ok);
+    const core::Advance past = sys.run_to(params().n_gens + 1, sys.cycle_bound());
     EXPECT_FALSE(past.ok);
     EXPECT_EQ(past.cycles, 0u);
 }

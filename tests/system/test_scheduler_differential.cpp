@@ -18,7 +18,6 @@
 
 #include "fault/fault_model.hpp"
 #include "fitness/functions.hpp"
-#include "rtl/scan.hpp"
 #include "supervisor/supervisor.hpp"
 #include "system/ga_system.hpp"
 #include "trace/jsonl.hpp"
@@ -214,9 +213,7 @@ TEST(SchedulerDifferential, SupervisorRestartRung) {
                               std::to_string(sys.wires().candidate.read()) + '\n';
             if (!fired && !info.in_init && cycle >= 10 &&
                 fault::scan_safe_state(sys.core().state())) {
-                rtl::ScanChain& chain = sys.core().scan_chain();
-                chain.flip(chain.position_of("state", 2));
-                sys.core().input_changed();
+                sys.flip_register_bit("state", 2);
                 fired = true;
             }
         };

@@ -234,7 +234,7 @@ TEST(SystemTap, SinkActivatedMidRunGetsTheStreamSuffix) {
     ASSERT_TRUE(sys.run_to(1, sys.cycle_bound()).ok);
     const std::uint64_t t_on = sys.kernel().now();
     sink.on = true;
-    ASSERT_TRUE(sys.run_to(system::GaSystem::kEnd, sys.cycle_bound()).ok);
+    ASSERT_TRUE(sys.run_to(core::kEnd, sys.cycle_bound()).ok);
     sys.finish();
 
     std::vector<TraceEvent> suffix;

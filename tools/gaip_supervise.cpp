@@ -20,10 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "core/ga_core.hpp"
 #include "fault/fault_model.hpp"
 #include "supervisor/supervisor.hpp"
-#include "system/ga_system.hpp"
 #include "tools/cli.hpp"
 #include "trace/jsonl.hpp"
 
@@ -187,20 +185,7 @@ int main(int argc, char** argv) {
         // at the first scan-safe cycle >= the requested one (the SEU
         // injector's convention), so the ladder has something to recover.
         bool injected = false;
-        if (flip.has_value()) {
-            const fault::FaultSite site = *flip;
-            cfg.hook = [&injected, site](system::GaSystem& sys,
-                                         const supervisor::AttemptInfo& info,
-                                         std::uint64_t cycle) {
-                if (injected || info.in_init || info.replica != 0 || info.attempt != 0) return;
-                if (cycle >= site.cycle && fault::scan_safe_state(sys.core().state())) {
-                    rtl::ScanChain& chain = sys.core().scan_chain();
-                    chain.flip(chain.position_of(site.reg, site.bit));
-                    sys.core().input_changed();
-                    injected = true;
-                }
-            };
-        }
+        if (flip.has_value()) cfg.hook = supervisor::flip_hook(*flip, injected);
 
         supervisor::MissionSupervisor sup(cfg);
         const supervisor::SupervisorReport rep = sup.run();
